@@ -7,8 +7,8 @@ operators and convergence-study drivers, all on structured grids.
 
 from .coeffs import (CoefficientError, CoefficientPart, CoefficientSpec,
                      ScaleSchedule, eval_coefficient, eval_fine, validate_bounds)
-from .mesh import CellMesh, DomainMesh, MeshError, build_cell_mesh, build_domain_mesh
-from .fem import (AssemblyError, DofField, SolveError, SparseSymSystem,
+from .mesh import CellMesh, DomainMesh, MeshError
+from .fem import (AssemblyError, SolveError, SparseSymSystem,
                   assemble_curl_stiffness, assemble_scalar_stiffness,
                   assemble_vector_mass, solve_spd)
 from .cells import (CellSolution, HomogenizationError, HomogenizationResult,

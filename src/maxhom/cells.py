@@ -25,59 +25,55 @@ class HomogenizationError(RuntimeError):
 # ---------------------------------------------------------------------------
 # multilinear interpolation on one d-dimensional sample grid
 
-class PeriodicGridInterp:
-    """Multilinear periodic interpolation of samples on the (m,)*d grid j/m."""
+def multilinear_corners(z, m, periodic):
+    """Corner (flat index, weight) pairs of multilinear interpolation on the (m,)*d grid.
 
-    def __init__(self, d, m, values):
-        self.d, self.m = d, m
+    z: (npts, d) coordinates in grid units (sample j sits at z = j).  Periodic
+    grids wrap the corner indices modulo m; clamped grids keep the lower corner
+    in [0, m - 2], so z = m - 1 falls on the far face of the last cell.  A
+    one-sample grid (m == 1) has a single corner of weight 1.
+    """
+    npts, d = z.shape
+    if m == 1:
+        return [(np.zeros(npts, dtype=np.int64), np.ones(npts))]
+    base = np.floor(z).astype(np.int64)
+    if not periodic:
+        base = np.minimum(base, m - 2)
+    frac = z - base
+    out = []
+    for corner in itertools.product((0, 1), repeat=d):
+        idx = base + np.array(corner)
+        if periodic:
+            idx = np.mod(idx, m)
+        flat = np.ravel_multi_index(idx.T, (m,) * d)
+        w = np.ones(npts)
+        for a, c in enumerate(corner):
+            w = w * (frac[:, a] if c else 1.0 - frac[:, a])
+        out.append((flat, w))
+    return out
+
+
+class GridInterp:
+    """Multilinear interpolation of samples on the (m,)*d grid.
+
+    periodic: samples at j/m on the unit cell, wrapped; otherwise samples at
+    j L/(m-1) on [0, L]^d (L = extent), with points clamped to the box.
+    """
+
+    def __init__(self, d, m, values, periodic, extent=1.0):
+        self.d, self.m, self.periodic, self.extent = d, m, periodic, extent
         self.values = np.asarray(values)
         if self.values.shape[0] != m ** d:
             raise HomogenizationError("sample count does not match grid resolution")
 
-    def __call__(self, y):
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        if self.m == 1:
-            out = np.broadcast_to(self.values[0], y.shape[:1] + self.values.shape[1:])
-            return out.copy()
-        z = y * self.m
-        base = np.floor(z).astype(np.int64)
-        frac = z - base
+    def __call__(self, pts):
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        if self.periodic:
+            z = pts * self.m
+        else:
+            z = np.clip(pts / self.extent, 0.0, 1.0) * (self.m - 1)
         out = None
-        for corner in itertools.product((0, 1), repeat=self.d):
-            idx = np.mod(base + np.array(corner), self.m)
-            flat = np.ravel_multi_index(idx.T, (self.m,) * self.d)
-            w = np.ones(len(y))
-            for a, c in enumerate(corner):
-                w = w * (frac[:, a] if c else 1.0 - frac[:, a])
-            contrib = self.values[flat] * w.reshape((-1,) + (1,) * (self.values.ndim - 1))
-            out = contrib if out is None else out + contrib
-        return out
-
-
-class BoxGridInterp:
-    """Clamped multilinear interpolation on the (m,)*d grid over [0, L]^d."""
-
-    def __init__(self, d, m, values, extent=1.0):
-        self.d, self.m, self.extent = d, m, extent
-        self.values = np.asarray(values)
-        if self.values.shape[0] != m ** d:
-            raise HomogenizationError("sample count does not match grid resolution")
-
-    def __call__(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if self.m == 1:
-            out = np.broadcast_to(self.values[0], x.shape[:1] + self.values.shape[1:])
-            return out.copy()
-        z = np.clip(x / self.extent, 0.0, 1.0) * (self.m - 1)
-        base = np.minimum(np.floor(z).astype(np.int64), self.m - 2)
-        frac = z - base
-        out = None
-        for corner in itertools.product((0, 1), repeat=self.d):
-            idx = base + np.array(corner)
-            flat = np.ravel_multi_index(idx.T, (self.m,) * self.d)
-            w = np.ones(len(x))
-            for a, c in enumerate(corner):
-                w = w * (frac[:, a] if c else 1.0 - frac[:, a])
+        for flat, w in multilinear_corners(z, self.m, self.periodic):
             contrib = self.values[flat] * w.reshape((-1,) + (1,) * (self.values.ndim - 1))
             out = contrib if out is None else out + contrib
         return out
@@ -128,39 +124,32 @@ def solve_curl_cell(coef_fn, mesh, tol=1e-12):
     return Nc, abar
 
 
-def scalar_level_tensor(mesh, cbar, W):
-    """Energy-form level tensor: int_Y (e^j + grad w^j) . C (e^k + grad w^k) dy."""
+def _energy_tensor(mesh, coef, local, ref_vec, ref_mat, order):
+    """Symmetrized int_Y (e^j + D u^j) . C (e^k + D u^k) dy / |Y| for j, k < d.
+
+    local: (d, ncells, nloc) per-cell dofs of the correctors u^j; ref_vec[a, i]
+    and ref_mat[a, b, i, j] integrate D_a phi_i and D_a phi_i D_b phi_j over the
+    reference cell, and D scales as h^-order (1: nodal gradient, 2: edge curl).
+    """
     d, h = mesh.d, mesh.h
-    ref = fem.nodal_ref(d)
-    Wc = W[:, mesh.cell_nodes]  # (d, ncells, nloc)
-    V = np.einsum("ai,kci->kca", ref["GVEC"], Wc)
-    G = np.einsum("abij,mci,kcj->mkcab", ref["GRAD"], Wc, Wc)
+    V = np.einsum("ai,kci->kca", ref_vec, local)
+    G = np.einsum("abij,mci,kcj->mkcab", ref_mat, local, local)
     vol = h ** d * mesh.n_cells
     T = np.empty((d, d))
     for j in range(d):
         for k in range(d):
-            t = h ** d * cbar[:, j, k]
-            t = t + h ** (d - 1) * np.einsum("ca,ca->c", cbar[:, :, j], V[k])
-            t = t + h ** (d - 1) * np.einsum("ca,ca->c", cbar[:, :, k], V[j])
-            t = t + h ** (d - 2) * np.einsum("cab,cab->c", cbar, G[j, k])
+            t = h ** d * coef[:, j, k]
+            t = t + h ** (d - order) * np.einsum("ca,ca->c", coef[:, :, j], V[k])
+            t = t + h ** (d - order) * np.einsum("ca,ca->c", coef[:, :, k], V[j])
+            t = t + h ** (d - 2 * order) * np.einsum("cab,cab->c", coef, G[j, k])
             T[j, k] = t.sum() / vol
     return 0.5 * (T + T.T)
 
 
-def scalar_level_tensor_flux(mesh, cbar, W):
-    """Flux-form tensor int_Y C (e^k + grad w^k) . e^j dy (Galerkin-equal)."""
-    d, h = mesh.d, mesh.h
-    ref = fem.nodal_ref(d)
-    Wc = W[:, mesh.cell_nodes]
-    V = np.einsum("ai,kci->kca", ref["GVEC"], Wc)
-    vol = h ** d * mesh.n_cells
-    T = np.empty((d, d))
-    for j in range(d):
-        for k in range(d):
-            t = h ** d * cbar[:, j, k] + h ** (d - 1) * np.einsum(
-                "ca,ca->c", cbar[:, j, :], V[k])
-            T[j, k] = t.sum() / vol
-    return T
+def scalar_level_tensor(mesh, cbar, W):
+    """Energy-form level tensor: int_Y (e^j + grad w^j) . C (e^k + grad w^k) dy."""
+    ref = fem.nodal_ref(mesh.d)
+    return _energy_tensor(mesh, cbar, W[:, mesh.cell_nodes], ref["GVEC"], ref["GRAD"], 1)
 
 
 def curl_level_tensor(mesh, abar, Nc):
@@ -172,38 +161,7 @@ def curl_level_tensor(mesh, abar, Nc):
         w = h ** d
         return float(np.sum(w * abar * (1.0 + q) ** 2) / (w * mesh.n_cells))
     ref = fem.edge_ref(3)
-    Ncl = Nc[:, mesh.cell_edges]  # (3, ncells, nloc)
-    CV = np.einsum("ai,lci->lca", ref["CVEC"], Ncl)
-    CC = np.einsum("abij,pci,qcj->pqcab", ref["CURL"], Ncl, Ncl)
-    vol = h ** d * mesh.n_cells
-    T = np.empty((3, 3))
-    for p in range(3):
-        for q in range(3):
-            t = h ** d * abar[:, p, q]
-            t = t + h ** (d - 2) * np.einsum("ca,ca->c", abar[:, :, p], CV[q])
-            t = t + h ** (d - 2) * np.einsum("ca,ca->c", abar[:, :, q], CV[p])
-            t = t + h ** (d - 4) * np.einsum("cab,cab->c", abar, CC[p, q])
-            T[p, q] = t.sum() / vol
-    return 0.5 * (T + T.T)
-
-
-def curl_level_tensor_flux(mesh, abar, Nc):
-    d, h = mesh.d, mesh.h
-    if d == 2:
-        s = fem.edge_ref(2)["CURLS"]
-        q = (Nc[0][mesh.cell_edges] @ s) / h ** 2
-        return float(np.sum(h ** d * abar * (1.0 + q)) / (h ** d * mesh.n_cells))
-    ref = fem.edge_ref(3)
-    Ncl = Nc[:, mesh.cell_edges]
-    CV = np.einsum("ai,lci->lca", ref["CVEC"], Ncl)
-    vol = h ** d * mesh.n_cells
-    T = np.empty((3, 3))
-    for p in range(3):
-        for q in range(3):
-            t = h ** d * abar[:, p, q] + h ** (d - 2) * np.einsum(
-                "ca,ca->c", abar[:, p, :], CV[q])
-            T[p, q] = t.sum() / vol
-    return T
+    return _energy_tensor(mesh, abar, Nc[:, mesh.cell_edges], ref["CVEC"], ref["CURL"], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +209,12 @@ class HomogenizationResult:
         return vals.reshape((self.x_res ** self.d,) + vals.shape[1:])
 
     def b0_interp(self, extent=1.0):
-        return BoxGridInterp(self.d, self.x_res, self._level0("b"), extent)
+        return GridInterp(self.d, self.x_res, self._level0("b"), periodic=False,
+                          extent=extent)
 
     def a0_interp(self, extent=1.0):
-        return BoxGridInterp(self.d, self.x_res, self._level0("a"), extent)
+        return GridInterp(self.d, self.x_res, self._level0("a"), periodic=False,
+                          extent=extent)
 
     @property
     def b0(self):
@@ -284,7 +244,7 @@ class HomogenizationResult:
             fh.write("\n".join(lines) + "\n")
 
 
-def _check_bounds(T, spec, which, level, sample, d):
+def _require_bounds(T, spec, which, level, sample, d):
     vals = np.atleast_1d(np.asarray(T))
     if vals.ndim == 1:
         eigs = vals
@@ -297,7 +257,7 @@ def _check_bounds(T, spec, which, level, sample, d):
             f"[{eigs.min():.8g}, {eigs.max():.8g}], outside [{spec.alpha}, {spec.beta}]")
 
 
-def homogenize(spec, cell_N, slow_x=None, slow_y=None, tol=1e-12, check_bounds=True):
+def homogenize(spec, cell_N, slow_x=None, slow_y=None, tol=1e-12):
     """Run the full recursion; returns a HomogenizationResult.
 
     slow_x: per-axis x sample resolution (defaults to 1 when the spec is
@@ -341,7 +301,7 @@ def homogenize(spec, cell_N, slow_x=None, slow_y=None, tol=1e-12, check_bounds=T
                         ys = [np.broadcast_to(v, (npts, d)) for v in ays] + [y]
                         return spec.eval_a(x, ys) if which == "a" else spec.eval_b(x, ys)
                 else:
-                    coef_fn = PeriodicGridInterp(d, y_res[level - 1], flatu[si])
+                    coef_fn = GridInterp(d, y_res[level - 1], flatu[si], periodic=True)
                 anchor = np.concatenate([anchor_x] + [np.asarray(v) for v in anchor_ys]) \
                     if anchor_ys else np.asarray(anchor_x)
                 key = (which, level, si)
@@ -353,8 +313,7 @@ def homogenize(spec, cell_N, slow_x=None, slow_y=None, tol=1e-12, check_bounds=T
                     Nc, abar = solve_curl_cell(coef_fn, mesh, tol)
                     Ti = curl_level_tensor(mesh, abar, Nc)
                     result.cells[key] = CellSolution(level, si, anchor, mesh, n_curl=Nc)
-                if check_bounds:
-                    _check_bounds(Ti, spec, which, level - 1, si, d)
+                _require_bounds(Ti, spec, which, level - 1, si, d)
                 T[multi] = Ti
             result.tensors[(which, level - 1)] = T
             upper = T

@@ -7,8 +7,8 @@ points are passed as (npts, d) arrays and a stack of matrices (npts, d, d)
 (or (npts,) scalars) comes back.
 """
 
+import ast
 from dataclasses import dataclass, field
-import math
 
 import numpy as np
 
@@ -63,6 +63,15 @@ def sym_eigenvalues(mats):
     raise CoefficientError(f"unsupported dimension {d}")
 
 
+def _expression_names(code):
+    """The variable names an expression-family code string reads."""
+    try:
+        tree = ast.parse(code, mode="eval")
+    except (SyntaxError, ValueError) as exc:
+        raise CoefficientError(f"cannot parse coefficient expression {code!r}: {exc}") from exc
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
 @dataclass(frozen=True)
 class CoefficientPart:
     """One coefficient field (either `a` or `b`) of a CoefficientSpec.
@@ -91,7 +100,7 @@ class CoefficientPart:
         if self.family == "separable-product":
             return self.params.get("x_amplitude", 0.0) != 0.0
         if self.family == "expression":
-            return "x" in self.params["code"]
+            return "x" in _expression_names(self.params["code"])
         return False
 
     def _profile(self, x, ys, n_scales):
@@ -323,8 +332,3 @@ def validate_bounds(spec, samples_per_axis):
             f"sampled eigenvalue range [{lo:.6g}, {hi:.6g}] leaves declared "
             f"[{spec.alpha}, {spec.beta}]", stacklevel=2)
     return lo, hi
-
-
-def harmonic_mean_layered(offset, amplitude):
-    """1 / integral dy / (offset + amplitude sin(2 pi y)) = sqrt(offset^2 - amplitude^2)."""
-    return math.sqrt(offset * offset - amplitude * amplitude)

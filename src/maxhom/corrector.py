@@ -18,11 +18,11 @@ reported L^infty(0,T) value is the maximum over stored stamps.
 """
 
 from dataclasses import dataclass
-import itertools
 
 import numpy as np
 
 from . import fem
+from .cells import multilinear_corners
 from .mesh import DomainMesh
 
 
@@ -47,29 +47,8 @@ class CellFieldSampler:
         self.d = hom.d
         self.mesh = hom.mesh
 
-    def _corner_weights(self, slow_pts, res, periodic):
+    def _slow_corners(self, npts, slow):
         """Multilinear corner indices/weights on the slow sample grid."""
-        d = self.d
-        if res == 1:
-            return [(np.zeros(len(slow_pts), dtype=np.int64), np.ones(len(slow_pts)))]
-        z = np.asarray(slow_pts, dtype=float) * (res if periodic else res - 1)
-        if periodic:
-            base = np.floor(z).astype(np.int64)
-        else:
-            base = np.minimum(np.floor(z).astype(np.int64), res - 2)
-        frac = z - base
-        out = []
-        for corner in itertools.product((0, 1), repeat=d):
-            idx = base + np.array(corner)
-            idx = np.mod(idx, res) if periodic else idx
-            flat = np.ravel_multi_index(idx.T, (res,) * d)
-            w = np.ones(len(z))
-            for a, c in enumerate(corner):
-                w = w * (frac[:, a] if c else 1.0 - frac[:, a])
-            out.append((flat, w))
-        return out
-
-    def _slow_layout(self, npts, slow):
         if self.level == 1:
             res, periodic = self.hom.x_res, False
             slow_pts = slow if slow is not None else np.zeros((npts, self.d))
@@ -82,15 +61,15 @@ class CellFieldSampler:
             if slow is None:
                 raise CorrectorInputError("levels >= 2 need slow-variable values")
             slow_pts = slow
-        return res, periodic, slow_pts
+        z = np.asarray(slow_pts, dtype=float) * (res if periodic else res - 1)
+        return multilinear_corners(z, res, periodic)
 
     def grad_w_matrix(self, y_pts, slow=None):
         """P[:, j, r] = d w^r / d y_j at fast points (npts, d)."""
         cells, local = self.mesh.locate(y_pts)
         npts = len(np.atleast_2d(y_pts))
-        res, periodic, slow_pts = self._slow_layout(npts, slow)
         P = np.zeros((npts, self.d, self.d))
-        for flat, wgt in self._corner_weights(slow_pts, res, periodic):
+        for flat, wgt in self._slow_corners(npts, slow):
             for si in np.unique(flat):
                 sel = flat == si
                 sol = self.hom.cell_solution("b", self.level, int(si))
@@ -104,11 +83,11 @@ class CellFieldSampler:
         """2D: scalar 1 + curl_y N; 3D: matrix I + columns curl_y N^r."""
         cells, local = self.mesh.locate(y_pts)
         npts = len(np.atleast_2d(y_pts))
-        res, periodic, slow_pts = self._slow_layout(npts, slow)
+        corners = self._slow_corners(npts, slow)
         if self.d == 2:
             G = np.zeros(npts)
             s = fem.edge_ref(2)["CURLS"]
-            for flat, wgt in self._corner_weights(slow_pts, res, periodic):
+            for flat, wgt in corners:
                 for si in np.unique(flat):
                     sel = flat == si
                     sol = self.hom.cell_solution("a", self.level, int(si))
@@ -116,7 +95,7 @@ class CellFieldSampler:
                     G[sel] += wgt[sel] * q
             return 1.0 + G
         G = np.zeros((npts, 3, 3))
-        for flat, wgt in self._corner_weights(slow_pts, res, periodic):
+        for flat, wgt in corners:
             for si in np.unique(flat):
                 sel = flat == si
                 sol = self.hom.cell_solution("a", self.level, int(si))
@@ -405,16 +384,8 @@ def _subcell_tables(hom, r2, m1):
     count = np.bincount(k_flat, minlength=nsub).astype(float)
     T = np.zeros((nsub, m1 ** d, d, d))
     S = np.zeros((nsub, m1 ** d))
-    z = pts * m1
-    base = np.floor(z).astype(np.int64)
-    frac = z - base
     eye = np.eye(d)
-    for corner in itertools.product((0, 1), repeat=d):
-        idx = np.mod(base + np.array(corner), m1)
-        nu = np.ravel_multi_index(idx.T, (m1,) * d)
-        lam = np.ones(len(pts))
-        for a, c in enumerate(corner):
-            lam = lam * (frac[:, a] if c else 1.0 - frac[:, a])
+    for nu, lam in multilinear_corners(pts * m1, m1, periodic=True):
         contrib = lam[:, None, None] * (eye + P1)
         np.add.at(T, (k_flat, nu), contrib / count[k_flat, None, None])
         np.add.at(S, (k_flat, nu), lam * G1 / count[k_flat])

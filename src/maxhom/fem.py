@@ -217,21 +217,6 @@ class SparseSymSystem:
         return self._diag
 
 
-@dataclass
-class DofField:
-    """A DOF vector attached to a mesh ('nodal' or 'edge')."""
-
-    mesh: object
-    kind: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        expected = self.mesh.n_nodes if self.kind == "nodal" else self.mesh.n_edges
-        if len(self.values) != expected:
-            raise AssemblyError(
-                f"{self.kind} field length {len(self.values)} != mesh count {expected}")
-
-
 def _scatter(dof_map, eloc, n, index_map=None):
     """Accumulate per-cell dense blocks into a symmetric CSR matrix.
 
@@ -446,9 +431,13 @@ def solve_spd(system, rhs, rel_tol=1e-10, x0=None, cap_factor=20):
         return np.zeros(0)
     project = system.nullspace == "constants"
     b = np.asarray(rhs, dtype=float).copy()
+    anorm = float(system.diag.max())
     if project:
         mean = b.mean()
-        if abs(mean) > 1e-8 * (np.linalg.norm(b) / np.sqrt(n) + 1e-300):
+        # an rhs that vanishes in exact arithmetic keeps a mean of rounding
+        # size, a few ulps of ||A||; only a mean above that floor is reported
+        if abs(mean) > max(1e-8 * np.linalg.norm(b) / np.sqrt(n),
+                           64 * np.finfo(float).eps * anorm):
             import warnings
 
             warnings.warn("rhs has a large nullspace component; projecting", stacklevel=2)
@@ -459,7 +448,6 @@ def solve_spd(system, rhs, rel_tol=1e-10, x0=None, cap_factor=20):
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
     if project and x0 is not None:
         x -= x.mean()
-    anorm = float(system.diag.max())
     floor = 64 * np.finfo(float).eps * anorm * (np.linalg.norm(x) + normb / anorm)
     r = b - A @ x
     minv = 1.0 / system.diag

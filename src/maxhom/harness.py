@@ -6,13 +6,11 @@ fully resolved configuration, and its canonical form is hashed into the run
 fingerprint.  Reruns of the same config produce byte-identical CSV outputs
 (the algorithms are deterministic; runtimes live only in manifest.txt).
 
-CLI:  maxhom {homogenize|simulate|sweep} --config <path> [--out <dir>]
-             [--workers <k>] [--tol <r>]
+CLI:  maxhom {homogenize|simulate|sweep} --config <path> [--out <dir>] [--tol <r>]
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
 """
 
 import argparse
-import concurrent.futures as cf
 import hashlib
 import json
 import os
@@ -71,7 +69,6 @@ _REQUIRED = object()
 SCHEMA = {
     "mode": (str, _REQUIRED),
     "out": (str, "out"),
-    "workers": (int, 1),
     "tol": (float, 1e-12),
     "coeff.d": (int, 2),
     "coeff.n": (int, 1),
@@ -173,8 +170,8 @@ def _fmt_value(v):
 
 
 # execution-environment keys: recorded in the manifest, excluded from the
-# fingerprint so that worker counts and output paths cannot change report bytes
-_NON_SEMANTIC = ("out", "workers")
+# fingerprint so that output paths cannot change report bytes
+_NON_SEMANTIC = ("out",)
 
 
 def canonical_config(cfg, semantic_only=False):
@@ -461,7 +458,13 @@ def _sweep_one(cfg, spec, hom, eps):
     return eps, e_vel, e_curl, e_ms, errs, time.perf_counter() - t0
 
 
-def run_sweep(cfg, outdir, workers=None):
+# failures the CLI reports with exit code 3; a sweep records them per eps
+# and goes on with the remaining legs, unless fewer than two legs are left
+# for the slope fit
+NUMERICAL_FAILURES = (fem.SolveError, HomogenizationError, corrector.CorrectorInputError)
+
+
+def run_sweep(cfg, outdir):
     eps_list = cfg["sweep.epsilons"]
     if len(eps_list) < 3:
         raise ConfigError("sweep mode requires at least 3 epsilon values for a slope fit")
@@ -470,34 +473,22 @@ def run_sweep(cfg, outdir, workers=None):
                      slow_y=cfg["hom.slow_y"], tol=cfg["tol"])
     hom.export_text(os.path.join(outdir, "tensors.txt"))
     report = ConvergenceReport(cfg)
-    workers = workers or cfg["workers"]
-    results = {}
-    if workers > 1:
-        with cf.ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = {pool.submit(_sweep_one, cfg, spec, hom, e): e for e in eps_list}
-            for fut in cf.as_completed(futs):
-                e = futs[fut]
-                try:
-                    results[e] = fut.result()
-                except (fem.SolveError, HomogenizationError) as exc:
-                    report.failures.append((e, str(exc)))
-    else:
-        for e in eps_list:
-            try:
-                results[e] = _sweep_one(cfg, spec, hom, e)
-            except (fem.SolveError, HomogenizationError) as exc:
-                report.failures.append((e, str(exc)))
     series = []
-    for e in eps_list:  # deterministic order regardless of completion order
-        if e not in results:
+    for e in eps_list:
+        try:
+            eps, e_vel, e_curl, e_ms, errs, rt = _sweep_one(cfg, spec, hom, e)
+        except NUMERICAL_FAILURES as exc:
+            report.failures.append((e, exc))
             continue
-        eps, e_vel, e_curl, e_ms, errs, rt = results[e]
         report.eps.append(eps)
         report.e_vel.append(e_vel)
         report.e_curl.append(e_curl)
         report.e_ms.append(e_ms)
         report.runtimes.append(rt)
         series.append((eps, errs))
+    if len(report.eps) < 2:
+        # a cause that refuses (nearly) every leg, e.g. from the config itself
+        raise report.failures[0][1]
     with open(os.path.join(outdir, "errors.csv"), "w") as fh:
         fh.write("eps,t,E_vel,E_curl,E_ms\n")
         for eps, errs in series:
@@ -509,12 +500,12 @@ def run_sweep(cfg, outdir, workers=None):
     report.write_csv(os.path.join(outdir, "report.csv"))
     report.write_summary_json(os.path.join(outdir, "summary.json"))
     lines = [f"runtime eps={e:.17g} = {rt:.3f}s" for e, rt in zip(report.eps, report.runtimes)]
-    lines += [f"failure eps={e:.17g}: {msg}" for e, msg in report.failures]
+    lines += [f"failure eps={e:.17g}: {exc}" for e, exc in report.failures]
     _write_manifest(outdir, cfg, lines)
     return report
 
 
-def run(cfg, outdir=None, workers=None):
+def run(cfg, outdir=None):
     """Dispatch a parsed config; returns the mode's primary result object."""
     outdir = outdir or cfg["out"]
     os.makedirs(outdir, exist_ok=True)
@@ -523,7 +514,7 @@ def run(cfg, outdir=None, workers=None):
         return run_homogenize(cfg, outdir)
     if mode == "simulate":
         return run_simulate(cfg, outdir)
-    return run_sweep(cfg, outdir, workers)
+    return run_sweep(cfg, outdir)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +528,6 @@ def main(argv=None):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--workers", type=int, default=None)
         p.add_argument("--tol", type=float, default=None)
     args = parser.parse_args(argv)
     try:
@@ -547,14 +537,12 @@ def main(argv=None):
                 f"config mode {cfg['mode']!r} does not match subcommand {args.command!r}")
         if args.tol is not None:
             cfg["tol"] = args.tol
-        if args.workers is not None:
-            cfg["workers"] = args.workers
-        run(cfg, outdir=args.out, workers=args.workers)
+        run(cfg, outdir=args.out)
     except (ConfigError, CoefficientError, MeshError, wave.WaveSetupError,
             fem.AssemblyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (fem.SolveError, HomogenizationError, corrector.CorrectorInputError) as exc:
+    except NUMERICAL_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

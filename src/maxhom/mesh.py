@@ -244,11 +244,3 @@ class DomainMesh:
         local = np.clip(z - idx, 0.0, 1.0)
         cells = np.ravel_multi_index(idx.T, (self.N,) * self.d)
         return cells, local
-
-
-def build_cell_mesh(d, N):
-    return CellMesh(d, N)
-
-
-def build_domain_mesh(d, N, extent=1.0):
-    return DomainMesh(d, N, extent)

@@ -1,12 +1,15 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from maxhom import fem
-from maxhom.cells import (HomogenizationError, curl_level_tensor,
-                          curl_level_tensor_flux, homogenize, scalar_level_tensor,
-                          scalar_level_tensor_flux, solve_curl_cell, solve_scalar_cell)
+from maxhom.cells import (HomogenizationError, curl_level_tensor, homogenize,
+                          multilinear_corners, scalar_level_tensor, solve_curl_cell,
+                          solve_scalar_cell)
 from maxhom.coeffs import CoefficientPart, CoefficientSpec
 from maxhom.mesh import CellMesh
 
@@ -26,6 +29,100 @@ def layered_spec(n=1, d=2):
     return CoefficientSpec(d, n, a=CoefficientPart("layered", dict(LAYERED)),
                            b=CoefficientPart("layered", dict(LAYERED)),
                            alpha=1.0, beta=3.0)
+
+
+# ---------------------------------------------------------------------------
+# flux-form oracles: Galerkin-equal to the energy form the program computes
+
+def scalar_level_tensor_flux(mesh, cbar, W):
+    """Flux-form tensor int_Y C (e^k + grad w^k) . e^j dy."""
+    d, h = mesh.d, mesh.h
+    ref = fem.nodal_ref(d)
+    Wc = W[:, mesh.cell_nodes]
+    V = np.einsum("ai,kci->kca", ref["GVEC"], Wc)
+    vol = h ** d * mesh.n_cells
+    T = np.empty((d, d))
+    for j in range(d):
+        for k in range(d):
+            t = h ** d * cbar[:, j, k] + h ** (d - 1) * np.einsum(
+                "ca,ca->c", cbar[:, j, :], V[k])
+            T[j, k] = t.sum() / vol
+    return T
+
+
+def curl_level_tensor_flux(mesh, abar, Nc):
+    """Flux-form curl tensor; scalar in 2D, 3x3 in 3D."""
+    d, h = mesh.d, mesh.h
+    if d == 2:
+        s = fem.edge_ref(2)["CURLS"]
+        q = (Nc[0][mesh.cell_edges] @ s) / h ** 2
+        return float(np.sum(h ** d * abar * (1.0 + q)) / (h ** d * mesh.n_cells))
+    ref = fem.edge_ref(3)
+    Ncl = Nc[:, mesh.cell_edges]
+    CV = np.einsum("ai,lci->lca", ref["CVEC"], Ncl)
+    vol = h ** d * mesh.n_cells
+    T = np.empty((3, 3))
+    for p in range(3):
+        for q in range(3):
+            t = h ** d * abar[:, p, q] + h ** (d - 2) * np.einsum(
+                "ca,ca->c", abar[:, p, :], CV[q])
+            T[p, q] = t.sum() / vol
+    return T
+
+
+# ---------------------------------------------------------------------------
+# multilinear corner weights
+
+@st.composite
+def grid_points(draw, min_m=1):
+    """(d, m, points in [0, 1]^d) for a (m,)*d sample grid."""
+    d = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(min_m, 6))
+    npts = draw(st.integers(1, 8))
+    pts = draw(hnp.arrays(np.float64, (npts, d), elements=st.floats(0.0, 1.0)))
+    return d, m, pts
+
+
+def dense_weights(z, m, periodic):
+    """Corner weights scattered into an (npts, m^d) matrix."""
+    out = np.zeros((len(z), m ** z.shape[1]))
+    for flat, w in multilinear_corners(z, m, periodic):
+        np.add.at(out, (np.arange(len(z)), flat), w)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_points(), st.booleans())
+def test_corner_weights_nonnegative_partition_of_unity(case, periodic):
+    d, m, pts = case
+    corners = multilinear_corners(pts * (m if periodic else m - 1), m, periodic)
+    assert len(corners) == (1 if m == 1 else 2 ** d)
+    for flat, w in corners:
+        assert w.min() >= 0.0
+        assert 0 <= flat.min() and flat.max() < m ** d
+    assert np.abs(sum(w for _, w in corners) - 1.0).max() <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_points(min_m=2), hnp.arrays(np.float64, 4, elements=st.floats(-10.0, 10.0)))
+def test_clamped_corner_weights_reproduce_affine_functions(case, coef):
+    d, m, pts = case
+    c0, c = coef[0], coef[1:d + 1]
+    z = pts * (m - 1)
+    got = np.zeros(len(z))
+    for flat, w in multilinear_corners(z, m, periodic=False):
+        j = np.stack(np.unravel_index(flat, (m,) * d), axis=1)
+        got += w * (c0 + j @ c)
+    assert np.abs(got - (c0 + z @ c)).max() <= 1e-12 * (1.0 + 10.0 * (d + 1) * m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_points(), hnp.arrays(np.int64, 3, elements=st.integers(-4, 4)))
+def test_periodic_corner_weights_invariant_under_integer_shift(case, shift):
+    d, m, pts = case
+    shifted = (pts + shift[:d]) * m
+    assert np.abs(dense_weights(pts * m, m, True)
+                  - dense_weights(shifted, m, True)).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +149,17 @@ def test_layered_scalar_cell_closed_form_gradient():
     assert np.abs(grads[:, 1]).max() < 1e-9          # depends on y1 only
     assert np.abs(W[1]).max() < 1e-12                # e2 direction needs no corrector
     assert abs(np.mean(W[0])) < 1e-12                # quotient-space representative
+
+
+def test_along_layer_rhs_gives_no_nullspace_warning():
+    # layered along y2, the k = 0 right-hand side cancels to rounding noise
+    # (norm ~1e-16): that is no nullspace component and must not be reported
+    mesh = CellMesh(2, 64)
+    along = lambda y: (2.0 + np.sin(2 * np.pi * y[:, 1]))[:, None, None] * np.eye(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        W, _ = solve_scalar_cell(along, mesh)
+    assert np.abs(W[0]).max() < 1e-12
 
 
 def test_layered_level_tensor_harmonic_arithmetic():

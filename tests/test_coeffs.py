@@ -17,6 +17,15 @@ def make_spec(a_fam="layered", a_par=None, b_fam="layered", b_par=None,
         alpha=alpha, beta=beta)
 
 
+def test_expression_x_dependence_from_parsed_names():
+    # "x" occurs in np.exp but the expression reads only ys
+    y_only = "2.0 + np.exp(-np.sin(2*np.pi*ys[0][:, 0])**2)"
+    assert not CoefficientPart("expression", {"code": y_only}).depends_on_x()
+    assert CoefficientPart("expression", {"code": "2.0 + x[:, 0]"}).depends_on_x()
+    with pytest.raises(CoefficientError, match="parse"):
+        CoefficientPart("expression", {"code": "2.0 +"}).depends_on_x()
+
+
 def test_constant_identity():
     spec = make_spec("constant", {"value": 1.0}, "constant", {"value": np.eye(2)},
                      alpha=0.5, beta=2.0)

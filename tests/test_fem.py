@@ -232,11 +232,3 @@ def test_nodal_gradient_eval():
     pts = np.array([[0.1, 0.05]])  # strictly inside the first cell
     g = fem.eval_nodal_gradient(mesh, vals, pts)
     assert np.allclose(g, [[2.0, 3.0]], atol=1e-12)
-
-
-def test_dof_field_length_invariant():
-    mesh = DomainMesh(2, 3)
-    fem.DofField(mesh, "edge", np.zeros(mesh.n_edges))
-    fem.DofField(mesh, "nodal", np.zeros(mesh.n_nodes))
-    with pytest.raises(fem.AssemblyError):
-        fem.DofField(mesh, "edge", np.zeros(mesh.n_edges - 1))

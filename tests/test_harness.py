@@ -51,7 +51,6 @@ data.f = bubble_cos2t
 def test_parse_defaults_and_values():
     cfg = parse_config(CONST_SIM)
     assert cfg["mode"] == "simulate"
-    assert cfg["workers"] == 1          # default
     assert cfg["sim.dt"] == 0.05
     assert cfg["data.g0"] == "zero"
 
@@ -59,6 +58,8 @@ def test_parse_defaults_and_values():
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("mode = simulate\nbogus = 1")
+    with pytest.raises(ConfigError, match="unknown key 'workers'"):
+        parse_config(CONST_SIM + "\nworkers = 2")
 
 
 def test_duplicate_key_rejected():
@@ -85,7 +86,7 @@ def test_unknown_selector_rejected(tmp_path):
 
 def test_fingerprint_ignores_execution_keys():
     cfg1 = parse_config(CONST_SIM)
-    cfg2 = parse_config(CONST_SIM + "\nworkers = 4\nout = elsewhere")
+    cfg2 = parse_config(CONST_SIM + "\nout = elsewhere")
     assert harness.fingerprint(cfg1) == harness.fingerprint(cfg2)
     cfg3 = parse_config(CONST_SIM.replace("sim.n = 8", "sim.n = 16"))
     assert harness.fingerprint(cfg1) != harness.fingerprint(cfg3)
@@ -209,6 +210,35 @@ hom.cell_n = 8
     cfg_path.write_text(text)
     assert harness.main(["homogenize", "--config", str(cfg_path),
                          "--out", str(tmp_path / "o")]) == 3
+
+
+def test_sweep_reports_failed_leg_and_continues(tmp_path):
+    # hom_n = 8 gives h0 = 0.125 > eps = 0.0625: the corrector refuses that leg
+    # (exit-3 class), the other two legs still make a report
+    cfg_path = tmp_path / "s.cfg"
+    cfg_path.write_text(LAYERED_SWEEP.replace("sweep.hom_n = 32", "sweep.hom_n = 8"))
+    out = tmp_path / "o"
+    assert harness.main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+    rows = open(out / "report.csv").read().splitlines()
+    assert [r.split(",")[0] for r in rows[1:3]] == ["0.25", "0.125"]
+    assert rows[-1] == "partial,1 failed runs,,,"
+    assert "failure eps=0.0625" in open(out / "manifest.txt").read()
+
+
+@pytest.mark.parametrize("edit,cause", [
+    # refused on every leg by the config itself
+    (("data.g1 = cavity11", "data.g1 = cavity11\ndata.g0 = cavity11"), "g0"),
+    # hom_n = 4 gives h0 = 0.25 > eps on two of the three legs
+    (("sweep.hom_n = 32", "sweep.hom_n = 4"), "eps"),
+])
+def test_sweep_without_two_legs_exits_with_cause(tmp_path, capsys, edit, cause):
+    cfg_path = tmp_path / "s.cfg"
+    cfg_path.write_text(LAYERED_SWEEP.replace(*edit))
+    out = tmp_path / "o"
+    assert harness.main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and cause in err
+    assert not (out / "report.csv").exists()
 
 
 def test_simulate_fine_with_snapshots(tmp_path):
