@@ -171,10 +171,6 @@ def curl_level_tensor(mesh, abar, Nc):
 class CellSolution:
     """Cached cell fields at one (level, slow-variable sample point)."""
 
-    level: int
-    sample_index: int
-    anchor: np.ndarray          # concatenated slow-variable values (x, y_1..y_{i-1})
-    mesh: CellMesh
     w: np.ndarray = None        # (d, n_nodes), mean-zero
     n_curl: np.ndarray = None   # (1, n_edges) in 2D / (3, n_edges) in 3D
 
@@ -196,13 +192,17 @@ class HomogenizationResult:
     tensors: dict
     cells: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        self._mesh = CellMesh(self.d, self.cell_N)
+
     @property
     def d(self):
         return self.spec.d
 
     @property
     def mesh(self):
-        return CellMesh(self.d, self.cell_N)
+        """The cell mesh of every cell solve and cached cell solution."""
+        return self._mesh
 
     def _level0(self, which):
         vals = self.tensors[(which, 0)]
@@ -226,7 +226,7 @@ class HomogenizationResult:
         """a^0 at the x sample points: (nx,) in 2D, (nx, 3, 3) in 3D."""
         return self._level0("a")
 
-    def cell_solution(self, which, level, sample_index=0):
+    def cell_solution(self, which, level, sample_index):
         return self.cells[(which, level, sample_index)]
 
     def export_text(self, path):
@@ -265,7 +265,6 @@ def homogenize(spec, cell_N, slow_x=None, slow_y=None, tol=1e-12):
     grids for levels 1..n-1 (int or list; default 8).
     """
     d, n = spec.d, spec.n_scales
-    mesh = CellMesh(d, cell_N)
     if slow_x is None:
         slow_x = 5 if spec.depends_on_x() else 1
     if spec.depends_on_x() and slow_x < 2:
@@ -279,6 +278,7 @@ def homogenize(spec, cell_N, slow_x=None, slow_y=None, tol=1e-12):
     x_pts = box_grid_points(d, slow_x)
     y_pts = [periodic_grid_points(d, m) for m in y_res]
     result = HomogenizationResult(spec, cell_N, slow_x, tuple(y_res), x_pts, {})
+    mesh = result.mesh
 
     for which in ("b", "a"):
         scalar_tensor = which == "a" and d == 2
@@ -302,17 +302,15 @@ def homogenize(spec, cell_N, slow_x=None, slow_y=None, tol=1e-12):
                         return spec.eval_a(x, ys) if which == "a" else spec.eval_b(x, ys)
                 else:
                     coef_fn = GridInterp(d, y_res[level - 1], flatu[si], periodic=True)
-                anchor = np.concatenate([anchor_x] + [np.asarray(v) for v in anchor_ys]) \
-                    if anchor_ys else np.asarray(anchor_x)
                 key = (which, level, si)
                 if which == "b":
                     W, cbar = solve_scalar_cell(coef_fn, mesh, tol)
                     Ti = scalar_level_tensor(mesh, cbar, W)
-                    result.cells[key] = CellSolution(level, si, anchor, mesh, w=W)
+                    result.cells[key] = CellSolution(w=W)
                 else:
                     Nc, abar = solve_curl_cell(coef_fn, mesh, tol)
                     Ti = curl_level_tensor(mesh, abar, Nc)
-                    result.cells[key] = CellSolution(level, si, anchor, mesh, n_curl=Nc)
+                    result.cells[key] = CellSolution(n_curl=Nc)
                 _require_bounds(Ti, spec, which, level - 1, si, d)
                 T[multi] = Ti
             result.tensors[(which, level - 1)] = T

@@ -63,12 +63,34 @@ def sym_eigenvalues(mats):
     raise CoefficientError(f"unsupported dimension {d}")
 
 
+_EXPRESSION_NAMES = ("x", "ys", "np", "pi")
+
+
 def _expression_names(code):
-    """The variable names an expression-family code string reads."""
+    """The variable names an expression-family code string reads.
+
+    Evaluation without builtins is no sandbox (().__class__ chains reach every
+    loaded class), so the code may read only x, ys, np and pi, use attributes
+    only as np.<ufunc>, np.pi or np.e, and pass no keywords (no out= writes).
+    """
     try:
         tree = ast.parse(code, mode="eval")
     except (SyntaxError, ValueError) as exc:
         raise CoefficientError(f"cannot parse coefficient expression {code!r}: {exc}") from exc
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            ok = node.id in _EXPRESSION_NAMES
+        elif isinstance(node, ast.Attribute):
+            ok = (isinstance(node.value, ast.Name) and node.value.id == "np"
+                  and not node.attr.startswith("_")
+                  and (node.attr in ("pi", "e")
+                       or isinstance(getattr(np, node.attr, None), np.ufunc)))
+        else:
+            ok = not isinstance(node, ast.keyword)
+        if not ok:
+            raise CoefficientError(f"coefficient expression may not use {ast.unparse(node)!r} "
+                                   f"(allowed: {', '.join(_EXPRESSION_NAMES)}, np.<ufunc>, "
+                                   "np.pi, np.e; no keyword arguments)")
     return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
@@ -95,6 +117,10 @@ class CoefficientPart:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise CoefficientError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        if self.family == "expression":
+            if "code" not in self.params:
+                raise CoefficientError("the expression family needs params['code']")
+            _expression_names(self.params["code"])
 
     def depends_on_x(self):
         if self.family == "separable-product":
@@ -286,13 +312,10 @@ def eval_fine(spec, schedule, x, which):
 
 def fine_callable(spec, schedule, which):
     """Vectorized x -> coefficient sampler used by assembly (no bounds check)."""
-    scalar = which == "a" and spec.a_is_scalar
-
     def fn(x):
         ys = schedule.fast_variables(x)
         return spec.eval_a(x, ys) if which == "a" else spec.eval_b(x, ys)
 
-    fn.scalar = scalar
     return fn
 
 

@@ -7,23 +7,27 @@ The corrector pair compared against a fine-scale run is
 
 (in 2D the curl line collapses to (1 + curl_y N(y)) curl u0), valid under the
 g0 = 0 hypothesis; the time-dependent part of the scalar corrector potential
-enters only through the -g1 shift of the velocity.  The multiscale variant
-folds the summed corrector with the averaging operator U^n_eps, evaluated
-here through the separable structure of the corrector (macro-cell averages of
-the slow factors, subcell averages across the middle scale, exact sampling of
-the innermost cell fields).
+enters only through the -g1 shift of the velocity.  This pointwise corrector
+and the folded one (the summed corrector averaged with U^n_eps) both read
+v = A(du0/dt) + P A(du0/dt - g1), q = G A(curl u0), where A is the identity or
+the average over eps macro-cells.  The factors P, G do not depend on time and
+are built once per run (folded, n = 2: subcell averages of the slow factors
+and exact samples of the innermost cell fields); one stamp loop serves both.
 
 Error norms are L^2(D) per stored stamp, via the fine mesh's Gauss grid; the
 reported L^infty(0,T) value is the maximum over stored stamps.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import fem
 from .cells import multilinear_corners
 from .mesh import DomainMesh
+
+# Gauss points per axis of the fine-mesh quadrature that carries the correctors
+_QUAD_RULE = 2
 
 
 class CorrectorInputError(RuntimeError):
@@ -34,76 +38,49 @@ class CorrectorInputError(RuntimeError):
 # cached cell-field samplers
 
 class CellFieldSampler:
-    """Evaluates grad_y w^r and (1 + curl_y N) of cached level solutions.
+    """Evaluates grad_y w^r and (1 + curl_y N) of the cached level-1 solutions.
 
-    Level fields may depend on x (level 1 of an x-dependent spec): the sampler
-    combines the <= 2^d x-grid corner solutions multilinearly.  For levels >= 2
-    the slow variable is the next-coarser y; pass its values as `slow`.
+    The fields may depend on x (x-dependent specs): the sampler combines the
+    <= 2^d x-grid corner solutions multilinearly at the x values `slow`.
     """
 
-    def __init__(self, hom, level=1):
+    def __init__(self, hom):
         self.hom = hom
-        self.level = level
         self.d = hom.d
         self.mesh = hom.mesh
 
-    def _slow_corners(self, npts, slow):
-        """Multilinear corner indices/weights on the slow sample grid."""
-        if self.level == 1:
-            res, periodic = self.hom.x_res, False
-            slow_pts = slow if slow is not None else np.zeros((npts, self.d))
+    def _interpolate(self, which, y_pts, slow):
+        """out[..., r] = slow-interpolated D f^r at fast points.
+
+        which = "b": D f^r = grad_y w^r, out (npts, d, d).  which = "a":
+        D f^r = curl_y N^r, out (npts, 1) in 2D and (npts, 3, 3) in 3D.
+        """
+        cells, local = self.mesh.locate(y_pts)
+        npts = len(cells)
+        if which == "b":
+            evaluate, shape = fem.eval_nodal_gradient, (self.d, self.d)
         else:
-            res = self.hom.y_res[self.level - 2]
-            periodic = True
-            if self.hom.x_res != 1:
-                raise CorrectorInputError(
-                    "level >= 2 field sampling supports x-independent specs only")
-            if slow is None:
-                raise CorrectorInputError("levels >= 2 need slow-variable values")
-            slow_pts = slow
-        z = np.asarray(slow_pts, dtype=float) * (res if periodic else res - 1)
-        return multilinear_corners(z, res, periodic)
+            evaluate, shape = fem.eval_edge_curl, (1,) if self.d == 2 else (3, 3)
+        res = self.hom.x_res
+        z = np.zeros((npts, self.d)) if slow is None else np.asarray(slow, dtype=float)
+        out = np.zeros((npts,) + shape)
+        for flat, wgt in multilinear_corners(z * (res - 1), res, periodic=False):
+            for si in np.unique(flat):
+                sel = flat == si
+                sol = self.hom.cell_solution(which, 1, int(si))
+                for r, f in enumerate(sol.w if which == "b" else sol.n_curl):
+                    c = evaluate(self.mesh, f, None, cells[sel], local[sel])
+                    out[sel, ..., r] += wgt[sel].reshape((-1,) + (1,) * (c.ndim - 1)) * c
+        return out
 
     def grad_w_matrix(self, y_pts, slow=None):
         """P[:, j, r] = d w^r / d y_j at fast points (npts, d)."""
-        cells, local = self.mesh.locate(y_pts)
-        npts = len(np.atleast_2d(y_pts))
-        P = np.zeros((npts, self.d, self.d))
-        for flat, wgt in self._slow_corners(npts, slow):
-            for si in np.unique(flat):
-                sel = flat == si
-                sol = self.hom.cell_solution("b", self.level, int(si))
-                for r in range(self.d):
-                    g = fem.eval_nodal_gradient(self.mesh, sol.w[r], None,
-                                                cells[sel], local[sel])
-                    P[sel, :, r] += wgt[sel, None] * g
-        return P
+        return self._interpolate("b", y_pts, slow)
 
     def curl_factor(self, y_pts, slow=None):
         """2D: scalar 1 + curl_y N; 3D: matrix I + columns curl_y N^r."""
-        cells, local = self.mesh.locate(y_pts)
-        npts = len(np.atleast_2d(y_pts))
-        corners = self._slow_corners(npts, slow)
-        if self.d == 2:
-            G = np.zeros(npts)
-            s = fem.edge_ref(2)["CURLS"]
-            for flat, wgt in corners:
-                for si in np.unique(flat):
-                    sel = flat == si
-                    sol = self.hom.cell_solution("a", self.level, int(si))
-                    q = (sol.n_curl[0][self.mesh.cell_edges[cells[sel]]] @ s) / self.mesh.h ** 2
-                    G[sel] += wgt[sel] * q
-            return 1.0 + G
-        G = np.zeros((npts, 3, 3))
-        for flat, wgt in corners:
-            for si in np.unique(flat):
-                sel = flat == si
-                sol = self.hom.cell_solution("a", self.level, int(si))
-                for r in range(3):
-                    c = fem.eval_edge_curl(self.mesh, sol.n_curl[r], None,
-                                           cells[sel], local[sel])
-                    G[sel, :, r] += wgt[sel, None] * c
-        return np.eye(3) + G
+        G = self._interpolate("a", y_pts, slow)
+        return 1.0 + G[:, 0] if self.d == 2 else np.eye(3) + G
 
 
 # ---------------------------------------------------------------------------
@@ -128,11 +105,11 @@ def _l2(wq, diff):
 
 
 # ---------------------------------------------------------------------------
-# pointwise (two-scale) corrector
+# corrector fields and the stamp loop
 
 @dataclass
 class CorrectorField:
-    """Velocity/curl corrector fields, evaluated lazily per stored stamp."""
+    """Velocity/curl corrector fields at the fine quadrature points, per stored stamp."""
 
     times: np.ndarray
     fine_mesh: DomainMesh
@@ -142,35 +119,68 @@ class CorrectorField:
     P: np.ndarray          # (npts, d, d) grad_y w matrix at x/eps
     G: np.ndarray          # (npts,) in 2D / (npts, 3, 3) in 3D
     g1_vals: np.ndarray    # (npts, d)
-    rule: int = 2
-    tau: np.ndarray = None  # optional boundary cutoff at the quad points
+    # macro-cell averaging A of the folded corrector: (bin of each point,
+    # quadrature weight of each bin); None for the pointwise corrector
+    _macro: tuple = field(default=None, init=False, repr=False)
+    rule = _QUAD_RULE
+
+    def __post_init__(self):
+        self._loc0 = self.u0_traj.mesh.locate(self.xq)
+
+    def _average(self, values):
+        """Weighted macro-cell average of per-point values, back at the points."""
+        bins, wsum = self._macro
+        cols = values.reshape(len(values), -1).T
+        avg = np.stack([np.bincount(bins, weights=self.wq * c, minlength=len(wsum))
+                        for c in cols], axis=1) / wsum[:, None]
+        return avg[bins].reshape(values.shape)
 
     def eval_stamp(self, i):
         """Corrector fields at stored stamp i: (v_c (npts,d), q_c)."""
         mesh0 = self.u0_traj.mesh
         v0 = fem.expand_interior(mesh0, self.u0_traj.V[i])
         u0 = fem.expand_interior(mesh0, self.u0_traj.U[i])
-        if not hasattr(self, "_loc0"):
-            self._loc0 = mesh0.locate(self.xq)
         cells0, local0 = self._loc0
         du0 = fem.eval_edge_field(mesh0, v0, None, cells0, local0)
         cu0 = fem.eval_edge_curl(mesh0, u0, None, cells0, local0)
         diff = du0 - self.g1_vals
-        P = self.P if self.tau is None else self.tau[:, None, None] * self.P
-        v_c = du0 + np.einsum("pjr,pr->pj", P, diff)
+        if self._macro is not None:
+            du0, diff, cu0 = (self._average(a) for a in (du0, diff, cu0))
+        v_c = du0 + np.einsum("pjr,pr->pj", self.P, diff)
         if self.fine_mesh.d == 2:
-            G = self.G if self.tau is None else 1.0 + self.tau * (self.G - 1.0)
-            q_c = G * cu0
+            q_c = self.G * cu0
         else:
-            G = self.G
-            if self.tau is not None:
-                G = np.eye(3) + self.tau[:, None, None] * (self.G - np.eye(3))
-            q_c = np.einsum("pjr,pr->pj", G, cu0)
+            q_c = np.einsum("pjr,pr->pj", self.G, cu0)
         return v_c, q_c
 
 
+def _stamp_errors(fine_traj, corr):
+    """L^2(D) velocity and curl errors of a corrector at every stored stamp."""
+    if fine_traj.mesh != corr.fine_mesh:
+        raise CorrectorInputError("fine trajectory and corrector live on different meshes")
+    if len(fine_traj.snap_times) != len(corr.times) or \
+            not np.allclose(fine_traj.snap_times, corr.times, atol=1e-12):
+        raise CorrectorInputError("fine trajectory and corrector use different time grids")
+    mesh = fine_traj.mesh
+    _, wq, cells, local = _fine_quadrature(mesh, corr.rule)
+    e_vel = np.empty(len(corr.times))
+    e_curl = np.empty(len(corr.times))
+    for i in range(len(corr.times)):
+        v_c, q_c = corr.eval_stamp(i)
+        vf = fem.expand_interior(mesh, fine_traj.V[i])
+        uf_ = fem.expand_interior(mesh, fine_traj.U[i])
+        duf = fem.eval_edge_field(mesh, vf, None, cells, local)
+        cuf = fem.eval_edge_curl(mesh, uf_, None, cells, local)
+        e_vel[i] = _l2(wq, duf - v_c)
+        e_curl[i] = _l2(wq, cuf - q_c)
+    return e_vel, e_curl
+
+
+# ---------------------------------------------------------------------------
+# pointwise (two-scale) corrector
+
 def reconstruct_corrector(u0_traj, hom, schedule, g1=None, g0=None,
-                          fine_mesh=None, rule=2, cutoff_eps=None):
+                          fine_mesh=None, cutoff_eps=None):
     """Build the first-order corrector of a homogenized trajectory.
 
     Requires g0 = 0 (pass None or a zero field); refuses otherwise, matching
@@ -190,22 +200,22 @@ def reconstruct_corrector(u0_traj, hom, schedule, g1=None, g0=None,
         raise CorrectorInputError(
             f"homogenized mesh h0={u0_traj.mesh.h:g} coarser than eps={schedule.epsilon:g}; "
             "products with the cell fields would alias")
-    xq, wq, _, _ = _fine_quadrature(fine_mesh, rule)
-    y = xq / schedule.epsilon
-    y -= np.floor(y)
-    sampler = CellFieldSampler(hom, level=1)
+    xq, wq, _, _ = _fine_quadrature(fine_mesh, _QUAD_RULE)
+    y = schedule.fast_variables(xq)[0]
+    sampler = CellFieldSampler(hom)
     slow = xq if hom.x_res > 1 else None
     P = sampler.grad_w_matrix(y, slow=slow)
     G = sampler.curl_factor(y, slow=slow)
     g1_vals = g1(xq) if g1 is not None else np.zeros_like(xq)
-    tau = None
     if cutoff_eps is not None:
-        tau_nodal = cutoff_field(fine_mesh, cutoff_eps)
         cells, local = fine_mesh.locate(xq)
-        tau = fem.eval_nodal_field(fine_mesh, tau_nodal, None, cells, local)
+        tau = fem.eval_nodal_field(fine_mesh, cutoff_field(fine_mesh, cutoff_eps), None,
+                                   cells, local)
+        P = tau[:, None, None] * P
+        eye = 1.0 if G.ndim == 1 else np.eye(3)
+        G = eye + tau.reshape((-1,) + (1,) * (G.ndim - 1)) * (G - eye)
     return CorrectorField(times=u0_traj.snap_times, fine_mesh=fine_mesh,
-                          u0_traj=u0_traj, xq=xq, wq=wq, P=P, G=G,
-                          g1_vals=g1_vals, rule=rule, tau=tau)
+                          u0_traj=u0_traj, xq=xq, wq=wq, P=P, G=G, g1_vals=g1_vals)
 
 
 @dataclass
@@ -235,40 +245,12 @@ class ErrorSeries:
 
 def corrector_error(fine_traj, corr):
     """L^2(D) velocity/curl corrector errors per stored stamp."""
-    if fine_traj.mesh != corr.fine_mesh:
-        raise CorrectorInputError("fine trajectory and corrector live on different meshes")
-    if len(fine_traj.snap_times) != len(corr.times) or \
-            not np.allclose(fine_traj.snap_times, corr.times, atol=1e-12):
-        raise CorrectorInputError("fine trajectory and corrector use different time grids")
-    mesh = fine_traj.mesh
-    _, wq, cells, local = _fine_quadrature(mesh, corr.rule)
-    e_vel = np.empty(len(corr.times))
-    e_curl = np.empty(len(corr.times))
-    for i in range(len(corr.times)):
-        v_c, q_c = corr.eval_stamp(i)
-        vf = fem.expand_interior(mesh, fine_traj.V[i])
-        uf_ = fem.expand_interior(mesh, fine_traj.U[i])
-        duf = fem.eval_edge_field(mesh, vf, None, cells, local)
-        cuf = fem.eval_edge_curl(mesh, uf_, None, cells, local)
-        e_vel[i] = _l2(wq, duf - v_c)
-        e_curl[i] = _l2(wq, cuf - q_c)
+    e_vel, e_curl = _stamp_errors(fine_traj, corr)
     return ErrorSeries(corr.times.copy(), e_vel, e_curl)
 
 
 # ---------------------------------------------------------------------------
 # folded multiscale corrector
-
-def _bin_average(values, wq, bins, nbins):
-    """Weighted average of per-point values over integer bins."""
-    wsum = np.bincount(bins, weights=wq, minlength=nbins)
-    if values.ndim == 1:
-        s = np.bincount(bins, weights=wq * values, minlength=nbins)
-        return s / wsum
-    out = np.empty((nbins, values.shape[1]))
-    for k in range(values.shape[1]):
-        out[:, k] = np.bincount(bins, weights=wq * values[:, k], minlength=nbins) / wsum
-    return out
-
 
 def _macro_bins(xq, eps, extent):
     L = int(round(extent / eps))
@@ -276,7 +258,42 @@ def _macro_bins(xq, eps, extent):
     return np.ravel_multi_index(idx.T, (L,) * xq.shape[1]), L ** xq.shape[1]
 
 
-def multiscale_corrector_error(fine_traj, u0_traj, hom, schedule, g1=None, rule=2):
+def _fold_factors(hom, schedule, xq):
+    """Factors (P, G) of the folded corrector at the points xq (2D).
+
+    n = 1: P1, G1 at y1.  n = 2, with T, S the subcell tables of the y1-subcell
+    k2 of each point and P2_nu, N2_nu the level-2 cell fields of sample nu:
+    P = sum_nu T[k2, nu] - I + sum_nu P2_nu(y2) T[k2, nu] and
+    G = sum_nu (1 + curl_y N2_nu(y2)) S[k2, nu], summed over S[k2, nu] != 0.
+    """
+    d = hom.d
+    y1, *y2 = schedule.fast_variables(xq)
+    if schedule.n_scales == 1:
+        sampler = CellFieldSampler(hom)
+        return sampler.grad_w_matrix(y1), sampler.curl_factor(y1)
+    r2 = schedule.ratios[0]
+    T, S = _subcell_tables(hom, r2, hom.y_res[0])
+    sub = np.minimum((y1 * r2).astype(np.int64), r2 - 1)
+    k2 = np.ravel_multi_index(sub.T, (r2,) * d)
+    mesh = hom.mesh
+    cells2, local2 = mesh.locate(y2[0])
+    P = (T.sum(axis=1) - np.eye(d))[k2]   # subcell average of P1
+    G = np.zeros(len(xq))
+    support = np.abs(S) > 1e-14
+    for nu in np.flatnonzero(support.any(axis=0)):
+        sel = support[k2, nu]
+        c2, l2 = cells2[sel], local2[sel]
+        q2 = fem.eval_edge_curl(mesh, hom.cell_solution("a", 2, int(nu)).n_curl[0],
+                                None, c2, l2)
+        G[sel] += (1.0 + q2) * S[k2[sel], nu]
+        w2 = hom.cell_solution("b", 2, int(nu)).w
+        P2 = np.stack([fem.eval_nodal_gradient(mesh, w, None, c2, l2) for w in w2],
+                      axis=2)
+        P[sel] += np.einsum("pjr,prs->pjs", P2, T[k2[sel], nu])
+    return P, G
+
+
+def multiscale_corrector_error(fine_traj, u0_traj, hom, schedule, g1=None):
     """Folded corrector error per stamp (n = 1 or 2, 2D).
 
     E_ms(t) = ||du^eps/dt - U(du0/dt + sum grad_y du_i/dt)||_{L^2}
@@ -284,80 +301,21 @@ def multiscale_corrector_error(fine_traj, u0_traj, hom, schedule, g1=None, rule=
     """
     if hom.x_res != 1:
         raise CorrectorInputError("the folded corrector supports x-independent specs only")
-    n = schedule.n_scales
-    if n > 2:
+    if schedule.n_scales > 2:
         raise CorrectorInputError("folded correctors implemented for n <= 2")
     mesh = fine_traj.mesh
-    d = mesh.d
-    if d != 2:
+    if mesh.d != 2:
         raise CorrectorInputError("the folded corrector driver is 2D")
-    if len(fine_traj.snap_times) != len(u0_traj.snap_times) or \
-            not np.allclose(fine_traj.snap_times, u0_traj.snap_times, atol=1e-12):
-        raise CorrectorInputError("fine and homogenized trajectories use different time grids")
-    xq, wq, cells, local = _fine_quadrature(mesh, rule)
+    xq, wq, _, _ = _fine_quadrature(mesh, _QUAD_RULE)
+    P, G = _fold_factors(hom, schedule, xq)
     g1_vals = g1(xq) if g1 is not None else np.zeros_like(xq)
-    mc, nmc = _macro_bins(xq, schedule.epsilon, mesh.extent)
-    cells0, local0 = u0_traj.mesh.locate(xq)
-
-    eps = schedule.epsilons
-    y1 = xq / eps[0]
-    y1 -= np.floor(y1)
-    sampler1 = CellFieldSampler(hom, level=1)
-    if n == 1:
-        P1 = sampler1.grad_w_matrix(y1)
-        G1 = sampler1.curl_factor(y1)
-    else:
-        r2 = schedule.ratios[0]
-        m1 = hom.y_res[0]
-        T, S = _subcell_tables(hom, r2, m1)
-        sub = np.minimum((y1 * r2).astype(np.int64), r2 - 1)
-        k2 = np.ravel_multi_index(sub.T, (r2,) * d)
-        y2 = xq / eps[1]
-        y2 -= np.floor(y2)
-        cells2, local2 = hom.mesh.locate(y2)
-        s_ref = fem.edge_ref(2)["CURLS"]
-
-    e_ms = np.empty(fine_traj.n_snaps)
-    for i in range(fine_traj.n_snaps):
-        v0 = fem.expand_interior(u0_traj.mesh, u0_traj.V[i])
-        u0 = fem.expand_interior(u0_traj.mesh, u0_traj.U[i])
-        du0 = fem.eval_edge_field(u0_traj.mesh, v0, None, cells0, local0)
-        cu0 = fem.eval_edge_curl(u0_traj.mesh, u0, None, cells0, local0)
-        du0_avg = _bin_average(du0, wq, mc, nmc)[mc]
-        diff_avg = _bin_average(du0 - g1_vals, wq, mc, nmc)[mc]
-        cu0_avg = _bin_average(cu0, wq, mc, nmc)[mc]
-        if n == 1:
-            v_fold = du0_avg + np.einsum("pjr,pr->pj", P1, diff_avg)
-            c_fold = G1 * cu0_avg
-        else:
-            v_fold = du0_avg.copy()
-            c_fold = np.zeros(len(xq))
-            avgP = T.sum(axis=1) - np.eye(d)   # subcell average of P1
-            v_fold += np.einsum("pjr,pr->pj", avgP[k2], diff_avg)
-            factor = np.zeros(len(xq))
-            for k in range(r2 ** d):
-                sel = k2 == k
-                if not np.any(sel):
-                    continue
-                for nu in np.flatnonzero(np.abs(S[k]) > 1e-14):
-                    sol_a = hom.cell_solution("a", 2, int(nu))
-                    q2 = (sol_a.n_curl[0][hom.mesh.cell_edges[cells2[sel]]] @ s_ref) \
-                        / hom.mesh.h ** 2
-                    factor[sel] += (1.0 + q2) * S[k, nu]
-                    sol_b = hom.cell_solution("b", 2, int(nu))
-                    P2 = np.zeros((int(sel.sum()), d, d))
-                    for r in range(d):
-                        P2[:, :, r] = fem.eval_nodal_gradient(
-                            hom.mesh, sol_b.w[r], None, cells2[sel], local2[sel])
-                    v_fold[sel] += np.einsum("pjr,rs,ps->pj", P2, T[k, nu], diff_avg[sel])
-            c_fold = factor * cu0_avg
-        vf = fem.expand_interior(mesh, fine_traj.V[i])
-        ufull = fem.expand_interior(mesh, fine_traj.U[i])
-        duf = fem.eval_edge_field(mesh, vf, None, cells, local)
-        cuf = fem.eval_edge_curl(mesh, ufull, None, cells, local)
-        e_ms[i] = _l2(wq, duf - v_fold) + _l2(wq, cuf - c_fold)
-    return ErrorSeries(fine_traj.snap_times.copy(), np.zeros_like(e_ms),
-                       np.zeros_like(e_ms), e_ms)
+    corr = CorrectorField(times=u0_traj.snap_times, fine_mesh=mesh, u0_traj=u0_traj,
+                          xq=xq, wq=wq, P=P, G=G, g1_vals=g1_vals)
+    bins, nbins = _macro_bins(xq, schedule.epsilon, mesh.extent)
+    corr._macro = (bins, np.bincount(bins, weights=wq, minlength=nbins))
+    e_vel, e_curl = _stamp_errors(fine_traj, corr)
+    return ErrorSeries(fine_traj.snap_times.copy(), np.zeros_like(e_vel),
+                       np.zeros_like(e_vel), e_vel + e_curl)
 
 
 def _subcell_tables(hom, r2, m1):
@@ -375,7 +333,7 @@ def _subcell_tables(hom, r2, m1):
         raise CorrectorInputError("cell resolution must be divisible by the scale ratio")
     mesh = hom.mesh
     pts = mesh.cell_centers
-    sampler = CellFieldSampler(hom, level=1)
+    sampler = CellFieldSampler(hom)
     P1 = sampler.grad_w_matrix(pts)
     G1 = sampler.curl_factor(pts)
     sub = np.minimum((pts * r2).astype(np.int64), r2 - 1)
@@ -406,15 +364,3 @@ def cutoff_field(mesh, epsilon):
     x = mesh.node_coords
     dist = np.minimum(x, mesh.extent - x).min(axis=1)
     return np.clip(dist / epsilon, 0.0, 1.0)
-
-
-def export_errors_csv(errors, path):
-    """CSV (t, E_vel, E_curl[, E_ms]) at 17 significant digits."""
-    has_ms = errors.e_ms is not None
-    with open(path, "w") as fh:
-        fh.write("t,E_vel,E_curl" + (",E_ms" if has_ms else "") + "\n")
-        for i, t in enumerate(errors.times):
-            row = [f"{t:.17g}", f"{errors.e_vel[i]:.17g}", f"{errors.e_curl[i]:.17g}"]
-            if has_ms:
-                row.append(f"{errors.e_ms[i]:.17g}")
-            fh.write(",".join(row) + "\n")

@@ -468,6 +468,9 @@ def run_sweep(cfg, outdir):
     eps_list = cfg["sweep.epsilons"]
     if len(eps_list) < 3:
         raise ConfigError("sweep mode requires at least 3 epsilon values for a slope fit")
+    for key in ("sweep.fine_ratio", "sweep.dt_ratio", "sweep.snapshots_per_run", "sweep.hom_n"):
+        if cfg[key] < 1:
+            raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
     spec = build_spec(cfg)
     hom = homogenize(spec, cfg["hom.cell_n"], slow_x=cfg["hom.slow_x"],
                      slow_y=cfg["hom.slow_y"], tol=cfg["tol"])

@@ -372,3 +372,38 @@ def test_export_text_full_precision(tmp_path):
     lines = [l for l in open(path) if l.startswith("b level=0")]
     vals = [float(v) for v in lines[0].split()[3:]]
     assert vals[0] == float(res.b0[0][0, 0])  # round-trips through repr
+
+
+def test_result_mesh_is_the_solve_mesh():
+    res = homogenize(layered_spec(), cell_N=8)
+    assert res.mesh is res.mesh
+    assert res.mesh == CellMesh(2, 8)
+
+
+@st.composite
+def layered_parts(draw):
+    offset = draw(st.floats(0.5, 4.0))
+    amplitude = offset * draw(st.floats(0.0, 0.9))
+    return {"scale": 1, "axis": draw(st.integers(0, 1)), "offset": offset,
+            "amplitude": amplitude, "phase": draw(st.floats(0.0, 2 * np.pi))}
+
+
+@settings(max_examples=40, deadline=None)
+@given(layered_parts(), layered_parts())
+def test_homogenized_tensors_within_mean_bounds(a_par, b_par):
+    # Voigt-Reuss: the eigenvalues of b^0 (and the 2D scalar a^0) lie between
+    # the harmonic and arithmetic means of the reduced cell coefficient cbar
+    alpha = min(p["offset"] - p["amplitude"] for p in (a_par, b_par))
+    beta = max(p["offset"] + p["amplitude"] for p in (a_par, b_par))
+    spec = CoefficientSpec(2, 1, a=CoefficientPart("layered", a_par),
+                           b=CoefficientPart("layered", b_par), alpha=alpha, beta=beta)
+    res = homogenize(spec, cell_N=16)
+    b0, a0 = res.b0[0], float(res.a0[0])
+    assert np.array_equal(b0, b0.T)
+    cbar_b = fem.cell_coefficient(res.mesh, lambda y: spec.eval_b(0 * y, [y]), 1)[:, 0, 0]
+    cbar_a = fem.cell_coefficient(res.mesh, lambda y: spec.eval_a(0 * y, [y]), 1)
+    for eigs, cbar in ((np.linalg.eigvalsh(b0), cbar_b), (np.array([a0]), cbar_a)):
+        slack = 1e-9 * cbar.mean()
+        assert eigs.min() >= 1.0 / np.mean(1.0 / cbar) - slack
+        assert eigs.max() <= cbar.mean() + slack
+        assert alpha - slack <= eigs.min() and eigs.max() <= beta + slack

@@ -26,6 +26,27 @@ def test_expression_x_dependence_from_parsed_names():
         CoefficientPart("expression", {"code": "2.0 +"}).depends_on_x()
 
 
+@pytest.mark.parametrize("code", [
+    "[c for c in ().__class__.__base__.__subclasses__()]",
+    "np.savetxt('out.txt', x)",
+    "__import__('os')",
+    "np.add(x, 1.0, out=x)",
+    "x.__class__",
+    "np._core",
+])
+def test_expression_outside_whitelist_rejected(code):
+    with pytest.raises(CoefficientError, match="coefficient expression"):
+        CoefficientPart("expression", {"code": code})
+
+
+def test_whitelisted_expressions_evaluate():
+    pts = np.random.default_rng(2).random((5, 2))
+    for code in ("2.0 + np.exp(-np.sin(2*np.pi*ys[0][:, 0])**2)",
+                 "np.sin(2*pi*ys[0][:,0]) - 0.2", "2.0 + x[:, 0] * np.e"):
+        vals = CoefficientPart("expression", {"code": code}).evaluate(pts, [pts], 2)
+        assert vals.shape == (5, 2, 2) and np.all(np.isfinite(vals))
+
+
 def test_constant_identity():
     spec = make_spec("constant", {"value": 1.0}, "constant", {"value": np.eye(2)},
                      alpha=0.5, beta=2.0)

@@ -257,7 +257,9 @@ def test_ems_constant_coefficients_discretization_level():
     assert ems.max_ms < 1.5  # vs O(10) field scales
 
 
-def test_ems_n2_smoke():
+@pytest.fixture(scope="module")
+def n2_setup():
+    """Two-scale separable spec, eps = 1/4, r2 = 4: fine and homogenized runs."""
     fac = [{"offset": 2.0, "amplitude": 1.0, "axis": 0},
            {"offset": 2.0, "amplitude": 1.0, "axis": 0}]
     spec = CoefficientSpec(2, 2,
@@ -271,9 +273,108 @@ def test_ems_n2_smoke():
     tf = wave.integrate(wave.setup_problem("fine", fm, data, spec=spec,
                                            schedule=sched, quad_rule=3))
     th = wave.integrate(wave.setup_problem("homogenized", DomainMesh(2, 32), data, hom=hom))
+    return hom, sched, tf, th
+
+
+def test_ems_n2_smoke(n2_setup):
+    hom, sched, tf, th = n2_setup
     ems = corr.multiscale_corrector_error(tf, th, hom, sched, g1=cavity11)
     assert np.all(np.isfinite(ems.e_ms))
     assert ems.max_ms > 0
+
+
+def folded_error_oracle(fine_traj, u0_traj, hom, schedule, g1):
+    """Reference E_ms: the folded corrector rebuilt at every stamp.
+
+    Averages du0, du0 - g1 and curl u0 over the eps macro-cells at each stamp
+    and, for n = 2, evaluates the level-2 cell fields subcell by subcell.
+    """
+    mesh = fine_traj.mesh
+    d = mesh.d
+    xq, wq, cells, local = corr._fine_quadrature(mesh, 2)
+    g1_vals = g1(xq)
+    mc, nmc = corr._macro_bins(xq, schedule.epsilon, mesh.extent)
+
+    def bin_average(values):
+        wsum = np.bincount(mc, weights=wq, minlength=nmc)
+        if values.ndim == 1:
+            return (np.bincount(mc, weights=wq * values, minlength=nmc) / wsum)[mc]
+        out = np.empty((nmc, values.shape[1]))
+        for k in range(values.shape[1]):
+            out[:, k] = np.bincount(mc, weights=wq * values[:, k], minlength=nmc) / wsum
+        return out[mc]
+
+    cells0, local0 = u0_traj.mesh.locate(xq)
+    eps = schedule.epsilons
+    y1 = xq / eps[0]
+    y1 -= np.floor(y1)
+    n = schedule.n_scales
+    if n == 1:
+        sampler1 = corr.CellFieldSampler(hom)
+        P1 = sampler1.grad_w_matrix(y1)
+        G1 = sampler1.curl_factor(y1)
+    else:
+        r2 = schedule.ratios[0]
+        T, S = corr._subcell_tables(hom, r2, hom.y_res[0])
+        sub = np.minimum((y1 * r2).astype(np.int64), r2 - 1)
+        k2 = np.ravel_multi_index(sub.T, (r2,) * d)
+        y2 = xq / eps[1]
+        y2 -= np.floor(y2)
+        cells2, local2 = hom.mesh.locate(y2)
+    e_ms = np.empty(fine_traj.n_snaps)
+    for i in range(fine_traj.n_snaps):
+        v0 = fem.expand_interior(u0_traj.mesh, u0_traj.V[i])
+        u0 = fem.expand_interior(u0_traj.mesh, u0_traj.U[i])
+        du0 = fem.eval_edge_field(u0_traj.mesh, v0, None, cells0, local0)
+        cu0 = fem.eval_edge_curl(u0_traj.mesh, u0, None, cells0, local0)
+        du0_avg = bin_average(du0)
+        diff_avg = bin_average(du0 - g1_vals)
+        cu0_avg = bin_average(cu0)
+        if n == 1:
+            v_fold = du0_avg + np.einsum("pjr,pr->pj", P1, diff_avg)
+            c_fold = G1 * cu0_avg
+        else:
+            v_fold = du0_avg.copy()
+            avgP = T.sum(axis=1) - np.eye(d)   # subcell average of P1
+            v_fold += np.einsum("pjr,pr->pj", avgP[k2], diff_avg)
+            factor = np.zeros(len(xq))
+            for k in range(r2 ** d):
+                sel = k2 == k
+                if not np.any(sel):
+                    continue
+                for nu in np.flatnonzero(np.abs(S[k]) > 1e-14):
+                    sol_a = hom.cell_solution("a", 2, int(nu))
+                    q2 = fem.eval_edge_curl(hom.mesh, sol_a.n_curl[0], None,
+                                            cells2[sel], local2[sel])
+                    factor[sel] += (1.0 + q2) * S[k, nu]
+                    sol_b = hom.cell_solution("b", 2, int(nu))
+                    P2 = np.zeros((int(sel.sum()), d, d))
+                    for r in range(d):
+                        P2[:, :, r] = fem.eval_nodal_gradient(
+                            hom.mesh, sol_b.w[r], None, cells2[sel], local2[sel])
+                    v_fold[sel] += np.einsum("pjr,rs,ps->pj", P2, T[k, nu], diff_avg[sel])
+            c_fold = factor * cu0_avg
+        duf = fem.eval_edge_field(mesh, fem.expand_interior(mesh, fine_traj.V[i]),
+                                  None, cells, local)
+        cuf = fem.eval_edge_curl(mesh, fem.expand_interior(mesh, fine_traj.U[i]),
+                                 None, cells, local)
+        e_ms[i] = corr._l2(wq, duf - v_fold) + corr._l2(wq, cuf - c_fold)
+    return e_ms
+
+
+def test_ems_n2_matches_per_stamp_oracle(n2_setup):
+    # the factors are built once and summed in another order: rounding only
+    hom, sched, tf, th = n2_setup
+    ems = corr.multiscale_corrector_error(tf, th, hom, sched, g1=cavity11)
+    ref = folded_error_oracle(tf, th, hom, sched, cavity11)
+    assert np.all(np.abs(ems.e_ms - ref) <= 1e-12 * np.abs(ref))
+    assert np.all(ems.e_vel == 0.0) and np.all(ems.e_curl == 0.0)
+
+
+def test_ems_n1_bitwise_per_stamp_oracle(layered_setup):
+    spec, hom, sched, fine_mesh, tf, th = layered_setup
+    ems = corr.multiscale_corrector_error(tf, th, hom, sched, g1=cavity11)
+    assert np.array_equal(ems.e_ms, folded_error_oracle(tf, th, hom, sched, cavity11))
 
 
 # ---------------------------------------------------------------------------
@@ -321,25 +422,15 @@ def test_cutoff_corrector_diagnostic(layered_setup):
     plain = corr.reconstruct_corrector(th, hom, sched, g1=cavity11, fine_mesh=fine_mesh)
     tapered = corr.reconstruct_corrector(th, hom, sched, g1=cavity11,
                                          fine_mesh=fine_mesh, cutoff_eps=sched.epsilon)
-    assert tapered.tau is not None
-    assert tapered.tau.min() >= 0.0 and tapered.tau.max() <= 1.0
+    tau = fem.eval_nodal_field(fine_mesh, corr.cutoff_field(fine_mesh, sched.epsilon),
+                               tapered.xq)
+    assert tau.min() >= 0.0 and tau.max() <= 1.0
     v_p, q_p = plain.eval_stamp(1)
     v_t, q_t = tapered.eval_stamp(1)
-    interior = tapered.tau > 1.0 - 1e-12
+    interior = tau > 1.0 - 1e-12
     assert np.allclose(v_p[interior], v_t[interior], atol=1e-13)
     assert np.allclose(q_p[interior], q_t[interior], atol=1e-13)
     assert not np.allclose(v_p, v_t)
-
-
-def test_export_errors_csv(tmp_path, layered_setup):
-    spec, hom, sched, fine_mesh, tf, th = layered_setup
-    field = corr.reconstruct_corrector(th, hom, sched, g1=cavity11, fine_mesh=fine_mesh)
-    errs = corr.corrector_error(tf, field)
-    path = str(tmp_path / "errors.csv")
-    corr.export_errors_csv(errs, path)
-    lines = open(path).read().splitlines()
-    assert lines[0] == "t,E_vel,E_curl"
-    assert len(lines) == 1 + len(errs.times)
 
 
 def test_x_dependent_cell_field_sampler():
@@ -354,7 +445,7 @@ def test_x_dependent_cell_field_sampler():
                            b=CoefficientPart("separable-product", dict(par)),
                            alpha=0.4, beta=4.6)
     hom = hmg(spec, cell_N=32, slow_x=3)
-    sampler = corr.CellFieldSampler(hom, level=1)
+    sampler = corr.CellFieldSampler(hom)
     rng = np.random.default_rng(20)
     y = rng.random((50, 2))
     x_between = rng.random((50, 2))

@@ -190,6 +190,18 @@ def test_cli_exit_codes(tmp_path):
     assert harness.main(["sweep", "--config", str(cfg_path)]) == 2
 
 
+@pytest.mark.parametrize("key", ["sweep.fine_ratio", "sweep.dt_ratio",
+                                 "sweep.snapshots_per_run", "sweep.hom_n"])
+def test_cli_zero_sweep_key_exits_2(tmp_path, capsys, key):
+    cfg_path = tmp_path / "s.cfg"
+    kept = [l for l in LAYERED_SWEEP.splitlines() if not l.startswith(key)]
+    cfg_path.write_text("\n".join(kept + [f"{key} = 0"]) + "\n")
+    assert harness.main(["sweep", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "o")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o" / "tensors.txt").exists()
+
+
 def test_cli_numerical_failure_exit_code(tmp_path):
     # declared bounds the homogenized tensor cannot satisfy -> exit 3
     text = """
