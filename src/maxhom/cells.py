@@ -125,24 +125,28 @@ def solve_curl_cell(coef_fn, mesh, tol=1e-12):
 
 
 def _energy_tensor(mesh, coef, local, ref_vec, ref_mat, order):
-    """Symmetrized int_Y (e^j + D u^j) . C (e^k + D u^k) dy / |Y| for j, k < d.
+    """Symmetrized int_Y (e^j + D u^j) . C (e^k + D u^k) dy / |Y| for j, k < m.
 
-    local: (d, ncells, nloc) per-cell dofs of the correctors u^j; ref_vec[a, i]
-    and ref_mat[a, b, i, j] integrate D_a phi_i and D_a phi_i D_b phi_j over the
-    reference cell, and D scales as h^-order (1: nodal gradient, 2: edge curl).
+    coef: (ncells, m, m); local: (m, ncells, nloc) per-cell dofs of the
+    correctors u^j; ref_vec[a, i] and ref_mat[a, b, i, j] integrate D_a phi_i
+    and D_a phi_i D_b phi_j over the reference cell, and D scales as h^-order
+    (1: nodal gradient, 2: edge curl).  Each cell's terms go through its
+    element matrix E[c] = coef[c] : ref_mat and are combined before the cell
+    sum, which runs pairwise along a contiguous cell axis.
     """
     d, h = mesh.d, mesh.h
-    V = np.einsum("ai,kci->kca", ref_vec, local)
-    G = np.einsum("abij,mci,kcj->mkcab", ref_mat, local, local)
-    vol = h ** d * mesh.n_cells
-    T = np.empty((d, d))
-    for j in range(d):
-        for k in range(d):
-            t = h ** d * coef[:, j, k]
-            t = t + h ** (d - order) * np.einsum("ca,ca->c", coef[:, :, j], V[k])
-            t = t + h ** (d - order) * np.einsum("ca,ca->c", coef[:, :, k], V[j])
-            t = t + h ** (d - 2 * order) * np.einsum("cab,cab->c", coef, G[j, k])
-            T[j, k] = t.sum() / vol
+    ncells, m = coef.shape[0], coef.shape[1]
+    nloc = local.shape[2]
+    E = (coef.reshape(ncells, m * m) @ ref_mat.reshape(m * m, nloc * nloc)
+         ).reshape(ncells, nloc, nloc)
+    L = local.transpose(1, 0, 2)                        # (ncells, m, nloc)
+    quad = np.matmul(np.matmul(L, E), L.transpose(0, 2, 1))
+    lin = np.matmul(np.matmul(L, ref_vec.T), coef)      # lin[c, k, j] = V^k . C e^j
+    t = h ** d * coef
+    t = t + h ** (d - order) * lin.transpose(0, 2, 1)
+    t = t + h ** (d - order) * lin
+    t = t + h ** (d - 2 * order) * quad
+    T = np.ascontiguousarray(t.transpose(1, 2, 0)).sum(axis=-1) / (h ** d * mesh.n_cells)
     return 0.5 * (T + T.T)
 
 
@@ -153,15 +157,16 @@ def scalar_level_tensor(mesh, cbar, W):
 
 
 def curl_level_tensor(mesh, abar, Nc):
-    """Energy-form curl level tensor; scalar in 2D, 3x3 in 3D."""
-    d, h = mesh.d, mesh.h
-    if d == 2:
+    """Energy-form curl level tensor; scalar in 2D (one component), 3x3 in 3D."""
+    local = Nc[:, mesh.cell_edges]
+    if mesh.d == 2:
+        # one component; the scalar curls CURLS are constant on the cell
         s = fem.edge_ref(2)["CURLS"]
-        q = (Nc[0][mesh.cell_edges] @ s) / h ** 2
-        w = h ** d
-        return float(np.sum(w * abar * (1.0 + q) ** 2) / (w * mesh.n_cells))
+        T = _energy_tensor(mesh, abar.reshape(-1, 1, 1), local, s[None],
+                           np.outer(s, s)[None, None], 2)
+        return float(T[0, 0])
     ref = fem.edge_ref(3)
-    return _energy_tensor(mesh, abar, Nc[:, mesh.cell_edges], ref["CVEC"], ref["CURL"], 2)
+    return _energy_tensor(mesh, abar, local, ref["CVEC"], ref["CURL"], 2)
 
 
 # ---------------------------------------------------------------------------

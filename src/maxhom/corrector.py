@@ -12,7 +12,8 @@ and the folded one (the summed corrector averaged with U^n_eps) both read
 v = A(du0/dt) + P A(du0/dt - g1), q = G A(curl u0), where A is the identity or
 the average over eps macro-cells.  The factors P, G do not depend on time and
 are built once per run (folded, n = 2: subcell averages of the slow factors
-and exact samples of the innermost cell fields); one stamp loop serves both.
+and exact samples of the innermost cell fields, on the quadrature points of
+one eps-period of fine cells); one stamp loop serves both.
 
 Error norms are L^2(D) per stored stamp, via the fine mesh's Gauss grid; the
 reported L^infty(0,T) value is the maximum over stored stamps.
@@ -289,8 +290,42 @@ def _fold_factors(hom, schedule, xq):
         w2 = hom.cell_solution("b", 2, int(nu)).w
         P2 = np.stack([fem.eval_nodal_gradient(mesh, w, None, c2, l2) for w in w2],
                       axis=2)
-        P[sel] += np.einsum("pjr,prs->pjs", P2, T[k2[sel], nu])
+        P[sel] += np.matmul(P2, T[k2[sel], nu])
     return P, G
+
+
+def _period_points(mesh, eps):
+    """Quadrature points of one eps-period of fine cells, and each point's row there.
+
+    The period is p = eps/h cells per axis; when eps/h is not an integer or N
+    is not a multiple of p, p = N and the table holds every point.  The points
+    come from the cell indices i < p as in fem.quad_points, so they equal the
+    fine quadrature points of those cells bitwise.  rows[k] is the table row
+    of fine quadrature point k: (cell multi-index mod p, Gauss point).
+    """
+    d, N, h = mesh.d, mesh.N, mesh.h
+    ratio = eps / h
+    p = int(round(ratio))
+    if p < 1 or abs(ratio - p) > 1e-9 * ratio or N % p:
+        p = N
+    pts_ref, _ = fem.gauss_rule(d, _QUAD_RULE)
+    nq = len(pts_ref)
+    multi = np.indices((p,) * d).reshape(d, -1).T
+    xt = ((multi + 0.5) * h)[:, None, :] + (pts_ref[None] - 0.5) * h
+    period_cell = np.ravel_multi_index(np.indices((N,) * d).reshape(d, -1) % p, (p,) * d)
+    rows = period_cell[:, None] * nq + np.arange(nq)
+    return xt.reshape(-1, d), rows.ravel()
+
+
+def _period_fold_factors(hom, schedule, mesh):
+    """n = 2 folded factors (P, G) at every fine quadrature point of mesh.
+
+    They depend on a point only through y1 and y2, which repeat every eps:
+    _fold_factors runs on one period and every point gathers its row.
+    """
+    xt, rows = _period_points(mesh, schedule.epsilon)
+    P, G = _fold_factors(hom, schedule, xt)
+    return P[rows], G[rows]
 
 
 def multiscale_corrector_error(fine_traj, u0_traj, hom, schedule, g1=None):
@@ -307,7 +342,10 @@ def multiscale_corrector_error(fine_traj, u0_traj, hom, schedule, g1=None):
     if mesh.d != 2:
         raise CorrectorInputError("the folded corrector driver is 2D")
     xq, wq, _, _ = _fine_quadrature(mesh, _QUAD_RULE)
-    P, G = _fold_factors(hom, schedule, xq)
+    if schedule.n_scales == 1:
+        P, G = _fold_factors(hom, schedule, xq)
+    else:
+        P, G = _period_fold_factors(hom, schedule, mesh)
     g1_vals = g1(xq) if g1 is not None else np.zeros_like(xq)
     corr = CorrectorField(times=u0_traj.snap_times, fine_mesh=mesh, u0_traj=u0_traj,
                           xq=xq, wq=wq, P=P, G=G, g1_vals=g1_vals)

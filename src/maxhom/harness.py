@@ -320,10 +320,23 @@ def _write_manifest(outdir, cfg, extra_lines=()):
         fh.write(canonical_config(cfg) + "\n")
 
 
+def _homogenize(cfg, spec):
+    """homogenize() after checking the slow-grid keys against the spec."""
+    slow_x, slow_y = cfg["hom.slow_x"], cfg["hom.slow_y"]
+    n = spec.n_scales
+    if slow_y is not None and (len(slow_y) != n - 1 or any(m < 1 for m in slow_y)):
+        raise ConfigError(f"hom.slow_y needs {n - 1} entries (coeff.n - 1), each at least 1, "
+                          f"got {','.join(map(str, slow_y)) or 'none'}")
+    if slow_x is not None and slow_x < 1:
+        raise ConfigError(f"hom.slow_x must be at least 1, got {slow_x}")
+    if slow_x is not None and slow_x < 2 and spec.depends_on_x():
+        raise ConfigError(f"hom.slow_x must be at least 2 for an x-dependent spec, got {slow_x}")
+    return homogenize(spec, cfg["hom.cell_n"], slow_x=slow_x, slow_y=slow_y, tol=cfg["tol"])
+
+
 def run_homogenize(cfg, outdir):
     spec = build_spec(cfg)
-    hom = homogenize(spec, cfg["hom.cell_n"], slow_x=cfg["hom.slow_x"],
-                     slow_y=cfg["hom.slow_y"], tol=cfg["tol"])
+    hom = _homogenize(cfg, spec)
     hom.export_text(os.path.join(outdir, "tensors.txt"))
     _write_manifest(outdir, cfg)
     return hom
@@ -343,8 +356,7 @@ def run_simulate(cfg, outdir):
     if cfg["sim.kind"] == "fine":
         schedule = build_schedule(cfg)
     else:
-        hom = homogenize(spec, cfg["hom.cell_n"], slow_x=cfg["hom.slow_x"],
-                         slow_y=cfg["hom.slow_y"], tol=cfg["tol"])
+        hom = _homogenize(cfg, spec)
         hom.export_text(os.path.join(outdir, "tensors.txt"))
     if cfg["sim.n"] is None:
         raise ConfigError("sim.n is required in simulate mode")
@@ -472,8 +484,7 @@ def run_sweep(cfg, outdir):
         if cfg[key] < 1:
             raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
     spec = build_spec(cfg)
-    hom = homogenize(spec, cfg["hom.cell_n"], slow_x=cfg["hom.slow_x"],
-                     slow_y=cfg["hom.slow_y"], tol=cfg["tol"])
+    hom = _homogenize(cfg, spec)
     hom.export_text(os.path.join(outdir, "tensors.txt"))
     report = ConvergenceReport(cfg)
     series = []
@@ -510,6 +521,8 @@ def run_sweep(cfg, outdir):
 
 def run(cfg, outdir=None):
     """Dispatch a parsed config; returns the mode's primary result object."""
+    if not 0 < cfg["tol"] < 1:
+        raise ConfigError(f"tol must lie in (0, 1), got {cfg['tol']:g}")
     outdir = outdir or cfg["out"]
     os.makedirs(outdir, exist_ok=True)
     mode = cfg["mode"]

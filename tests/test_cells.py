@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from maxhom import fem
-from maxhom.cells import (HomogenizationError, curl_level_tensor, homogenize,
+from maxhom.cells import (HomogenizationError, _energy_tensor, curl_level_tensor, homogenize,
                           multilinear_corners, scalar_level_tensor, solve_curl_cell,
                           solve_scalar_cell)
 from maxhom.coeffs import CoefficientPart, CoefficientSpec
@@ -68,6 +68,72 @@ def curl_level_tensor_flux(mesh, abar, Nc):
                 "ca,ca->c", abar[:, p, :], CV[q])
             T[p, q] = t.sum() / vol
     return T
+
+
+# ---------------------------------------------------------------------------
+# contraction oracles: the per-entry einsum forms of the energy-form tensors
+
+def energy_tensor_oracle(mesh, coef, local, ref_vec, ref_mat, order):
+    """Energy-form tensor through one three-operand einsum over all cells."""
+    d, h = mesh.d, mesh.h
+    V = np.einsum("ai,kci->kca", ref_vec, local)
+    G = np.einsum("abij,mci,kcj->mkcab", ref_mat, local, local)
+    vol = h ** d * mesh.n_cells
+    T = np.empty((d, d))
+    for j in range(d):
+        for k in range(d):
+            t = h ** d * coef[:, j, k]
+            t = t + h ** (d - order) * np.einsum("ca,ca->c", coef[:, :, j], V[k])
+            t = t + h ** (d - order) * np.einsum("ca,ca->c", coef[:, :, k], V[j])
+            t = t + h ** (d - 2 * order) * np.einsum("cab,cab->c", coef, G[j, k])
+            T[j, k] = t.sum() / vol
+    return 0.5 * (T + T.T)
+
+
+def curl_level_tensor_2d_oracle(mesh, abar, Nc):
+    """Closed form of the 2D scalar curl tensor: mean of abar (1 + curl_y N)^2."""
+    s = fem.edge_ref(2)["CURLS"]
+    q = (Nc[0][mesh.cell_edges] @ s) / mesh.h ** 2
+    w = mesh.h ** mesh.d
+    return float(np.sum(w * abar * (1.0 + q) ** 2) / (w * mesh.n_cells))
+
+
+@st.composite
+def contraction_cases(draw):
+    """(mesh, element kind, random seed) for the level-tensor contraction."""
+    d = draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from(["nodal", "edge"]))
+    N = draw(st.integers(1, 4 if d == 3 else 8))
+    return CellMesh(d, N), kind, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(contraction_cases())
+def test_energy_tensor_matches_einsum_oracle(case):
+    mesh, kind, seed = case
+    rng = np.random.default_rng(seed)
+    d, nc = mesh.d, mesh.n_cells
+    scale = 10.0 ** rng.uniform(-2, 2)
+    if kind == "edge" and d == 2:
+        abar = scale * rng.uniform(0.1, 10.0, nc)
+        Nc = rng.standard_normal((1, mesh.n_edges)) * 10.0 ** rng.uniform(-3, 0)
+        ref = curl_level_tensor_2d_oracle(mesh, abar, Nc)
+        assert abs(curl_level_tensor(mesh, abar, Nc) - ref) <= 1e-13 * abs(ref)
+        return
+    A = rng.standard_normal((nc, d, d))
+    coef = scale * (A @ A.transpose(0, 2, 1) + 0.1 * np.eye(d))   # SPD per cell
+    if kind == "nodal":
+        ent, order, r = mesh.cell_nodes, 1, fem.nodal_ref(d)
+        ref_vec, ref_mat = r["GVEC"], r["GRAD"]
+    else:
+        ent, order, r = mesh.cell_edges, 2, fem.edge_ref(3)
+        ref_vec, ref_mat = r["CVEC"], r["CURL"]
+    W = rng.standard_normal((d, ent.max() + 1)) * 10.0 ** rng.uniform(-3, 0)
+    local = W[:, ent]
+    ref = energy_tensor_oracle(mesh, coef, local, ref_vec, ref_mat, order)
+    got = _energy_tensor(mesh, coef, local, ref_vec, ref_mat, order)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.array_equal(got, got.T)
 
 
 # ---------------------------------------------------------------------------

@@ -378,6 +378,72 @@ def test_ems_n1_bitwise_per_stamp_oracle(layered_setup):
 
 
 # ---------------------------------------------------------------------------
+# n = 2 folded factors from one eps-period of fine cells
+
+def separable_n2_spec(phases=(0.0, 0.0)):
+    fac = [{"offset": 2.0, "amplitude": 1.0, "axis": 0, "phase": ph} for ph in phases]
+    return CoefficientSpec(2, 2,
+                           a=CoefficientPart("separable-product", {"factors": fac}),
+                           b=CoefficientPart("separable-product", {"factors": fac}),
+                           alpha=1.0, beta=9.0)
+
+
+@pytest.fixture(scope="module")
+def folded_sweep_hom():
+    """Cell solutions of the benchmark's folded sweep: cell_n 32, slow_y 8, r2 = 4."""
+    return homogenize(separable_n2_spec((0.3, 1.1)), cell_N=32, slow_y=8, tol=1e-10)
+
+
+def assert_period_factors_match(hom, sched, mesh, atol=1e-12):
+    xq = corr._fine_quadrature(mesh, corr._QUAD_RULE)[0]
+    P, G = corr._period_fold_factors(hom, sched, mesh)
+    P_ref, G_ref = corr._fold_factors(hom, sched, xq)
+    assert P.shape == P_ref.shape and G.shape == G_ref.shape
+    assert np.abs(P - P_ref).max() <= atol
+    assert np.abs(G - G_ref).max() <= atol
+
+
+def test_period_factors_folded_sweep(folded_sweep_hom):
+    # eps = 1/4, eps_2 = 1/16, fine_ratio 4: N = 64, one period is 16^2 cells
+    sched = ScaleSchedule(1 / 4, (4,))
+    mesh = DomainMesh(2, 64)
+    xt, rows = corr._period_points(mesh, sched.epsilon)
+    assert len(xt) == 16 ** 2 * 4 and rows.max() == len(xt) - 1
+    assert_period_factors_match(folded_sweep_hom, sched, mesh)
+
+
+@pytest.mark.parametrize("N,extent", [(30, 1.0), (18, 1.125)])
+def test_period_factors_whole_mesh_fallback(folded_sweep_hom, N, extent):
+    # eps/h = 7.5 is not an integer; eps/h = 4 does not divide N = 18:
+    # the table then covers every point (p = N), row k for point k
+    sched = ScaleSchedule(1 / 4, (4,))
+    mesh = DomainMesh(2, N, extent)
+    xq = corr._fine_quadrature(mesh, corr._QUAD_RULE)[0]
+    xt, rows = corr._period_points(mesh, sched.epsilon)
+    assert np.array_equal(xt, xq) and np.array_equal(rows, np.arange(len(xq)))
+    assert_period_factors_match(folded_sweep_hom, sched, mesh)
+
+
+def test_period_factors_keep_face_pick(monkeypatch):
+    # midpoint rule, eps = 1/4, r2 = 2, h = 1/16, cell_N = 4: every y2 sits on
+    # a cell-mesh face (y2 = 1/4, 3/4), where grad_y w jumps; the table must
+    # take the same side as the per-point path
+    monkeypatch.setattr(corr, "_QUAD_RULE", 1)
+    hom = homogenize(separable_n2_spec((0.0, 0.7)), cell_N=4, slow_y=2)
+    sched = ScaleSchedule(1 / 4, (2,))
+    mesh = DomainMesh(2, 16)
+    xq = corr._fine_quadrature(mesh, 1)[0]
+    y2 = sched.fast_variables(xq)[1] * hom.cell_N
+    assert np.all(y2 == np.round(y2))
+    assert len(corr._period_points(mesh, sched.epsilon)[0]) == 4 ** 2
+    assert_period_factors_match(hom, sched, mesh)
+    # the other side of the face gives other factors
+    P_below, _ = corr._fold_factors(hom, sched, xq - 1e-9)
+    P_ref, _ = corr._fold_factors(hom, sched, xq)
+    assert np.abs(P_below - P_ref).max() > 1e-3
+
+
+# ---------------------------------------------------------------------------
 # boundary cutoff
 
 def test_cutoff_wide_layer_still_valid():

@@ -202,6 +202,66 @@ def test_cli_zero_sweep_key_exits_2(tmp_path, capsys, key):
     assert not (tmp_path / "o" / "tensors.txt").exists()
 
 
+@pytest.mark.parametrize("route", ["config", "flag"])
+@pytest.mark.parametrize("tol", ["0", "-1", "1"])
+def test_cli_tol_outside_unit_interval_exits_2(tmp_path, capsys, route, tol):
+    cfg_path = tmp_path / "s.cfg"
+    cfg_path.write_text(LAYERED_SWEEP + (f"tol = {tol}\n" if route == "config" else ""))
+    argv = ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+    if route == "flag":
+        argv += ["--tol", tol]
+    assert harness.main(argv) == 2
+    assert "tol must lie in (0, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+XDEP_HOM = """
+mode = homogenize
+coeff.d = 2
+coeff.n = 1
+coeff.alpha = 1.0
+coeff.beta = 4.5
+coeff.a.family = separable-product
+coeff.a.factors = 2:1:1
+coeff.a.x_amplitude = 0.5
+coeff.b.family = separable-product
+coeff.b.factors = 2:1:1
+coeff.b.x_amplitude = 0.5
+hom.cell_n = 8
+"""
+XDEP_N2_HOM = (XDEP_HOM.replace("coeff.n = 1", "coeff.n = 2")
+               .replace("factors = 2:1:1", "factors = 2:1:1;2:1:0"))
+SLOW_GRID_CONFIGS = {"layered-sweep": ("sweep", LAYERED_SWEEP),
+                     "xdep": ("homogenize", XDEP_HOM),
+                     "xdep-n2": ("homogenize", XDEP_N2_HOM)}
+
+
+@pytest.mark.parametrize("config,line,key", [
+    ("layered-sweep", "hom.slow_y = 0", "hom.slow_y"),   # n = 1 has no slow y
+    ("layered-sweep", "hom.slow_y = 4", "hom.slow_y"),
+    ("layered-sweep", "hom.slow_x = 0", "hom.slow_x"),
+    ("xdep", "hom.slow_x = 1", "hom.slow_x"),            # x-dependent: >= 2
+    ("xdep-n2", "hom.slow_y = 4,4", "hom.slow_y"),
+    ("xdep-n2", "hom.slow_y = 0", "hom.slow_y"),
+])
+def test_cli_slow_grid_key_outside_spec_exits_2(tmp_path, capsys, config, line, key):
+    mode, text = SLOW_GRID_CONFIGS[config]
+    cfg_path = tmp_path / "s.cfg"
+    cfg_path.write_text(text + line + "\n")
+    out = tmp_path / "o"
+    assert harness.main([mode, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not (out / "tensors.txt").exists()
+
+
+def test_cli_slow_grid_keys_that_fit_run(tmp_path):
+    cfg_path = tmp_path / "h.cfg"
+    cfg_path.write_text(XDEP_HOM + "hom.slow_x = 2\n")
+    assert harness.main(["homogenize", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "tensors.txt").exists()
+
+
 def test_cli_numerical_failure_exit_code(tmp_path):
     # declared bounds the homogenized tensor cannot satisfy -> exit 3
     text = """
