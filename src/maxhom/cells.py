@@ -14,7 +14,6 @@ import itertools
 import numpy as np
 
 from . import fem
-from .coeffs import sym_eigenvalues
 from .mesh import CellMesh
 
 
@@ -135,10 +134,7 @@ def _energy_tensor(mesh, coef, local, ref_vec, ref_mat, order):
     sum, which runs pairwise along a contiguous cell axis.
     """
     d, h = mesh.d, mesh.h
-    ncells, m = coef.shape[0], coef.shape[1]
-    nloc = local.shape[2]
-    E = (coef.reshape(ncells, m * m) @ ref_mat.reshape(m * m, nloc * nloc)
-         ).reshape(ncells, nloc, nloc)
+    E = fem.element_matrices(coef, ref_mat)
     L = local.transpose(1, 0, 2)                        # (ncells, m, nloc)
     quad = np.matmul(np.matmul(L, E), L.transpose(0, 2, 1))
     lin = np.matmul(np.matmul(L, ref_vec.T), coef)      # lin[c, k, j] = V^k . C e^j
@@ -158,15 +154,11 @@ def scalar_level_tensor(mesh, cbar, W):
 
 def curl_level_tensor(mesh, abar, Nc):
     """Energy-form curl level tensor; scalar in 2D (one component), 3x3 in 3D."""
-    local = Nc[:, mesh.cell_edges]
-    if mesh.d == 2:
-        # one component; the scalar curls CURLS are constant on the cell
-        s = fem.edge_ref(2)["CURLS"]
-        T = _energy_tensor(mesh, abar.reshape(-1, 1, 1), local, s[None],
-                           np.outer(s, s)[None, None], 2)
-        return float(T[0, 0])
-    ref = fem.edge_ref(3)
-    return _energy_tensor(mesh, abar, local, ref["CVEC"], ref["CURL"], 2)
+    ref = fem.edge_ref(mesh.d)
+    m = len(ref["CVEC"])
+    T = _energy_tensor(mesh, abar.reshape(-1, m, m), Nc[:, mesh.cell_edges], ref["CVEC"],
+                       ref["CURL"], 2)
+    return float(T[0, 0]) if m == 1 else T
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +243,7 @@ class HomogenizationResult:
 
 def _require_bounds(T, spec, which, level, sample, d):
     vals = np.atleast_1d(np.asarray(T))
-    if vals.ndim == 1:
-        eigs = vals
-    else:
-        eigs = sym_eigenvalues(vals[None, ...]).ravel()
+    eigs = vals if vals.ndim == 1 else np.linalg.eigvalsh(vals)
     slack = 1e-7 * max(1.0, spec.beta)
     if eigs.min() < spec.alpha - slack or eigs.max() > spec.beta + slack:
         raise HomogenizationError(

@@ -30,39 +30,6 @@ def _as_matrix(value, d):
     return 0.5 * (m + m.T)
 
 
-def sym_eigenvalues(mats):
-    """Eigenvalues of a stack of symmetric 1x1/2x2/3x3 matrices, closed form.
-
-    mats: (npts, d, d).  Returns (npts, d), ascending.
-    """
-    mats = np.asarray(mats, dtype=float)
-    d = mats.shape[-1]
-    if d == 1:
-        return mats[..., 0]
-    if d == 2:
-        tr = mats[..., 0, 0] + mats[..., 1, 1]
-        det = mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]
-        disc = np.sqrt(np.maximum((tr / 2) ** 2 - det, 0.0))
-        return np.stack([tr / 2 - disc, tr / 2 + disc], axis=-1)
-    if d == 3:
-        # trigonometric closed form for symmetric 3x3
-        q = np.trace(mats, axis1=-2, axis2=-1) / 3.0
-        b = mats - q[..., None, None] * np.eye(3)
-        p2 = np.einsum("...ij,...ij->...", b, b) / 6.0
-        p = np.sqrt(np.maximum(p2, 0.0))
-        safe = p > 0
-        r = np.zeros_like(q)
-        detb = np.linalg.det(b[safe]) if np.any(safe) else np.empty(0)
-        r[safe] = detb / (2.0 * p[safe] ** 3)
-        r = np.clip(r, -1.0, 1.0)
-        phi = np.arccos(r) / 3.0
-        e1 = q + 2 * p * np.cos(phi)
-        e3 = q + 2 * p * np.cos(phi + 2 * np.pi / 3)
-        e2 = 3 * q - e1 - e3
-        return np.sort(np.stack([e1, e2, e3], axis=-1), axis=-1)
-    raise CoefficientError(f"unsupported dimension {d}")
-
-
 _EXPRESSION_NAMES = ("x", "ys", "np", "pi")
 
 
@@ -294,7 +261,7 @@ def eval_coefficient(spec, x, ys, which):
         vals = spec.eval_a(x, ys)[:, None, None]
     else:
         vals = spec.eval_a(x, ys) if which == "a" else spec.eval_b(x, ys)
-    eigs = sym_eigenvalues(vals).reshape(vals.shape[0], -1)
+    eigs = np.linalg.eigvalsh(vals).reshape(vals.shape[0], -1)
     tol = 1e-10 * max(1.0, spec.beta)
     if eigs.min() < spec.alpha - tol or eigs.max() > spec.beta + tol:
         raise CoefficientError(
@@ -342,10 +309,7 @@ def validate_bounds(spec, samples_per_axis):
             ys = [pts[rng.permutation(len(pts))] for _ in range(spec.n_scales)]
             ys[0] = pts  # always include the aligned diagonal sweep
             vals = spec.eval_a(x, ys) if which == "a" else spec.eval_b(x, ys)
-            if scalar:
-                eigs = vals
-            else:
-                eigs = sym_eigenvalues(vals)
+            eigs = vals if scalar else np.linalg.eigvalsh(vals)
             lo = min(lo, float(np.min(eigs)))
             hi = max(hi, float(np.max(eigs)))
     if lo < spec.alpha - 1e-12 or hi > spec.beta + 1e-12:

@@ -36,52 +36,43 @@ class CorrectorInputError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# cached cell-field samplers
+# cached cell fields at points
 
-class CellFieldSampler:
-    """Evaluates grad_y w^r and (1 + curl_y N) of the cached level-1 solutions.
+def _cell_fields(hom, level, sample, cells, local):
+    """grad_y w^r and curl_y N^r of the cached cell solutions at (level, sample).
 
-    The fields may depend on x (x-dependent specs): the sampler combines the
-    <= 2^d x-grid corner solutions multilinearly at the x values `slow`.
+    cells, local: the points located on hom.mesh.  Returns (npts, d, d) and
+    (npts, 1) in 2D / (npts, 3, 3) in 3D, with the field index r last.
     """
+    mesh = hom.mesh
+    dw = fem.eval_nodal_gradient(mesh, hom.cell_solution("b", level, sample).w, None,
+                                 cells, local)
+    cn = fem.eval_edge_curl(mesh, hom.cell_solution("a", level, sample).n_curl, None,
+                            cells, local)
+    return dw, cn
 
-    def __init__(self, hom):
-        self.hom = hom
-        self.d = hom.d
-        self.mesh = hom.mesh
 
-    def _interpolate(self, which, y_pts, slow):
-        """out[..., r] = slow-interpolated D f^r at fast points.
+def cell_factors(hom, y, slow=None):
+    """Factors (P, G) of the level-1 cell fields at fast points y (npts, d).
 
-        which = "b": D f^r = grad_y w^r, out (npts, d, d).  which = "a":
-        D f^r = curl_y N^r, out (npts, 1) in 2D and (npts, 3, 3) in 3D.
-        """
-        cells, local = self.mesh.locate(y_pts)
-        npts = len(cells)
-        if which == "b":
-            evaluate, shape = fem.eval_nodal_gradient, (self.d, self.d)
-        else:
-            evaluate, shape = fem.eval_edge_curl, (1,) if self.d == 2 else (3, 3)
-        res = self.hom.x_res
-        z = np.zeros((npts, self.d)) if slow is None else np.asarray(slow, dtype=float)
-        out = np.zeros((npts,) + shape)
-        for flat, wgt in multilinear_corners(z * (res - 1), res, periodic=False):
-            for si in np.unique(flat):
-                sel = flat == si
-                sol = self.hom.cell_solution(which, 1, int(si))
-                for r, f in enumerate(sol.w if which == "b" else sol.n_curl):
-                    c = evaluate(self.mesh, f, None, cells[sel], local[sel])
-                    out[sel, ..., r] += wgt[sel].reshape((-1,) + (1,) * (c.ndim - 1)) * c
-        return out
-
-    def grad_w_matrix(self, y_pts, slow=None):
-        """P[:, j, r] = d w^r / d y_j at fast points (npts, d)."""
-        return self._interpolate("b", y_pts, slow)
-
-    def curl_factor(self, y_pts, slow=None):
-        """2D: scalar 1 + curl_y N; 3D: matrix I + columns curl_y N^r."""
-        G = self._interpolate("a", y_pts, slow)
-        return 1.0 + G[:, 0] if self.d == 2 else np.eye(3) + G
+    P[:, j, r] = d w^r / d y_j; G = 1 + curl_y N (npts,) in 2D and I + columns
+    curl_y N^r (npts, 3, 3) in 3D.  The fields may depend on x (x-dependent
+    specs): the <= 2^d x-grid corner solutions are combined multilinearly at
+    the x values `slow`.
+    """
+    d, res = hom.d, hom.x_res
+    cells, local = hom.mesh.locate(y)
+    npts = len(cells)
+    z = np.zeros((npts, d)) if slow is None else np.asarray(slow, dtype=float)
+    P = np.zeros((npts, d, d))
+    C = np.zeros((npts, 1) if d == 2 else (npts, 3, 3))
+    for flat, wgt in multilinear_corners(z * (res - 1), res, periodic=False):
+        for si in np.unique(flat):
+            sel = flat == si
+            dw, cn = _cell_fields(hom, 1, int(si), cells[sel], local[sel])
+            P[sel] += wgt[sel, None, None] * dw
+            C[sel] += wgt[sel].reshape((-1,) + (1,) * (cn.ndim - 1)) * cn
+    return P, (1.0 + C[:, 0] if d == 2 else np.eye(3) + C)
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +171,8 @@ def _stamp_errors(fine_traj, corr):
 # ---------------------------------------------------------------------------
 # pointwise (two-scale) corrector
 
-def reconstruct_corrector(u0_traj, hom, schedule, g1=None, g0=None,
-                          fine_mesh=None, cutoff_eps=None):
+def reconstruct_corrector(u0_traj, hom, schedule, g1=None, g0=None, *, fine_mesh,
+                          cutoff_eps=None):
     """Build the first-order corrector of a homogenized trajectory.
 
     Requires g0 = 0 (pass None or a zero field); refuses otherwise, matching
@@ -195,21 +186,15 @@ def reconstruct_corrector(u0_traj, hom, schedule, g1=None, g0=None,
             raise CorrectorInputError(
                 "corrector reconstruction requires g0 = 0 (nonzero initial data "
                 "breaks the corrector hypothesis)")
-    if fine_mesh is None:
-        raise CorrectorInputError("pass the fine mesh whose quadrature carries the corrector")
     if u0_traj.mesh.h > schedule.epsilon + 1e-12:
         raise CorrectorInputError(
             f"homogenized mesh h0={u0_traj.mesh.h:g} coarser than eps={schedule.epsilon:g}; "
             "products with the cell fields would alias")
-    xq, wq, _, _ = _fine_quadrature(fine_mesh, _QUAD_RULE)
+    xq, wq, cells, local = _fine_quadrature(fine_mesh, _QUAD_RULE)
     y = schedule.fast_variables(xq)[0]
-    sampler = CellFieldSampler(hom)
-    slow = xq if hom.x_res > 1 else None
-    P = sampler.grad_w_matrix(y, slow=slow)
-    G = sampler.curl_factor(y, slow=slow)
+    P, G = cell_factors(hom, y, slow=xq if hom.x_res > 1 else None)
     g1_vals = g1(xq) if g1 is not None else np.zeros_like(xq)
     if cutoff_eps is not None:
-        cells, local = fine_mesh.locate(xq)
         tau = fem.eval_nodal_field(fine_mesh, cutoff_field(fine_mesh, cutoff_eps), None,
                                    cells, local)
         P = tau[:, None, None] * P
@@ -254,7 +239,17 @@ def corrector_error(fine_traj, corr):
 # folded multiscale corrector
 
 def _macro_bins(xq, eps, extent):
-    L = int(round(extent / eps))
+    """eps macro-cell index of each point and the macro-cell count.
+
+    The macro-cells are the eps-lattice cells, so the lattice must tile the
+    domain: a leftover strip would fall into the last row of bins.
+    """
+    ratio = extent / eps
+    L = int(round(ratio))
+    if L < 1 or abs(ratio - L) > 1e-9 * ratio:
+        raise CorrectorInputError(
+            f"the eps-lattice does not tile the domain: extent {extent:g} is not a "
+            f"multiple of eps {eps:g}")
     idx = np.minimum((xq / eps).astype(np.int64), L - 1)
     return np.ravel_multi_index(idx.T, (L,) * xq.shape[1]), L ** xq.shape[1]
 
@@ -270,26 +265,19 @@ def _fold_factors(hom, schedule, xq):
     d = hom.d
     y1, *y2 = schedule.fast_variables(xq)
     if schedule.n_scales == 1:
-        sampler = CellFieldSampler(hom)
-        return sampler.grad_w_matrix(y1), sampler.curl_factor(y1)
+        return cell_factors(hom, y1)
     r2 = schedule.ratios[0]
     T, S = _subcell_tables(hom, r2, hom.y_res[0])
     sub = np.minimum((y1 * r2).astype(np.int64), r2 - 1)
     k2 = np.ravel_multi_index(sub.T, (r2,) * d)
-    mesh = hom.mesh
-    cells2, local2 = mesh.locate(y2[0])
+    cells2, local2 = hom.mesh.locate(y2[0])
     P = (T.sum(axis=1) - np.eye(d))[k2]   # subcell average of P1
     G = np.zeros(len(xq))
     support = np.abs(S) > 1e-14
     for nu in np.flatnonzero(support.any(axis=0)):
         sel = support[k2, nu]
-        c2, l2 = cells2[sel], local2[sel]
-        q2 = fem.eval_edge_curl(mesh, hom.cell_solution("a", 2, int(nu)).n_curl[0],
-                                None, c2, l2)
-        G[sel] += (1.0 + q2) * S[k2[sel], nu]
-        w2 = hom.cell_solution("b", 2, int(nu)).w
-        P2 = np.stack([fem.eval_nodal_gradient(mesh, w, None, c2, l2) for w in w2],
-                      axis=2)
+        P2, C2 = _cell_fields(hom, 2, int(nu), cells2[sel], local2[sel])
+        G[sel] += (1.0 + C2[:, 0]) * S[k2[sel], nu]
         P[sel] += np.matmul(P2, T[k2[sel], nu])
     return P, G
 
@@ -299,19 +287,18 @@ def _period_points(mesh, eps):
 
     The period is p = eps/h cells per axis; when eps/h is not an integer or N
     is not a multiple of p, p = N and the table holds every point.  The points
-    come from the cell indices i < p as in fem.quad_points, so they equal the
-    fine quadrature points of those cells bitwise.  rows[k] is the table row
-    of fine quadrature point k: (cell multi-index mod p, Gauss point).
+    are the slice i < p of fem.quad_points (cells in C order), so they are the
+    fine quadrature points of those cells.  rows[k] is the table row of fine
+    quadrature point k: (cell multi-index mod p, Gauss point).
     """
-    d, N, h = mesh.d, mesh.N, mesh.h
-    ratio = eps / h
+    d, N = mesh.d, mesh.N
+    ratio = eps / mesh.h
     p = int(round(ratio))
     if p < 1 or abs(ratio - p) > 1e-9 * ratio or N % p:
         p = N
-    pts_ref, _ = fem.gauss_rule(d, _QUAD_RULE)
-    nq = len(pts_ref)
-    multi = np.indices((p,) * d).reshape(d, -1).T
-    xt = ((multi + 0.5) * h)[:, None, :] + (pts_ref[None] - 0.5) * h
+    xq, _ = fem.quad_points(mesh, _QUAD_RULE)
+    nq = xq.shape[1]
+    xt = xq.reshape((N,) * d + (nq, d))[(slice(p),) * d]
     period_cell = np.ravel_multi_index(np.indices((N,) * d).reshape(d, -1) % p, (p,) * d)
     rows = period_cell[:, None] * nq + np.arange(nq)
     return xt.reshape(-1, d), rows.ravel()
@@ -342,6 +329,7 @@ def multiscale_corrector_error(fine_traj, u0_traj, hom, schedule, g1=None):
     if mesh.d != 2:
         raise CorrectorInputError("the folded corrector driver is 2D")
     xq, wq, _, _ = _fine_quadrature(mesh, _QUAD_RULE)
+    bins, nbins = _macro_bins(xq, schedule.epsilon, mesh.extent)
     if schedule.n_scales == 1:
         P, G = _fold_factors(hom, schedule, xq)
     else:
@@ -349,7 +337,6 @@ def multiscale_corrector_error(fine_traj, u0_traj, hom, schedule, g1=None):
     g1_vals = g1(xq) if g1 is not None else np.zeros_like(xq)
     corr = CorrectorField(times=u0_traj.snap_times, fine_mesh=mesh, u0_traj=u0_traj,
                           xq=xq, wq=wq, P=P, G=G, g1_vals=g1_vals)
-    bins, nbins = _macro_bins(xq, schedule.epsilon, mesh.extent)
     corr._macro = (bins, np.bincount(bins, weights=wq, minlength=nbins))
     e_vel, e_curl = _stamp_errors(fine_traj, corr)
     return ErrorSeries(fine_traj.snap_times.copy(), np.zeros_like(e_vel),
@@ -369,11 +356,8 @@ def _subcell_tables(hom, r2, m1):
     Q = hom.cell_N
     if Q % r2 != 0:
         raise CorrectorInputError("cell resolution must be divisible by the scale ratio")
-    mesh = hom.mesh
-    pts = mesh.cell_centers
-    sampler = CellFieldSampler(hom)
-    P1 = sampler.grad_w_matrix(pts)
-    G1 = sampler.curl_factor(pts)
+    pts = hom.mesh.cell_centers
+    P1, G1 = cell_factors(hom, pts)
     sub = np.minimum((pts * r2).astype(np.int64), r2 - 1)
     k_flat = np.ravel_multi_index(sub.T, (r2,) * d)
     nsub = r2 ** d

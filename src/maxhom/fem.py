@@ -150,15 +150,17 @@ def nodal_ref(d):
 def edge_ref(d):
     """Exact reference tensors for the edge element.
 
-    MASS[a, b, i, j] = int E_i,a E_j,b.
-    2D: CURLS[i] constant scalar curls; 3D: CURL[a,b,i,j], CVEC[a,i].
+    MASS[a, b, i, j] = int E_i,a E_j,b ; CURL[a, b, i, j] = int curl_a E_i curl_b E_j ;
+    CVEC[a, i] = int curl_a E_i.  2D has one curl component (a = b = 0), and
+    CURLS[i] holds its constant values.
     """
     pts, wts = gauss_rule(d, 3)
     e = edge_basis(d, pts)
     mass = np.einsum("iaq,jbq,q->abij", e, e, wts)
     out = {"MASS": mass}
     if d == 2:
-        out["CURLS"] = edge_curl_basis(2, pts)
+        s = edge_curl_basis(2, pts)
+        out.update(CURLS=s, CURL=np.outer(s, s)[None, None], CVEC=s[None])
     else:
         c = edge_curl_basis(3, pts)
         out["CURL"] = np.einsum("iaq,jbq,q->abij", c, c, wts)
@@ -237,59 +239,76 @@ def _scatter(dof_map, eloc, n, index_map=None):
     return (A + A.T) * 0.5
 
 
+def element_matrices(coef, ref_mat):
+    """Per-cell element matrices E[c] = sum_ab coef[c, a, b] ref_mat[a, b]: (ncells, ni, nj).
+
+    coef: (ncells, m, m) per-cell constant coefficient; ref_mat[a, b, i, j]
+    integrates D_a phi_i D_b psi_j over the reference cell for m-component
+    operators D (e.g. the nodal gradient or the edge curl).
+    """
+    ncells, m = coef.shape[0], coef.shape[1]
+    return (coef.reshape(ncells, m * m) @ ref_mat.reshape(m * m, -1)
+            ).reshape((ncells,) + ref_mat.shape[2:])
+
+
+def _coef_matrix(cbar, m):
+    """Per-cell coefficient as (ncells, m, m); a scalar coefficient acts as c*I."""
+    return cbar[:, None, None] * np.eye(m) if cbar.ndim == 1 else cbar
+
+
+def _assemble(mesh, coef, ref_mat, order, dof_map, n, index_map=None):
+    """Symmetric CSR matrix of h^(d - 2 order) E[c]; D phi scales as h^-order."""
+    eloc = mesh.h ** (mesh.d - 2 * order) * element_matrices(coef, ref_mat)
+    eloc = 0.5 * (eloc + eloc.transpose(0, 2, 1))
+    return _scatter(dof_map, eloc, n, index_map)
+
+
+def _cell_rhs(mesh, coef, ref_vec, order, dof_map, n):
+    """Right-hand sides -int (C e^k) . D phi_i for every k: (m, n).
+
+    Per cell they are the element matrices of the form (C e^k) . D phi_i,
+    whose reference tensor is delta_bk ref_vec[a, i] (D phi scales as h^-order).
+    """
+    m = len(ref_vec)
+    per_cell = -mesh.h ** (mesh.d - order) * element_matrices(
+        coef, np.einsum("bk,ai->abki", np.eye(m), ref_vec))
+    rhs = np.zeros((m, n))
+    for k in range(m):
+        np.add.at(rhs[k], dof_map.ravel(), per_cell[:, k].ravel())
+    return rhs
+
+
 def assemble_scalar_stiffness(mesh, coef_fn, rule=1):
     """Periodic bilinear form int_Y (C grad phi_i) . grad phi_j on a CellMesh."""
     if not isinstance(mesh, CellMesh):
         raise AssemblyError("scalar stiffness is assembled on periodic cell meshes")
-    d, h = mesh.d, mesh.h
-    cbar = cell_coefficient(mesh, coef_fn, rule)
-    if cbar.ndim == 1:  # scalar coefficient acts as c*I
-        cbar = cbar[:, None, None] * np.eye(d)
-    grad = nodal_ref(d)["GRAD"]
-    eloc = h ** (d - 2) * np.einsum("cab,abij->cij", cbar, grad)
-    eloc = 0.5 * (eloc + eloc.transpose(0, 2, 1))
-    A = _scatter(mesh.cell_nodes, eloc, mesh.n_nodes)
+    cbar = _coef_matrix(cell_coefficient(mesh, coef_fn, rule), mesh.d)
+    A = _assemble(mesh, cbar, nodal_ref(mesh.d)["GRAD"], 1, mesh.cell_nodes, mesh.n_nodes)
     return SparseSymSystem(mesh.n_nodes, A, nullspace="constants"), cbar
 
 
 def scalar_cell_rhs(mesh, cbar):
     """Right-hand sides -int (C e^k) . grad phi_i for all k: (d, n_nodes)."""
-    d, h = mesh.d, mesh.h
-    gvec = nodal_ref(d)["GVEC"]
-    # (C e^k)_a = C_ak ; rhs contribution per cell/node i: -h^{d-1} C_ak GVEC[a,i]
-    per_cell = -h ** (d - 1) * np.einsum("cak,ai->kci", cbar, gvec)
-    rhs = np.zeros((d, mesh.n_nodes))
-    for k in range(d):
-        np.add.at(rhs[k], mesh.cell_nodes.ravel(), per_cell[k].ravel())
-    return rhs
+    return _cell_rhs(mesh, cbar, nodal_ref(mesh.d)["GVEC"], 1, mesh.cell_nodes, mesh.n_nodes)
 
 
 def assemble_curl_stiffness(mesh, coef_fn, rule=1):
     """Bilinear form int (A curl phi_i) . curl phi_j with edge elements.
 
-    CellMesh: periodic, nullspace = discrete gradients (recorded only).
+    The curl has one component in 2D (abar is returned as (ncells,)) and three
+    in 3D.  CellMesh: periodic, nullspace = discrete gradients (recorded only).
     DomainMesh: boundary edges eliminated (u x nu = 0); returns the system on
     interior DOFs.
     """
-    d, h = mesh.d, mesh.h
     abar = cell_coefficient(mesh, coef_fn, rule)
-    ref = edge_ref(d)
-    if d == 2:
-        if abar.ndim != 1:
-            abar = abar[:, 0, 0]  # scalar curl coefficient stored as 1x1
-        s = ref["CURLS"]
-        eloc = h ** (d - 4) * abar[:, None, None] * np.outer(s, s)[None, :, :]
-    else:
-        if abar.ndim == 1:
-            abar = abar[:, None, None] * np.eye(3)
-        eloc = h ** (d - 4) * np.einsum("cab,abij->cij", abar, ref["CURL"])
-    eloc = 0.5 * (eloc + eloc.transpose(0, 2, 1))
+    ref = edge_ref(mesh.d)["CURL"]
+    coef = _coef_matrix(abar, ref.shape[0])
     if isinstance(mesh, CellMesh):
-        A = _scatter(mesh.cell_edges, eloc, mesh.n_edges)
-        return SparseSymSystem(mesh.n_edges, A, nullspace="gradients"), abar
-    n = mesh.n_interior_edges
-    A = _scatter(mesh.cell_edges, eloc, n, mesh.interior_index)
-    return SparseSymSystem(n, A, nullspace="gradients"), abar
+        n, index_map = mesh.n_edges, None
+    else:
+        n, index_map = mesh.n_interior_edges, mesh.interior_index
+    A = _assemble(mesh, coef, ref, 2, mesh.cell_edges, n, index_map)
+    return SparseSymSystem(n, A, nullspace="gradients"), abar if len(ref) == 1 else coef
 
 
 def curl_cell_rhs(mesh, abar):
@@ -297,35 +316,18 @@ def curl_cell_rhs(mesh, abar):
 
     2D: (1, n_edges) (single scalar index); 3D: (3, n_edges).
     """
-    d, h = mesh.d, mesh.h
-    ref = edge_ref(d)
-    if d == 2:
-        s = ref["CURLS"]
-        per_cell = -h ** (d - 2) * abar[:, None] * s[None, :]
-        rhs = np.zeros((1, mesh.n_edges))
-        np.add.at(rhs[0], mesh.cell_edges.ravel(), per_cell.ravel())
-        return rhs
-    cvec = ref["CVEC"]
-    per_cell = -h ** (d - 2) * np.einsum("cal,ai->lci", abar, cvec)
-    rhs = np.zeros((3, mesh.n_edges))
-    for l in range(3):
-        np.add.at(rhs[l], mesh.cell_edges.ravel(), per_cell[l].ravel())
-    return rhs
+    cvec = edge_ref(mesh.d)["CVEC"]
+    return _cell_rhs(mesh, _coef_matrix(abar, len(cvec)), cvec, 2, mesh.cell_edges, mesh.n_edges)
 
 
 def assemble_vector_mass(mesh, coef_fn, rule=2):
     """Positive definite form int_D (B phi_i) . phi_j on interior edge DOFs."""
     if not isinstance(mesh, DomainMesh):
         raise AssemblyError("the vector mass matrix lives on a DomainMesh")
-    d, h = mesh.d, mesh.h
-    bbar = cell_coefficient(mesh, coef_fn, rule)
-    if bbar.ndim == 1:
-        bbar = bbar[:, None, None] * np.eye(d)
-    mass = edge_ref(d)["MASS"]
-    eloc = h ** (d - 2) * np.einsum("cab,abij->cij", bbar, mass)
-    eloc = 0.5 * (eloc + eloc.transpose(0, 2, 1))
+    bbar = _coef_matrix(cell_coefficient(mesh, coef_fn, rule), mesh.d)
     n = mesh.n_interior_edges
-    A = _scatter(mesh.cell_edges, eloc, n, mesh.interior_index)
+    A = _assemble(mesh, bbar, edge_ref(mesh.d)["MASS"], 1, mesh.cell_edges, n,
+                  mesh.interior_index)
     return SparseSymSystem(n, A, nullspace="none"), bbar
 
 
@@ -363,42 +365,48 @@ def edge_interpolate(mesh, vec_fn):
     return dofs
 
 
+# Field evaluation at located points.  `values` is one DOF vector (n,) or a
+# stack (k, n) of them; a stack gives each output a trailing axis of length
+# k, and each of its slices equals the single-field result bitwise.  The
+# local DOFs are gathered with np.take, which keeps a stack C-ordered: fancy
+# indexing would put k innermost, and einsum would then sum in another order.
+
 def eval_edge_field(mesh, values, points, cells=None, local=None):
     """Evaluate an edge field (full DOF vector) at points: (npts, d)."""
     if cells is None:
         cells, local = mesh.locate(points)
-    dofs = values[mesh.cell_edges[cells]]  # (npts, nloc)
+    dofs = np.take(values, mesh.cell_edges[cells], axis=-1)  # (npts, nloc) per field
     eb = edge_basis(mesh.d, local)  # (nloc, d, npts)
-    return np.einsum("pi,iap->pa", dofs, eb) / mesh.h
+    return np.einsum("...pi,iap->pa...", dofs, eb) / mesh.h
 
 
 def eval_edge_curl(mesh, values, points, cells=None, local=None):
     """Evaluate the curl of an edge field: (npts,) in 2D, (npts, 3) in 3D."""
     if cells is None:
         cells, local = mesh.locate(points)
-    dofs = values[mesh.cell_edges[cells]]
+    dofs = np.take(values, mesh.cell_edges[cells], axis=-1)
     if mesh.d == 2:
         s = edge_ref(2)["CURLS"]
-        return (dofs @ s) / mesh.h ** 2
+        return np.einsum("...pi,i->p...", dofs, s) / mesh.h ** 2
     cb = edge_curl_basis(3, local)
-    return np.einsum("pi,iap->pa", dofs, cb) / mesh.h ** 2
+    return np.einsum("...pi,iap->pa...", dofs, cb) / mesh.h ** 2
 
 
 def eval_nodal_field(mesh, values, points, cells=None, local=None):
     if cells is None:
         cells, local = mesh.locate(points)
-    dofs = values[mesh.cell_nodes[cells]]
+    dofs = np.take(values, mesh.cell_nodes[cells], axis=-1)
     nb = nodal_basis(mesh.d, local)
-    return np.einsum("pi,ip->p", dofs, nb)
+    return np.einsum("...pi,ip->p...", dofs, nb)
 
 
 def eval_nodal_gradient(mesh, values, points, cells=None, local=None):
     """Gradient of a nodal field at points: (npts, d)."""
     if cells is None:
         cells, local = mesh.locate(points)
-    dofs = values[mesh.cell_nodes[cells]]
+    dofs = np.take(values, mesh.cell_nodes[cells], axis=-1)
     ng = nodal_grads(mesh.d, local)
-    return np.einsum("pi,aip->pa", dofs, ng) / mesh.h
+    return np.einsum("...pi,aip->pa...", dofs, ng) / mesh.h
 
 
 def expand_interior(mesh, interior_values):

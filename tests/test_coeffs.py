@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from maxhom.coeffs import (CoefficientError, CoefficientPart, CoefficientSpec,
-                           ScaleSchedule, eval_coefficient, eval_fine,
-                           sym_eigenvalues, validate_bounds)
+                           ScaleSchedule, eval_coefficient, eval_fine, validate_bounds)
 
 LAYERED = {"scale": 1, "axis": 0, "offset": 2.0, "amplitude": 1.0}
 
@@ -178,13 +177,3 @@ def test_schedule_invariants():
     with pytest.raises(CoefficientError):
         ScaleSchedule(0.25, (1,))  # ratio < 2
     ScaleSchedule(0.3, require_integer_inverse=False)
-
-
-def test_eigenvalue_closed_forms_match_numpy():
-    rng = np.random.default_rng(6)
-    for d in (2, 3):
-        A = rng.standard_normal((30, d, d))
-        A = 0.5 * (A + A.transpose(0, 2, 1))
-        mine = np.sort(sym_eigenvalues(A), axis=-1)
-        ref = np.linalg.eigvalsh(A)
-        assert np.allclose(mine, ref, atol=1e-10)

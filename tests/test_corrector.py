@@ -276,6 +276,27 @@ def n2_setup():
     return hom, sched, tf, th
 
 
+@pytest.mark.parametrize("eps", [0.25, 0.5])
+def test_macro_bins_refuse_lattice_that_does_not_tile(eps):
+    # extent 1.125 holds 4.5 (eps = 1/4) or 2.25 (eps = 1/2) eps-cells per axis:
+    # clamping the leftover strip into the last row of bins would merge
+    # macro-cells of different areas
+    mesh = DomainMesh(2, 18, 1.125)
+    xq = corr._fine_quadrature(mesh, 2)[0]
+    with pytest.raises(corr.CorrectorInputError, match="extent 1.125.*eps " + str(eps)):
+        corr._macro_bins(xq, eps, mesh.extent)
+
+
+def test_macro_bins_tiling_lattice_gives_equal_areas():
+    # extent 1.125 with eps = 1/8: a 9 x 9 lattice, every bin of area eps^2
+    mesh = DomainMesh(2, 18, 1.125)
+    xq, wq, _, _ = corr._fine_quadrature(mesh, 2)
+    bins, nbins = corr._macro_bins(xq, 0.125, mesh.extent)
+    assert nbins == 81
+    assert np.allclose(np.bincount(bins, weights=wq, minlength=nbins), 0.125 ** 2,
+                       rtol=1e-13)
+
+
 def test_ems_n2_smoke(n2_setup):
     hom, sched, tf, th = n2_setup
     ems = corr.multiscale_corrector_error(tf, th, hom, sched, g1=cavity11)
@@ -310,9 +331,7 @@ def folded_error_oracle(fine_traj, u0_traj, hom, schedule, g1):
     y1 -= np.floor(y1)
     n = schedule.n_scales
     if n == 1:
-        sampler1 = corr.CellFieldSampler(hom)
-        P1 = sampler1.grad_w_matrix(y1)
-        G1 = sampler1.curl_factor(y1)
+        P1, G1 = corr.cell_factors(hom, y1)
     else:
         r2 = schedule.ratios[0]
         T, S = corr._subcell_tables(hom, r2, hom.y_res[0])
@@ -511,16 +530,14 @@ def test_x_dependent_cell_field_sampler():
                            b=CoefficientPart("separable-product", dict(par)),
                            alpha=0.4, beta=4.6)
     hom = hmg(spec, cell_N=32, slow_x=3)
-    sampler = corr.CellFieldSampler(hom)
     rng = np.random.default_rng(20)
     y = rng.random((50, 2))
     x_between = rng.random((50, 2))
-    P = sampler.grad_w_matrix(y, slow=x_between)
+    P, G = corr.cell_factors(hom, y, slow=x_between)
     sol0 = hom.cell_solution("b", 1, 0)
     P_ref = np.zeros((50, 2, 2))
     for r in range(2):
         P_ref[:, :, r] = fem.eval_nodal_gradient(hom.mesh, sol0.w[r], y)
     assert np.abs(P - P_ref).max() < 1e-9
-    G = sampler.curl_factor(y, slow=x_between)
     ymid = hom.mesh.cell_centers[hom.mesh.locate(y)[0], 0]
     assert np.abs(G - SQRT3 / (2.0 + np.sin(2 * np.pi * ymid))).max() < 1e-9

@@ -223,6 +223,27 @@ def test_eval_edge_curl_stokes():
     assert curl[0] == pytest.approx(4.0 / mesh.h ** 2)
 
 
+@pytest.mark.parametrize("mesh", [CellMesh(2, 5), DomainMesh(2, 4, 1.5), DomainMesh(3, 3)],
+                         ids=["cell-2d", "domain-2d", "domain-3d"])
+def test_stacked_eval_equals_single_field_bitwise(mesh):
+    # a (k, n) stack of fields gives each output a trailing axis of length k
+    rng = np.random.default_rng(31)
+    extent = getattr(mesh, "extent", 1.0)
+    pts = extent * rng.random((57, mesh.d))
+    cells, local = mesh.locate(pts)
+    for evaluate, n in ((fem.eval_edge_field, mesh.n_edges), (fem.eval_edge_curl, mesh.n_edges),
+                        (fem.eval_nodal_field, mesh.n_nodes),
+                        (fem.eval_nodal_gradient, mesh.n_nodes)):
+        stack = rng.standard_normal((3, n))
+        out = evaluate(mesh, stack, None, cells, local)
+        assert out.shape[-1] == 3
+        for r in range(3):
+            single = evaluate(mesh, stack[r], None, cells, local)
+            assert out[..., r].shape == single.shape
+            assert np.array_equal(out[..., r], single)
+        assert np.array_equal(evaluate(mesh, stack, pts), out)
+
+
 def test_nodal_gradient_eval():
     mesh = CellMesh(2, 4)
     # nodal samples of a periodic-free linear function restricted per cell are

@@ -1,8 +1,11 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import maxhom
 from maxhom import harness
 from maxhom.harness import ConfigError, fit_slope, parse_config
 
@@ -259,6 +262,21 @@ def test_cli_slow_grid_keys_that_fit_run(tmp_path):
     cfg_path.write_text(XDEP_HOM + "hom.slow_x = 2\n")
     assert harness.main(["homogenize", "--config", str(cfg_path),
                          "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "tensors.txt").exists()
+
+
+def test_python_m_maxhom_runs_without_warnings(tmp_path):
+    # the package runs as a module; -W error turns runpy's double-import
+    # warning (or any other) into a failure
+    cfg_path = tmp_path / "h.cfg"
+    cfg_path.write_text(XDEP_HOM)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(maxhom.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "maxhom", "homogenize",
+                           "--config", str(cfg_path), "--out", str(tmp_path / "o")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
     assert (tmp_path / "o" / "tensors.txt").exists()
 
 
