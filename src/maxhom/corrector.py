@@ -29,6 +29,9 @@ from .mesh import DomainMesh
 
 # Gauss points per axis of the fine-mesh quadrature that carries the correctors
 _QUAD_RULE = 2
+# points per block of cell_factors: its temporaries (about 330 bytes a point)
+# then take a few MB, whatever the size of the fine mesh
+_FACTOR_BLOCK = 1 << 14
 
 
 class CorrectorInputError(RuntimeError):
@@ -61,18 +64,28 @@ def cell_factors(hom, y, slow=None):
     the x values `slow`.
     """
     d, res = hom.d, hom.x_res
-    cells, local = hom.mesh.locate(y)
-    npts = len(cells)
-    z = np.zeros((npts, d)) if slow is None else np.asarray(slow, dtype=float)
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    slow = None if slow is None else np.asarray(slow, dtype=float)
+    npts = len(y)
     P = np.zeros((npts, d, d))
     C = np.zeros((npts, 1) if d == 2 else (npts, 3, 3))
-    for flat, wgt in multilinear_corners(z * (res - 1), res, periodic=False):
-        for si in np.unique(flat):
-            sel = flat == si
-            dw, cn = _cell_fields(hom, 1, int(si), cells[sel], local[sel])
-            P[sel] += wgt[sel, None, None] * dw
-            C[sel] += wgt[sel].reshape((-1,) + (1,) * (cn.ndim - 1)) * cn
-    return P, (1.0 + C[:, 0] if d == 2 else np.eye(3) + C)
+    # every point is computed on its own, so blocks bound the temporaries
+    # without changing a bit of the result
+    for start in range(0, npts, _FACTOR_BLOCK):
+        blk = slice(start, start + _FACTOR_BLOCK)
+        cells, local = hom.mesh.locate(y[blk])
+        z = np.zeros((len(cells), d)) if slow is None else slow[blk]
+        Pb, Cb = P[blk], C[blk]
+        for flat, wgt in multilinear_corners(z * (res - 1), res, periodic=False):
+            for si in np.unique(flat):
+                sel = flat == si
+                dw, cn = _cell_fields(hom, 1, int(si), cells[sel], local[sel])
+                Pb[sel] += wgt[sel, None, None] * dw
+                Cb[sel] += wgt[sel].reshape((-1,) + (1,) * (cn.ndim - 1)) * cn
+    if d == 2:
+        return P, 1.0 + C[:, 0]
+    C += np.eye(3)
+    return P, C
 
 
 # ---------------------------------------------------------------------------
@@ -154,17 +167,17 @@ def _stamp_errors(fine_traj, corr):
             not np.allclose(fine_traj.snap_times, corr.times, atol=1e-12):
         raise CorrectorInputError("fine trajectory and corrector use different time grids")
     mesh = fine_traj.mesh
-    _, wq, cells, local = _fine_quadrature(mesh, corr.rule)
     e_vel = np.empty(len(corr.times))
     e_curl = np.empty(len(corr.times))
     for i in range(len(corr.times)):
         v_c, q_c = corr.eval_stamp(i)
-        vf = fem.expand_interior(mesh, fine_traj.V[i])
-        uf_ = fem.expand_interior(mesh, fine_traj.U[i])
-        duf = fem.eval_edge_field(mesh, vf, None, cells, local)
-        cuf = fem.eval_edge_curl(mesh, uf_, None, cells, local)
-        e_vel[i] = _l2(wq, duf - v_c)
-        e_curl[i] = _l2(wq, cuf - q_c)
+        duf, cuf = fem.eval_edge_gauss(mesh, corr.rule,
+                                       fem.expand_interior(mesh, fine_traj.V[i]),
+                                       fem.expand_interior(mesh, fine_traj.U[i]))
+        e_vel[i] = _l2(corr.wq, duf - v_c)
+        e_curl[i] = _l2(corr.wq, cuf - q_c)
+        # free this stamp's fields before the next stamp is evaluated
+        del v_c, q_c, duf, cuf
     return e_vel, e_curl
 
 
@@ -238,15 +251,21 @@ def corrector_error(fine_traj, corr):
 # ---------------------------------------------------------------------------
 # folded multiscale corrector
 
+def lattice_cells(extent, eps):
+    """eps-lattice cells per axis of [0, extent]^d, or None when they do not tile it."""
+    ratio = extent / eps if eps > 0 else 0.0
+    L = int(round(ratio))
+    return L if L >= 1 and abs(ratio - L) <= 1e-9 * ratio else None
+
+
 def _macro_bins(xq, eps, extent):
     """eps macro-cell index of each point and the macro-cell count.
 
     The macro-cells are the eps-lattice cells, so the lattice must tile the
     domain: a leftover strip would fall into the last row of bins.
     """
-    ratio = extent / eps
-    L = int(round(ratio))
-    if L < 1 or abs(ratio - L) > 1e-9 * ratio:
+    L = lattice_cells(extent, eps)
+    if L is None:
         raise CorrectorInputError(
             f"the eps-lattice does not tile the domain: extent {extent:g} is not a "
             f"multiple of eps {eps:g}")

@@ -226,16 +226,19 @@ def _scatter(dof_map, eloc, n, index_map=None):
     index_map: optional full->reduced map with -1 for eliminated dofs.
     """
     nloc = dof_map.shape[1]
-    dofs = dof_map if index_map is None else index_map[dof_map]
+    # scipy keeps int32 indices below 2^31, so COO arrays of that type are not copied
+    idx = np.int32 if n < 2 ** 31 else np.int64
+    dofs = np.asarray(dof_map if index_map is None else index_map[dof_map], dtype=idx)
     rows = np.repeat(dofs, nloc, axis=1).ravel()
     cols = np.tile(dofs, (1, nloc)).ravel()
     data = eloc.ravel()
     if index_map is not None:
         keep = (rows >= 0) & (cols >= 0)
         rows, cols, data = rows[keep], cols[keep], data[keep]
-    A = sp.coo_matrix((data, (rows.astype(np.int64), cols.astype(np.int64))),
-                      shape=(n, n)).tocsr()
-    # exact symmetry regardless of accumulation order
+    A = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    del rows, cols, data
+    # exact symmetry regardless of accumulation order; scipy sizes the arrays
+    # of a sum for nnz(A) + nnz(A.T), and the product copies them at nnz
     return (A + A.T) * 0.5
 
 
@@ -370,6 +373,9 @@ def edge_interpolate(mesh, vec_fn):
 # k, and each of its slices equals the single-field result bitwise.  The
 # local DOFs are gathered with np.take, which keeps a stack C-ordered: fancy
 # indexing would put k innermost, and einsum would then sum in another order.
+# A point's value does not depend on the points evaluated with it: einsum sums
+# the nodal basis of a lone point in another order than that of two or more,
+# so the nodal evaluations repeat a lone point and return one row.
 
 def eval_edge_field(mesh, values, points, cells=None, local=None):
     """Evaluate an edge field (full DOF vector) at points: (npts, d)."""
@@ -392,21 +398,49 @@ def eval_edge_curl(mesh, values, points, cells=None, local=None):
     return np.einsum("...pi,iap->pa...", dofs, cb) / mesh.h ** 2
 
 
+def eval_edge_gauss(mesh, rule, values, curl_values):
+    """An edge field and the curl of another at every cell's Gauss points of a rule.
+
+    values, curl_values: full DOF vectors.  Returns (ncells * nq, d) field
+    values of `values` and the curl of `curl_values`, (ncells * nq,) in 2D or
+    (ncells * nq, 3) in 3D, with the points in quad_points order.  The basis
+    is tabulated once at the nq reference points, and every point equals
+    eval_edge_field / eval_edge_curl at its cell and reference point bitwise.
+    """
+    d, h = mesh.d, mesh.h
+    pts, _ = gauss_rule(d, rule)
+    dofs = np.take(values, mesh.cell_edges, axis=-1)
+    field = np.einsum("ci,iaq->cqa", dofs, edge_basis(d, pts)) / h
+    dofs = np.take(curl_values, mesh.cell_edges, axis=-1)
+    if d == 2:
+        # the 2D curl is constant on a cell
+        curl = np.repeat(np.einsum("ci,i->c", dofs, edge_ref(2)["CURLS"]) / h ** 2, len(pts))
+    else:
+        curl = (np.einsum("ci,iaq->cqa", dofs, edge_curl_basis(3, pts)) / h ** 2).reshape(-1, 3)
+    return field.reshape(-1, d), curl
+
+
 def eval_nodal_field(mesh, values, points, cells=None, local=None):
     if cells is None:
         cells, local = mesh.locate(points)
+    npts = len(cells)
+    if npts == 1:
+        cells, local = np.repeat(cells, 2), np.repeat(local, 2, axis=0)
     dofs = np.take(values, mesh.cell_nodes[cells], axis=-1)
     nb = nodal_basis(mesh.d, local)
-    return np.einsum("...pi,ip->p...", dofs, nb)
+    return np.einsum("...pi,ip->p...", dofs, nb)[:npts]
 
 
 def eval_nodal_gradient(mesh, values, points, cells=None, local=None):
     """Gradient of a nodal field at points: (npts, d)."""
     if cells is None:
         cells, local = mesh.locate(points)
+    npts = len(cells)
+    if npts == 1:
+        cells, local = np.repeat(cells, 2), np.repeat(local, 2, axis=0)
     dofs = np.take(values, mesh.cell_nodes[cells], axis=-1)
     ng = nodal_grads(mesh.d, local)
-    return np.einsum("...pi,aip->pa...", dofs, ng) / mesh.h
+    return np.einsum("...pi,aip->pa...", dofs, ng)[:npts] / mesh.h
 
 
 def expand_interior(mesh, interior_values):

@@ -449,12 +449,12 @@ def _sweep_one(cfg, spec, hom, eps):
     data = build_wave_data(cfg, dt, cfg["sweep.t_final"], store_every)
     quad = cfg["sim.quad"] or _default_quad(spec)
 
-    prob_f = wave.setup_problem("fine", mesh, data, spec=spec,
-                                schedule=schedule, quad_rule=quad)
-    traj_f = wave.integrate(prob_f)
+    # no WaveProblem is kept: its matrices would stay alive through the corrector
+    traj_f = wave.integrate(wave.setup_problem("fine", mesh, data, spec=spec,
+                                               schedule=schedule, quad_rule=quad))
     hom_mesh = DomainMesh(cfg["coeff.d"], cfg["sweep.hom_n"], cfg["sim.extent"])
-    prob_h = wave.setup_problem("homogenized", hom_mesh, data, hom=hom, quad_rule=quad)
-    traj_h = wave.integrate(prob_h)
+    traj_h = wave.integrate(wave.setup_problem("homogenized", hom_mesh, data, hom=hom,
+                                               quad_rule=quad))
 
     g1 = _field(cfg, "data.g1", FIELD_REGISTRY)
     if cfg["sweep.multiscale"]:
@@ -483,6 +483,13 @@ def run_sweep(cfg, outdir):
     for key in ("sweep.fine_ratio", "sweep.dt_ratio", "sweep.snapshots_per_run", "sweep.hom_n"):
         if cfg[key] < 1:
             raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
+    if cfg["sweep.multiscale"]:
+        # the folded corrector averages over eps macro-cells, which must tile the box
+        for e in eps_list:
+            if corrector.lattice_cells(cfg["sim.extent"], e) is None:
+                raise ConfigError(f"sweep.multiscale needs eps-lattices that tile the box: "
+                                  f"sim.extent {cfg['sim.extent']:g} is not a multiple of "
+                                  f"eps {e:g}")
     spec = build_spec(cfg)
     hom = _homogenize(cfg, spec)
     hom.export_text(os.path.join(outdir, "tensors.txt"))

@@ -169,11 +169,14 @@ def integrate(problem, u0=None, v0=None):
 
     store = set(range(0, nsteps + 1, data.store_every))
     store.add(nsteps)
+    snap_steps = np.array(sorted(store), dtype=np.int64)
+    U = np.empty((len(snap_steps), len(u)))
+    V = np.empty((len(snap_steps), len(v)))
     probes = np.asarray(data.probe_edges, dtype=np.int64)
     step_times = np.arange(nsteps + 1) * dt
     energies = np.empty(nsteps + 1)
     probe_values = np.empty((nsteps + 1, len(probes)))
-    snaps_u, snaps_v, snap_steps = [], [], []
+    k = 0
 
     Fb = problem.load_at(0.0)
     for n in range(nsteps + 1):
@@ -182,9 +185,8 @@ def integrate(problem, u0=None, v0=None):
         energies[n] = 0.5 * (v @ Mv + u @ Ku)
         probe_values[n] = u[probes] if len(probes) else ()
         if n in store:
-            snaps_u.append(u.copy())
-            snaps_v.append(v.copy())
-            snap_steps.append(n)
+            U[k], V[k] = u, v
+            k += 1
         if n == nsteps:
             break
         t_next = (n + 1) * dt
@@ -200,9 +202,8 @@ def integrate(problem, u0=None, v0=None):
     return WaveTrajectory(
         mesh=mesh, dt=dt, step_times=step_times, energies=energies,
         probe_values=probe_values,
-        snap_times=np.array(snap_steps, dtype=float) * dt,
-        snap_steps=np.array(snap_steps, dtype=np.int64),
-        U=np.array(snaps_u), V=np.array(snaps_v), kind=problem.kind)
+        snap_times=snap_steps.astype(float) * dt, snap_steps=snap_steps,
+        U=U, V=V, kind=problem.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +236,9 @@ def export_snapshots(traj, path):
         fh.write(_SNAP_MAGIC)
         fh.write(struct.pack("<4q", mesh.d, mesh.N, traj.U.shape[1], traj.n_snaps))
         fh.write(struct.pack("<2d", mesh.extent, traj.dt))
-        fh.write(traj.snap_times.astype("<f8").tobytes())
-        fh.write(traj.U.astype("<f8").tobytes())
-        fh.write(traj.V.astype("<f8").tobytes())
+        # already little-endian float64 and C-ordered: written without a copy
+        for a in (traj.snap_times, traj.U, traj.V):
+            fh.write(np.ascontiguousarray(a, dtype="<f8"))
 
 
 def read_snapshots(path):

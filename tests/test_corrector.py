@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maxhom import fem, wave
 from maxhom import corrector as corr
@@ -223,6 +226,50 @@ def test_unfold_smooth_quadrature_refinement():
     errs = [abs(uf.unfold(lambda p: np.sin(np.pi * p[:, 0]), s, 2, m).integral() - 2 / np.pi)
             for m in (2, 4, 8)]
     assert errs[1] < errs[0] and errs[2] < errs[1]
+
+
+@st.composite
+def lattice_fields(draw):
+    """A random eps-lattice and a random field constant on its finest sample cells."""
+    L = draw(st.integers(2, 6))  # eps = 1/L lies in (0, 1)
+    n = draw(st.sampled_from([1, 2]))
+    ratios = (draw(st.sampled_from([2, 3, 4])),) if n == 2 else ()
+    m = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return ScaleSchedule(1 / L, ratios), m, rng
+
+
+def finest_cells(schedule, m):
+    """Sample cells per axis: the eps_n-cells of the lattice, each split m ways."""
+    return int(round(m / schedule.epsilons[-1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_fields())
+def test_fold_unfold_recovers_piecewise_constant_fields(case):
+    s, m, rng = case
+    K = finest_cells(s, m)
+    vals = rng.standard_normal((K, K))
+    phi = lambda p: vals[tuple(np.minimum((p * K).astype(np.int64), K - 1).T)]
+    # random points kept away from the cell faces, where the nested floors of
+    # fold and the single floor of phi could round to different sides
+    idx = rng.integers(0, K, (300, 2))
+    pts = (idx + rng.uniform(0.05, 0.95, (300, 2))) / K
+    folded = uf.fold(uf.unfold(phi, s, 2, m), s, 2, m, pts)
+    assert np.array_equal(folded, vals[idx[:, 0], idx[:, 1]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_fields())
+def test_fold_integral_equals_field_mean(case):
+    s, m, rng = case
+    K = finest_cells(s, m)
+    vals = rng.standard_normal((K, K))
+    phi = lambda p: vals[tuple(np.minimum((p * K).astype(np.int64), K - 1).T)]
+    u = uf.unfold(phi, s, 2, m)
+    scale = np.abs(vals).mean()
+    assert abs(uf.fold_integral(u, s, 2, m) - vals.mean()) <= 1e-13 * scale
+    assert abs(u.integral() - vals.mean()) <= 1e-13 * scale
 
 
 def test_unfold_requires_integer_lattice():
@@ -541,3 +588,70 @@ def test_x_dependent_cell_field_sampler():
     assert np.abs(P - P_ref).max() < 1e-9
     ymid = hom.mesh.cell_centers[hom.mesh.locate(y)[0], 0]
     assert np.abs(G - SQRT3 / (2.0 + np.sin(2 * np.pi * ymid))).max() < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# working-set bounds
+
+def x_dependent_spec():
+    par = {"factors": [{"offset": 2.0, "amplitude": 1.0, "axis": 1, "phase": 0.4}],
+           "x_offset": 1.0, "x_amplitude": 0.5}
+    return CoefficientSpec(2, 1, a=CoefficientPart("separable-product", dict(par)),
+                           b=CoefficientPart("separable-product", dict(par)),
+                           alpha=0.4, beta=4.6)
+
+
+@pytest.mark.parametrize("case", ["layered", "layered-slow", "x-dependent", "3d"])
+def test_cell_factors_blocks_bitwise(monkeypatch, case):
+    # every point is computed on its own: blocks of 7 points give the result
+    # of one block over all of them, bit for bit
+    if case == "3d":
+        lay = CoefficientPart("layered", dict(LAYERED))
+        hom = homogenize(CoefficientSpec(3, 1, a=lay, b=lay, alpha=1.0, beta=3.0), cell_N=4)
+    elif case == "x-dependent":
+        hom = homogenize(x_dependent_spec(), cell_N=16, slow_x=3)
+    else:
+        hom = homogenize(layered_spec(), cell_N=16)
+    rng = np.random.default_rng(21)
+    y = rng.random((50, hom.d))
+    slow = rng.random((50, hom.d)) if case in ("layered-slow", "x-dependent") else None
+    monkeypatch.setattr(corr, "_FACTOR_BLOCK", 7)
+    P, G = corr.cell_factors(hom, y, slow=slow)
+    monkeypatch.setattr(corr, "_FACTOR_BLOCK", 10 ** 9)
+    P_one, G_one = corr.cell_factors(hom, y, slow=slow)
+    assert np.array_equal(P, P_one) and np.array_equal(G, G_one)
+    assert np.abs(P).max() > 0
+
+
+def random_trajectory(mesh, rng, snaps=3):
+    n = mesh.n_interior_edges
+    t = 0.1 * np.arange(snaps)
+    return wave.WaveTrajectory(mesh=mesh, dt=0.1, step_times=t, energies=np.zeros(snaps),
+                               probe_values=np.zeros((snaps, 0)), snap_times=t,
+                               snap_steps=np.arange(snaps), U=rng.standard_normal((snaps, n)),
+                               V=rng.standard_normal((snaps, n)))
+
+
+# Peak bytes per fine quadrature point of the pointwise corrector (build plus
+# stamp loop) on 128^2: about 229 measured, the budget leaves a 30% margin.
+# Building P, G in one piece and keeping each stamp's fields alive through
+# the next stamp took 349.
+_CORRECTOR_BYTES_PER_POINT = 300
+
+
+def test_corrector_peak_memory_per_quadrature_point():
+    hom = homogenize(layered_spec(), cell_N=32)
+    rng = np.random.default_rng(22)
+    fine = random_trajectory(DomainMesh(2, 128), rng)
+    coarse = random_trajectory(DomainMesh(2, 32), rng)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        field = corr.reconstruct_corrector(coarse, hom, ScaleSchedule(1 / 8), g1=cavity11,
+                                           fine_mesh=fine.mesh)
+        errs = corr.corrector_error(fine, field)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(errs.e_vel))
+    assert peak <= _CORRECTOR_BYTES_PER_POINT * len(field.wq)

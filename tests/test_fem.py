@@ -253,3 +253,42 @@ def test_nodal_gradient_eval():
     pts = np.array([[0.1, 0.05]])  # strictly inside the first cell
     g = fem.eval_nodal_gradient(mesh, vals, pts)
     assert np.allclose(g, [[2.0, 3.0]], atol=1e-12)
+
+
+@pytest.mark.parametrize("rule", [1, 2, 3])
+@pytest.mark.parametrize("mesh", [DomainMesh(2, 5), DomainMesh(2, 6, 1.7), DomainMesh(3, 3, 0.8)],
+                         ids=["2d", "2d-extent", "3d-extent"])
+def test_gauss_table_eval_equals_located_eval_bitwise(mesh, rule):
+    # every cell's Gauss points in quad_points order, evaluated per point at
+    # (cell, reference point) as the fine quadrature of the correctors did
+    rng = np.random.default_rng(40 + rule)
+    values, curl_values = rng.standard_normal((2, mesh.n_edges))
+    xq, _ = fem.quad_points(mesh, rule)
+    ref_pts, _ = fem.gauss_rule(mesh.d, rule)
+    cells = np.repeat(np.arange(mesh.n_cells), len(ref_pts))
+    local = np.tile(ref_pts, (mesh.n_cells, 1))
+    field, curl = fem.eval_edge_gauss(mesh, rule, values, curl_values)
+    assert field.shape == (xq.shape[0] * xq.shape[1], mesh.d)
+    assert np.array_equal(field, fem.eval_edge_field(mesh, values, None, cells, local))
+    assert np.array_equal(curl, fem.eval_edge_curl(mesh, curl_values, None, cells, local))
+    # the same points located from their coordinates agree to rounding
+    assert np.allclose(field, fem.eval_edge_field(mesh, values, xq.reshape(-1, mesh.d)),
+                       rtol=1e-12, atol=1e-12 * np.abs(field).max())
+
+
+@pytest.mark.parametrize("mesh", [CellMesh(2, 5), DomainMesh(2, 4, 1.5), DomainMesh(3, 3)],
+                         ids=["cell-2d", "domain-2d", "domain-3d"])
+def test_eval_of_a_point_does_not_depend_on_its_batch(mesh):
+    # one point at a time, in pairs, and all at once give the same bits
+    rng = np.random.default_rng(32)
+    pts = getattr(mesh, "extent", 1.0) * rng.random((9, mesh.d))
+    cells, local = mesh.locate(pts)
+    for evaluate, n in ((fem.eval_edge_field, mesh.n_edges), (fem.eval_edge_curl, mesh.n_edges),
+                        (fem.eval_nodal_field, mesh.n_nodes),
+                        (fem.eval_nodal_gradient, mesh.n_nodes)):
+        for values in (rng.standard_normal(n), rng.standard_normal((2, n))):
+            whole = evaluate(mesh, values, None, cells, local)
+            for size in (1, 2):
+                parts = [evaluate(mesh, values, None, cells[s:s + size], local[s:s + size])
+                         for s in range(0, len(pts), size)]
+                assert np.array_equal(np.concatenate(parts), whole)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -329,6 +330,51 @@ def test_sweep_without_two_legs_exits_with_cause(tmp_path, capsys, edit, cause):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:") and cause in err
     assert not (out / "report.csv").exists()
+
+
+def test_multiscale_lattice_that_does_not_tile_exits_2_before_cell_solves(tmp_path, capsys):
+    # extent 1.125 holds 2.25 eps-cells of eps = 1/2 and 4.5 of eps = 1/4: the
+    # folded corrector could not average over them, which is a config error
+    text = LAYERED_SWEEP.replace("sweep.epsilons = 0.25,0.125,0.0625",
+                                 "sweep.epsilons = 0.5,0.25,0.125\nsweep.multiscale = true\n"
+                                 "sim.extent = 1.125")
+    cfg_path = tmp_path / "s.cfg"
+    cfg_path.write_text(text.replace("data.g1 = cavity11", "data.g1 = zero"))
+    out = tmp_path / "o"
+    assert harness.main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep.multiscale") and "sim.extent 1.125" in err
+    assert "eps 0.5" in err
+    assert not (out / "tensors.txt").exists()
+
+
+@pytest.mark.parametrize("multiscale", [False, True])
+def test_sweep_leg_frees_wave_problems_before_the_corrector(monkeypatch, multiscale):
+    from maxhom import corrector, wave
+
+    cfg = parse_config(LAYERED_SWEEP + f"sweep.multiscale = {str(multiscale).lower()}\n")
+    spec = harness.build_spec(cfg)
+    hom = harness._homogenize(cfg, spec)
+    problems, alive = [], []
+    setup = wave.setup_problem
+
+    def tracked_setup(*args, **kwargs):
+        prob = setup(*args, **kwargs)
+        problems.append(weakref.ref(prob))
+        return prob
+
+    def watch(fn):
+        def run(*args, **kwargs):
+            alive.extend(p() is not None for p in problems)
+            return fn(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(wave, "setup_problem", tracked_setup)
+    for name in ("reconstruct_corrector", "multiscale_corrector_error"):
+        monkeypatch.setattr(corrector, name, watch(getattr(corrector, name)))
+    harness._sweep_one(cfg, spec, hom, 0.25)
+    # the fine and the homogenized problem, both gone when the corrector starts
+    assert len(problems) == 2 and alive == [False, False]
 
 
 def test_simulate_fine_with_snapshots(tmp_path):

@@ -1,4 +1,5 @@
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -263,6 +264,33 @@ def test_trajectory_csv_and_snapshot_roundtrip(tmp_path, unit_hom):
     assert np.array_equal(back["U"], traj.U)
     assert np.array_equal(back["V"], traj.V)
     assert np.array_equal(back["times"], traj.snap_times)
+
+
+def test_thinned_snapshots_are_rows_of_every_step(unit_hom):
+    # 7 steps kept every 3rd step: rows 0, 3, 6 and the final step 7
+    mesh = DomainMesh(2, 6)
+    data = dict(T=0.35, dt=0.05, g0=cavity11, f=wave.Forcing(cavity11, np.cos), tol=1e-11)
+    every = wave.integrate(wave.setup_problem("homogenized", mesh,
+                                              wave.WaveData(store_every=1, **data), hom=unit_hom))
+    thin = wave.integrate(wave.setup_problem("homogenized", mesh,
+                                             wave.WaveData(store_every=3, **data), hom=unit_hom))
+    assert thin.snap_steps.tolist() == [0, 3, 6, 7]
+    assert np.array_equal(thin.U, every.U[thin.snap_steps])
+    assert np.array_equal(thin.V, every.V[thin.snap_steps])
+    assert np.array_equal(thin.snap_times, every.snap_times[thin.snap_steps])
+
+
+def test_snapshot_bytes_match_struct_layout(tmp_path, unit_hom):
+    mesh = DomainMesh(2, 5, 1.25)
+    data = wave.WaveData(T=0.15, dt=0.05, g0=lambda x: cavity11(x / 1.25), store_every=2)
+    traj = wave.integrate(wave.setup_problem("homogenized", mesh, data, hom=unit_hom))
+    path = os.path.join(tmp_path, "snapshots.bin")
+    wave.export_snapshots(traj, path)
+    n_snaps, n = traj.U.shape
+    ref = b"MXHMSNP1" + struct.pack("<4q", 2, 5, n, n_snaps) + struct.pack("<2d", 1.25, 0.05)
+    for a in (traj.snap_times, traj.U.ravel(), traj.V.ravel()):
+        ref += struct.pack(f"<{len(a)}d", *a)
+    assert open(path, "rb").read() == ref
 
 
 def test_3d_wave_smoke():
