@@ -29,9 +29,6 @@ from .mesh import DomainMesh
 
 # Gauss points per axis of the fine-mesh quadrature that carries the correctors
 _QUAD_RULE = 2
-# points per block of cell_factors: its temporaries (about 330 bytes a point)
-# then take a few MB, whatever the size of the fine mesh
-_FACTOR_BLOCK = 1 << 14
 
 
 class CorrectorInputError(RuntimeError):
@@ -69,10 +66,7 @@ def cell_factors(hom, y, slow=None):
     npts = len(y)
     P = np.zeros((npts, d, d))
     C = np.zeros((npts, 1) if d == 2 else (npts, 3, 3))
-    # every point is computed on its own, so blocks bound the temporaries
-    # without changing a bit of the result
-    for start in range(0, npts, _FACTOR_BLOCK):
-        blk = slice(start, start + _FACTOR_BLOCK)
+    for blk in fem.point_blocks(npts):
         cells, local = hom.mesh.locate(y[blk])
         z = np.zeros((len(cells), d)) if slow is None else slow[blk]
         Pb, Cb = P[blk], C[blk]
@@ -92,21 +86,29 @@ def cell_factors(hom, y, slow=None):
 # quadrature layout of a fine mesh
 
 def _fine_quadrature(mesh, rule):
-    """Quad points of every cell, their weights and (cells, local) indices."""
+    """Quad points of every cell (npts, d) and their weights (npts,)."""
     xq, wts = fem.quad_points(mesh, rule)
-    nq = xq.shape[1]
-    flat = xq.reshape(-1, mesh.d)
-    cells = np.repeat(np.arange(mesh.n_cells), nq)
-    pts_ref, _ = fem.gauss_rule(mesh.d, rule)
-    local = np.tile(pts_ref, (mesh.n_cells, 1))
     wq = np.tile(wts, mesh.n_cells) * mesh.h ** mesh.d
-    return flat, wq, cells, local
+    return xq.reshape(-1, mesh.d), wq
+
+
+def _gauss_cells(mesh, rule):
+    """(cells, local) of the fine quadrature points: their cell and reference point."""
+    pts_ref, _ = fem.gauss_rule(mesh.d, rule)
+    return (np.repeat(np.arange(mesh.n_cells), len(pts_ref)),
+            np.tile(pts_ref, (mesh.n_cells, 1)))
 
 
 def _l2(wq, diff):
+    """sqrt(sum_p wq |diff_p|^2); squares a vector-valued diff in place."""
     if diff.ndim == 1:
-        return float(np.sqrt(np.sum(wq * diff * diff)))
-    return float(np.sqrt(np.sum(wq * np.sum(diff * diff, axis=1))))
+        sq = wq * diff
+        sq *= diff
+    else:
+        diff *= diff
+        sq = np.sum(diff, axis=1)
+        sq *= wq
+    return float(np.sqrt(np.sum(sq)))
 
 
 # ---------------------------------------------------------------------------
@@ -130,32 +132,64 @@ class CorrectorField:
     rule = _QUAD_RULE
 
     def __post_init__(self):
-        self._loc0 = self.u0_traj.mesh.locate(self.xq)
+        npts, d = self.xq.shape
+        cells, local = np.empty(npts, dtype=np.int64), np.empty((npts, d))
+        for blk in fem.point_blocks(npts):
+            cells[blk], local[blk] = self.u0_traj.mesh.locate(self.xq[blk])
+        self._loc0 = cells, local
 
-    def _average(self, values):
-        """Weighted macro-cell average of per-point values, back at the points."""
+    def _bin_average(self, values):
+        """Weighted macro-cell average of per-point values: (bins, ...) per bin."""
         bins, wsum = self._macro
         cols = values.reshape(len(values), -1).T
         avg = np.stack([np.bincount(bins, weights=self.wq * c, minlength=len(wsum))
                         for c in cols], axis=1) / wsum[:, None]
-        return avg[bins].reshape(values.shape)
+        return avg.reshape((len(wsum),) + values.shape[1:])
 
     def eval_stamp(self, i):
-        """Corrector fields at stored stamp i: (v_c (npts,d), q_c)."""
+        """Corrector fields at stored stamp i: (v_c (npts,d), q_c).
+
+        Every per-point stage runs in blocks of points; only the folded
+        corrector's macro-cell averages read all points at once.
+        """
         mesh0 = self.u0_traj.mesh
         v0 = fem.expand_interior(mesh0, self.u0_traj.V[i])
         u0 = fem.expand_interior(mesh0, self.u0_traj.U[i])
         cells0, local0 = self._loc0
-        du0 = fem.eval_edge_field(mesh0, v0, None, cells0, local0)
-        cu0 = fem.eval_edge_curl(mesh0, u0, None, cells0, local0)
-        diff = du0 - self.g1_vals
-        if self._macro is not None:
-            du0, diff, cu0 = (self._average(a) for a in (du0, diff, cu0))
-        v_c = du0 + np.einsum("pjr,pr->pj", self.P, diff)
-        if self.fine_mesh.d == 2:
-            q_c = self.G * cu0
+        npts, d = self.xq.shape
+        blocks = fem.point_blocks(npts)
+        v_c = np.empty((npts, d))
+        q_c = np.empty(npts if d == 2 else (npts, 3))
+
+        def at_points(blk):
+            """du0, du0 - g1 and curl u0 at the points of a block."""
+            du0 = fem.eval_edge_field(mesh0, v0, None, cells0[blk], local0[blk])
+            cu0 = fem.eval_edge_curl(mesh0, u0, None, cells0[blk], local0[blk])
+            return du0, du0 - self.g1_vals[blk], cu0
+
+        if self._macro is None:
+            fields = at_points
         else:
-            q_c = np.einsum("pjr,pr->pj", self.G, cu0)
+            # the macro-cell average needs every point: the blocks fill whole
+            # arrays (v_c and q_c hold du0 and curl u0 until they are averaged)
+            diff = np.empty((npts, d))
+            for blk in blocks:
+                v_c[blk], diff[blk], q_c[blk] = at_points(blk)
+            avgs = [self._bin_average(a) for a in (v_c, diff, q_c)]
+            del diff
+            bins = self._macro[0]
+
+            def fields(blk):
+                """The macro-cell averages at the points of a block."""
+                return tuple(a[bins[blk]] for a in avgs)
+
+        for blk in blocks:
+            du0, diff, cu0 = fields(blk)
+            v_c[blk] = du0 + np.einsum("pjr,pr->pj", self.P[blk], diff)
+            if d == 2:
+                q_c[blk] = self.G[blk] * cu0
+            else:
+                q_c[blk] = np.einsum("pjr,pr->pj", self.G[blk], cu0)
         return v_c, q_c
 
 
@@ -174,8 +208,10 @@ def _stamp_errors(fine_traj, corr):
         duf, cuf = fem.eval_edge_gauss(mesh, corr.rule,
                                        fem.expand_interior(mesh, fine_traj.V[i]),
                                        fem.expand_interior(mesh, fine_traj.U[i]))
-        e_vel[i] = _l2(corr.wq, duf - v_c)
-        e_curl[i] = _l2(corr.wq, cuf - q_c)
+        duf -= v_c
+        cuf -= q_c
+        e_vel[i] = _l2(corr.wq, duf)
+        e_curl[i] = _l2(corr.wq, cuf)
         # free this stamp's fields before the next stamp is evaluated
         del v_c, q_c, duf, cuf
     return e_vel, e_curl
@@ -203,13 +239,13 @@ def reconstruct_corrector(u0_traj, hom, schedule, g1=None, g0=None, *, fine_mesh
         raise CorrectorInputError(
             f"homogenized mesh h0={u0_traj.mesh.h:g} coarser than eps={schedule.epsilon:g}; "
             "products with the cell fields would alias")
-    xq, wq, cells, local = _fine_quadrature(fine_mesh, _QUAD_RULE)
+    xq, wq = _fine_quadrature(fine_mesh, _QUAD_RULE)
     y = schedule.fast_variables(xq)[0]
     P, G = cell_factors(hom, y, slow=xq if hom.x_res > 1 else None)
     g1_vals = g1(xq) if g1 is not None else np.zeros_like(xq)
     if cutoff_eps is not None:
         tau = fem.eval_nodal_field(fine_mesh, cutoff_field(fine_mesh, cutoff_eps), None,
-                                   cells, local)
+                                   *_gauss_cells(fine_mesh, _QUAD_RULE))
         P = tau[:, None, None] * P
         eye = 1.0 if G.ndim == 1 else np.eye(3)
         G = eye + tau.reshape((-1,) + (1,) * (G.ndim - 1)) * (G - eye)
@@ -347,7 +383,7 @@ def multiscale_corrector_error(fine_traj, u0_traj, hom, schedule, g1=None):
     mesh = fine_traj.mesh
     if mesh.d != 2:
         raise CorrectorInputError("the folded corrector driver is 2D")
-    xq, wq, _, _ = _fine_quadrature(mesh, _QUAD_RULE)
+    xq, wq = _fine_quadrature(mesh, _QUAD_RULE)
     bins, nbins = _macro_bins(xq, schedule.epsilon, mesh.extent)
     if schedule.n_scales == 1:
         P, G = _fold_factors(hom, schedule, xq)

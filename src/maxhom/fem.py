@@ -169,6 +169,23 @@ def edge_ref(d):
 
 
 # ---------------------------------------------------------------------------
+# blocks of points
+
+# Points per block of every per-point loop (coefficient reduction, Gauss-point
+# evaluation, the corrector's factors and stamps): the temporaries of a block
+# take a few MB whatever the size of the mesh.  Each point is computed on its
+# own, so the block size moves no bit of a result (cell_coefficient keeps its
+# one position-dependent BLAS product out of the blocks).
+POINT_BLOCK = 1 << 14
+
+
+def point_blocks(n, per=1):
+    """Slices of range(n) covering about POINT_BLOCK points, `per` points an item."""
+    step = max(1, POINT_BLOCK // per)
+    return [slice(start, start + step) for start in range(0, n, step)]
+
+
+# ---------------------------------------------------------------------------
 # coefficient reduction and quadrature point layout
 
 def quad_points(mesh, rule):
@@ -185,10 +202,19 @@ def cell_coefficient(mesh, coef_fn, rule):
     """
     xq, wts = quad_points(mesh, rule)
     ncells, nq, d = xq.shape
-    vals = coef_fn(xq.reshape(-1, d))
-    if vals.ndim == 1:
-        return vals.reshape(ncells, nq) @ wts
-    return np.einsum("cqab,q->cab", vals.reshape(ncells, nq, d, d), wts)
+    cbar = None
+    for blk in point_blocks(ncells, nq):
+        vals = coef_fn(xq[blk].reshape(-1, d))
+        if vals.ndim == 1:
+            vals = vals.reshape(-1, nq)
+        else:
+            vals = np.einsum("cqab,q->cab", vals.reshape(-1, nq, d, d), wts)
+        if cbar is None:
+            cbar = np.empty((ncells,) + vals.shape[1:])
+        cbar[blk] = vals
+    # BLAS rounds a row of a matrix-vector product by its position in the
+    # matrix, so scalar values are reduced in one product over every cell
+    return cbar @ wts if cbar.ndim == 2 else cbar
 
 
 # ---------------------------------------------------------------------------
@@ -409,15 +435,21 @@ def eval_edge_gauss(mesh, rule, values, curl_values):
     """
     d, h = mesh.d, mesh.h
     pts, _ = gauss_rule(d, rule)
-    dofs = np.take(values, mesh.cell_edges, axis=-1)
-    field = np.einsum("ci,iaq->cqa", dofs, edge_basis(d, pts)) / h
-    dofs = np.take(curl_values, mesh.cell_edges, axis=-1)
-    if d == 2:
-        # the 2D curl is constant on a cell
-        curl = np.repeat(np.einsum("ci,i->c", dofs, edge_ref(2)["CURLS"]) / h ** 2, len(pts))
-    else:
-        curl = (np.einsum("ci,iaq->cqa", dofs, edge_curl_basis(3, pts)) / h ** 2).reshape(-1, 3)
-    return field.reshape(-1, d), curl
+    nq = len(pts)
+    eb = edge_basis(d, pts)
+    cb = edge_ref(2)["CURLS"] if d == 2 else edge_curl_basis(3, pts)
+    field = np.empty((mesh.n_cells, nq, d))
+    curl = np.empty((mesh.n_cells, nq) if d == 2 else (mesh.n_cells, nq, 3))
+    for blk in point_blocks(mesh.n_cells, nq):
+        dofs = np.take(values, mesh.cell_edges[blk], axis=-1)
+        field[blk] = np.einsum("ci,iaq->cqa", dofs, eb) / h
+        dofs = np.take(curl_values, mesh.cell_edges[blk], axis=-1)
+        if d == 2:
+            # the 2D curl is constant on a cell
+            curl[blk] = (np.einsum("ci,i->c", dofs, cb) / h ** 2)[:, None]
+        else:
+            curl[blk] = np.einsum("ci,iaq->cqa", dofs, cb) / h ** 2
+    return field.reshape(-1, d), curl.reshape((-1,) + curl.shape[2:])
 
 
 def eval_nodal_field(mesh, values, points, cells=None, local=None):

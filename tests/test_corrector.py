@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -337,7 +335,7 @@ def test_macro_bins_refuse_lattice_that_does_not_tile(eps):
 def test_macro_bins_tiling_lattice_gives_equal_areas():
     # extent 1.125 with eps = 1/8: a 9 x 9 lattice, every bin of area eps^2
     mesh = DomainMesh(2, 18, 1.125)
-    xq, wq, _, _ = corr._fine_quadrature(mesh, 2)
+    xq, wq = corr._fine_quadrature(mesh, 2)
     bins, nbins = corr._macro_bins(xq, 0.125, mesh.extent)
     assert nbins == 81
     assert np.allclose(np.bincount(bins, weights=wq, minlength=nbins), 0.125 ** 2,
@@ -359,7 +357,8 @@ def folded_error_oracle(fine_traj, u0_traj, hom, schedule, g1):
     """
     mesh = fine_traj.mesh
     d = mesh.d
-    xq, wq, cells, local = corr._fine_quadrature(mesh, 2)
+    xq, wq = corr._fine_quadrature(mesh, 2)
+    cells, local = corr._gauss_cells(mesh, 2)
     g1_vals = g1(xq)
     mc, nmc = corr._macro_bins(xq, schedule.epsilon, mesh.extent)
 
@@ -615,9 +614,9 @@ def test_cell_factors_blocks_bitwise(monkeypatch, case):
     rng = np.random.default_rng(21)
     y = rng.random((50, hom.d))
     slow = rng.random((50, hom.d)) if case in ("layered-slow", "x-dependent") else None
-    monkeypatch.setattr(corr, "_FACTOR_BLOCK", 7)
+    monkeypatch.setattr(fem, "POINT_BLOCK", 7)
     P, G = corr.cell_factors(hom, y, slow=slow)
-    monkeypatch.setattr(corr, "_FACTOR_BLOCK", 10 ** 9)
+    monkeypatch.setattr(fem, "POINT_BLOCK", 10 ** 9)
     P_one, G_one = corr.cell_factors(hom, y, slow=slow)
     assert np.array_equal(P, P_one) and np.array_equal(G, G_one)
     assert np.abs(P).max() > 0
@@ -632,26 +631,84 @@ def random_trajectory(mesh, rng, snaps=3):
                                V=rng.standard_normal((snaps, n)))
 
 
-# Peak bytes per fine quadrature point of the pointwise corrector (build plus
-# stamp loop) on 128^2: about 229 measured, the budget leaves a 30% margin.
-# Building P, G in one piece and keeping each stamp's fields alive through
-# the next stamp took 349.
-_CORRECTOR_BYTES_PER_POINT = 300
+@pytest.mark.parametrize("case", ["layered", "x-dependent", "3d", "folded-n1", "folded-n2"])
+def test_stamp_loop_blocks_bitwise(monkeypatch, case):
+    # the whole corrector (factors, locate, stamps) in blocks of 7 points and
+    # in one block gives the same bits; 1,600 and 1,000 points leave a short
+    # last block of 4 and 6
+    rng = np.random.default_rng(23)
+    if case == "3d":
+        lay = CoefficientPart("layered", dict(LAYERED))
+        hom = homogenize(CoefficientSpec(3, 1, a=lay, b=lay, alpha=1.0, beta=3.0), cell_N=4)
+        sched, g1 = ScaleSchedule(1 / 2), np.sin
+        fine_mesh, coarse_mesh = DomainMesh(3, 5), DomainMesh(3, 4)
+    else:
+        if case == "x-dependent":
+            hom = homogenize(x_dependent_spec(), cell_N=16, slow_x=3)
+        elif case == "folded-n2":
+            hom = homogenize(separable_n2_spec((0.3, 1.1)), cell_N=8, slow_y=2, tol=1e-10)
+        else:
+            hom = homogenize(layered_spec(), cell_N=16)
+        sched, g1 = ScaleSchedule(1 / 4, (2,) if case == "folded-n2" else ()), cavity11
+        fine_mesh, coarse_mesh = DomainMesh(2, 20), DomainMesh(2, 8)
+    fine = random_trajectory(fine_mesh, rng)
+    coarse = random_trajectory(coarse_mesh, rng)
+
+    def errors():
+        if case.startswith("folded"):
+            return corr.multiscale_corrector_error(fine, coarse, hom, sched, g1=g1).e_ms
+        field = corr.reconstruct_corrector(coarse, hom, sched, g1=g1, fine_mesh=fine_mesh)
+        assert len(field.wq) % 7 != 0
+        errs = corr.corrector_error(fine, field)
+        return np.concatenate([errs.e_vel, errs.e_curl])
+
+    monkeypatch.setattr(fem, "POINT_BLOCK", 7)
+    blocked = errors()
+    monkeypatch.setattr(fem, "POINT_BLOCK", 10 ** 9)
+    assert np.array_equal(blocked, errors())
+    assert np.all(blocked > 0)
 
 
-def test_corrector_peak_memory_per_quadrature_point():
+@pytest.fixture(scope="module")
+def corrector_128():
+    """Random fine (128^2) and homogenized (32^2) trajectories and layered cell fields."""
     hom = homogenize(layered_spec(), cell_N=32)
     rng = np.random.default_rng(22)
     fine = random_trajectory(DomainMesh(2, 128), rng)
     coarse = random_trajectory(DomainMesh(2, 32), rng)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
+    return hom, fine, coarse
+
+
+# Peak bytes per fine quadrature point of the pointwise corrector (build plus
+# stamp loop) on 128^2: about 185 measured, the budget leaves a 30% margin.
+# Building P, G in one piece and keeping each stamp's fields alive through
+# the next stamp took 349; evaluating the homogenized fields of all points
+# at once took 229.
+_CORRECTOR_BYTES_PER_POINT = 240
+# Peak bytes per point of the stamp loop alone: about 77 measured when it
+# runs first in the process (65 after the test above), the budget leaves a
+# 30% margin.  Evaluating the homogenized fields of all points at once, with
+# the differences and squares of the norms in new arrays, took 113.
+_STAMP_LOOP_BYTES_PER_POINT = 100
+
+
+def test_corrector_peak_memory_per_quadrature_point(corrector_128, peak_bytes):
+    hom, fine, coarse = corrector_128
+
+    def build_and_score():
         field = corr.reconstruct_corrector(coarse, hom, ScaleSchedule(1 / 8), g1=cavity11,
                                            fine_mesh=fine.mesh)
-        errs = corr.corrector_error(fine, field)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+        return field, corr.corrector_error(fine, field)
+
+    (field, errs), peak = peak_bytes(build_and_score)
     assert np.all(np.isfinite(errs.e_vel))
     assert peak <= _CORRECTOR_BYTES_PER_POINT * len(field.wq)
+
+
+def test_stamp_loop_peak_memory_per_quadrature_point(corrector_128, peak_bytes):
+    hom, fine, coarse = corrector_128
+    field = corr.reconstruct_corrector(coarse, hom, ScaleSchedule(1 / 8), g1=cavity11,
+                                       fine_mesh=fine.mesh)
+    errs, peak = peak_bytes(lambda: corr.corrector_error(fine, field))
+    assert np.all(np.isfinite(errs.e_vel))
+    assert peak <= _STAMP_LOOP_BYTES_PER_POINT * len(field.wq)

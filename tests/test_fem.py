@@ -63,6 +63,31 @@ def test_coefficient_reduction_gauss_exactness():
         assert np.allclose(avg, exact, atol=1e-13)
 
 
+def wavy_scalar(x):
+    return 2.0 + np.sin(7.0 * x[:, 0]) * np.cos(5.0 * x[:, -1])
+
+
+def wavy_tensor(x):
+    s, c = np.sin(3.0 * x[:, 0]), np.cos(4.0 * x[:, -1])
+    out = (2.0 + s)[:, None, None] * np.eye(x.shape[1])
+    out[:, 0, 1] = out[:, 1, 0] = 0.5 * c
+    return out
+
+
+@pytest.mark.parametrize("coef_fn", [wavy_scalar, wavy_tensor], ids=["scalar", "tensor"])
+@pytest.mark.parametrize("mesh", [DomainMesh(2, 9), DomainMesh(3, 4)], ids=["2d", "3d"])
+def test_cell_coefficient_blocks_bitwise(monkeypatch, mesh, coef_fn):
+    # blocks of 7 cells (81 and 64 cells: a short last block of 4 and 1) give
+    # the bits of one block over every cell
+    nq = 3 ** mesh.d
+    monkeypatch.setattr(fem, "POINT_BLOCK", 7 * nq)
+    blocked = fem.cell_coefficient(mesh, coef_fn, 3)
+    monkeypatch.setattr(fem, "POINT_BLOCK", 10 ** 9)
+    whole = fem.cell_coefficient(mesh, coef_fn, 3)
+    assert blocked.shape == whole.shape == (mesh.n_cells,) + coef_fn(mesh.cell_centers).shape[1:]
+    assert np.array_equal(blocked, whole)
+
+
 # ---------------------------------------------------------------------------
 # assembly oracles
 
@@ -258,19 +283,23 @@ def test_nodal_gradient_eval():
 @pytest.mark.parametrize("rule", [1, 2, 3])
 @pytest.mark.parametrize("mesh", [DomainMesh(2, 5), DomainMesh(2, 6, 1.7), DomainMesh(3, 3, 0.8)],
                          ids=["2d", "2d-extent", "3d-extent"])
-def test_gauss_table_eval_equals_located_eval_bitwise(mesh, rule):
+def test_gauss_table_eval_equals_located_eval_bitwise(monkeypatch, mesh, rule):
     # every cell's Gauss points in quad_points order, evaluated per point at
-    # (cell, reference point) as the fine quadrature of the correctors did
+    # (cell, reference point) as the fine quadrature of the correctors did;
+    # blocks of 7 cells (25, 36 and 27 cells: a short last block) and one
+    # block over every cell give those bits
     rng = np.random.default_rng(40 + rule)
     values, curl_values = rng.standard_normal((2, mesh.n_edges))
     xq, _ = fem.quad_points(mesh, rule)
     ref_pts, _ = fem.gauss_rule(mesh.d, rule)
     cells = np.repeat(np.arange(mesh.n_cells), len(ref_pts))
     local = np.tile(ref_pts, (mesh.n_cells, 1))
-    field, curl = fem.eval_edge_gauss(mesh, rule, values, curl_values)
-    assert field.shape == (xq.shape[0] * xq.shape[1], mesh.d)
-    assert np.array_equal(field, fem.eval_edge_field(mesh, values, None, cells, local))
-    assert np.array_equal(curl, fem.eval_edge_curl(mesh, curl_values, None, cells, local))
+    for block in (7 * len(ref_pts), 10 ** 9):
+        monkeypatch.setattr(fem, "POINT_BLOCK", block)
+        field, curl = fem.eval_edge_gauss(mesh, rule, values, curl_values)
+        assert field.shape == (xq.shape[0] * xq.shape[1], mesh.d)
+        assert np.array_equal(field, fem.eval_edge_field(mesh, values, None, cells, local))
+        assert np.array_equal(curl, fem.eval_edge_curl(mesh, curl_values, None, cells, local))
     # the same points located from their coordinates agree to rounding
     assert np.allclose(field, fem.eval_edge_field(mesh, values, xq.reshape(-1, mesh.d)),
                        rtol=1e-12, atol=1e-12 * np.abs(field).max())
