@@ -11,9 +11,8 @@ from .mesh import CellMesh, DomainMesh, MeshError
 from .fem import (AssemblyError, SolveError, SparseSymSystem,
                   assemble_curl_stiffness, assemble_scalar_stiffness,
                   assemble_vector_mass, solve_spd)
-from .cells import (CellSolution, HomogenizationError, HomogenizationResult,
-                    curl_level_tensor, homogenize, scalar_level_tensor,
-                    solve_curl_cell, solve_scalar_cell)
+from .cells import (HomogenizationError, HomogenizationResult, curl_level_tensor,
+                    homogenize, scalar_level_tensor, solve_curl_cell, solve_scalar_cell)
 from .wave import (Forcing, WaveData, WaveProblem, WaveSetupError, WaveTrajectory,
                    energy, integrate, setup_problem)
 from .corrector import (CorrectorField, CorrectorInputError, ErrorSeries,

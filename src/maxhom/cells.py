@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 
 from . import fem
-from .mesh import CellMesh
+from .mesh import CellMesh, grid_points
 
 
 class HomogenizationError(RuntimeError):
@@ -80,15 +80,12 @@ class GridInterp:
 
 def periodic_grid_points(d, m):
     """Flattened (m^d, d) sample points j/m of the periodic grid."""
-    ax = np.arange(m) / m
-    grids = np.meshgrid(*([ax] * d), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    return grid_points(*[np.arange(m) / m] * d)
 
 
-def box_grid_points(d, m, extent=1.0):
-    ax = np.linspace(0.0, extent, m) if m > 1 else np.array([0.5 * extent])
-    grids = np.meshgrid(*([ax] * d), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+def box_grid_points(d, m):
+    """Flattened (m^d, d) sample points j/(m-1) of the unit box (its center when m == 1)."""
+    return grid_points(*[np.linspace(0.0, 1.0, m) if m > 1 else np.array([0.5])] * d)
 
 
 # ---------------------------------------------------------------------------
@@ -165,20 +162,14 @@ def curl_level_tensor(mesh, abar, Nc):
 # the recursion
 
 @dataclass
-class CellSolution:
-    """Cached cell fields at one (level, slow-variable sample point)."""
-
-    w: np.ndarray = None        # (d, n_nodes), mean-zero
-    n_curl: np.ndarray = None   # (1, n_edges) in 2D / (3, n_edges) in 3D
-
-
-@dataclass
 class HomogenizationResult:
     """Level tensors on their sample grids plus the cached cell solutions.
 
     tensors[("b", i)] has shape (nx, ny_1, ..., ny_i) + (d, d); the 2D curl
     tensors a^i are scalar fields with trailing shape ().  b0/a0 are the
-    level-0 fields over the x sample grid.
+    level-0 fields over the x sample grid.  cells[("b", level, sample)] is
+    the mean-zero W (d, n_nodes) of that cell solve and cells[("a", level,
+    sample)] its Nc, (1, n_edges) in 2D / (3, n_edges) in 3D.
     """
 
     spec: object
@@ -300,11 +291,11 @@ def homogenize(spec, cell_N, slow_x=None, slow_y=None, tol=1e-12):
                 if which == "b":
                     W, cbar = solve_scalar_cell(coef_fn, mesh, tol)
                     Ti = scalar_level_tensor(mesh, cbar, W)
-                    result.cells[key] = CellSolution(w=W)
+                    result.cells[key] = W
                 else:
                     Nc, abar = solve_curl_cell(coef_fn, mesh, tol)
                     Ti = curl_level_tensor(mesh, abar, Nc)
-                    result.cells[key] = CellSolution(n_curl=Nc)
+                    result.cells[key] = Nc
                 _require_bounds(Ti, spec, which, level - 1, si, d)
                 T[multi] = Ti
             result.tensors[(which, level - 1)] = T

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .mesh import grid_points
+
 FAMILIES = ("constant", "layered", "trigonometric", "separable-product", "expression")
 
 
@@ -298,8 +300,7 @@ def validate_bounds(spec, samples_per_axis):
     ax = np.linspace(0.0, 1.0, m)
     # sample x and each y on the same grid, crossed pairwise to keep the scan
     # dense but affordable for n >= 2
-    grids = np.meshgrid(*([ax] * spec.d), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
+    pts = grid_points(*[ax] * spec.d)
     lo, hi = np.inf, -np.inf
     rng = np.random.default_rng(20240811)
     for which in ("a", "b"):

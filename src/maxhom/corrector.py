@@ -25,7 +25,7 @@ import numpy as np
 
 from . import fem
 from .cells import multilinear_corners
-from .mesh import DomainMesh
+from .mesh import DomainMesh, grid_points
 
 # Gauss points per axis of the fine-mesh quadrature that carries the correctors
 _QUAD_RULE = 2
@@ -45,10 +45,9 @@ def _cell_fields(hom, level, sample, cells, local):
     (npts, 1) in 2D / (npts, 3, 3) in 3D, with the field index r last.
     """
     mesh = hom.mesh
-    dw = fem.eval_nodal_gradient(mesh, hom.cell_solution("b", level, sample).w, None,
+    dw = fem.eval_nodal_gradient(mesh, hom.cell_solution("b", level, sample), None,
                                  cells, local)
-    cn = fem.eval_edge_curl(mesh, hom.cell_solution("a", level, sample).n_curl, None,
-                            cells, local)
+    cn = fem.eval_edge_curl(mesh, hom.cell_solution("a", level, sample), None, cells, local)
     return dw, cn
 
 
@@ -342,7 +341,7 @@ def _period_points(mesh, eps):
 
     The period is p = eps/h cells per axis; when eps/h is not an integer or N
     is not a multiple of p, p = N and the table holds every point.  The points
-    are the slice i < p of fem.quad_points (cells in C order), so they are the
+    are those of fem.quad_points in the cells i < p (C order), so they are the
     fine quadrature points of those cells.  rows[k] is the table row of fine
     quadrature point k: (cell multi-index mod p, Gauss point).
     """
@@ -351,11 +350,11 @@ def _period_points(mesh, eps):
     p = int(round(ratio))
     if p < 1 or abs(ratio - p) > 1e-9 * ratio or N % p:
         p = N
-    xq, _ = fem.quad_points(mesh, _QUAD_RULE)
-    nq = xq.shape[1]
-    xt = xq.reshape((N,) * d + (nq, d))[(slice(p),) * d]
-    period_cell = np.ravel_multi_index(np.indices((N,) * d).reshape(d, -1) % p, (p,) * d)
-    rows = period_cell[:, None] * nq + np.arange(nq)
+    pts, _ = fem.gauss_rule(d, _QUAD_RULE)
+    period = np.ravel_multi_index(grid_points(*[np.arange(p)] * d).T, (N,) * d)
+    xt = fem._cell_points(mesh, pts, period)
+    period_cell = np.ravel_multi_index((grid_points(*[np.arange(N)] * d) % p).T, (p,) * d)
+    rows = period_cell[:, None] * len(pts) + np.arange(len(pts))
     return xt.reshape(-1, d), rows.ravel()
 
 

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import CellMesh, DomainMesh, edge_local_layout, node_corner_layout
+from .mesh import edge_local_layout, grid_points, node_corner_layout
 
 
 class SolveError(RuntimeError):
@@ -50,11 +50,7 @@ def gauss_rule(d, order):
     if order not in _GAUSS_01:
         raise AssemblyError(f"unsupported quadrature order {order}")
     p1, w1 = _GAUSS_01[order]
-    grids = np.meshgrid(*([p1] * d), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    wgrids = np.meshgrid(*([w1] * d), indexing="ij")
-    wts = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
-    return pts, wts
+    return grid_points(*[p1] * d), np.prod(grid_points(*[w1] * d), axis=1)
 
 
 def _lin(c, s):
@@ -188,11 +184,15 @@ def point_blocks(n, per=1):
 # ---------------------------------------------------------------------------
 # coefficient reduction and quadrature point layout
 
+def _cell_points(mesh, pts, cells):
+    """Reference points pts (nq, d) mapped into the given cells: (ncells, nq, d)."""
+    return mesh.cell_centers[cells][:, None, :] + (pts[None, :, :] - 0.5) * mesh.h
+
+
 def quad_points(mesh, rule):
     """Physical quadrature points (ncells, nq, d) and reference weights (nq,)."""
     pts, wts = gauss_rule(mesh.d, rule)
-    centers = mesh.cell_centers
-    return centers[:, None, :] + (pts[None, :, :] - 0.5) * mesh.h, wts
+    return _cell_points(mesh, pts, slice(None)), wts
 
 
 def cell_coefficient(mesh, coef_fn, rule):
@@ -200,11 +200,11 @@ def cell_coefficient(mesh, coef_fn, rule):
 
     coef_fn maps (npts, d) points to (npts,) scalars or (npts, d, d) matrices.
     """
-    xq, wts = quad_points(mesh, rule)
-    ncells, nq, d = xq.shape
+    pts, wts = gauss_rule(mesh.d, rule)
+    (nq, d), ncells = pts.shape, mesh.n_cells
     cbar = None
     for blk in point_blocks(ncells, nq):
-        vals = coef_fn(xq[blk].reshape(-1, d))
+        vals = coef_fn(_cell_points(mesh, pts, blk).reshape(-1, d))
         if vals.ndim == 1:
             vals = vals.reshape(-1, nq)
         else:
@@ -309,7 +309,7 @@ def _cell_rhs(mesh, coef, ref_vec, order, dof_map, n):
 
 def assemble_scalar_stiffness(mesh, coef_fn, rule=1):
     """Periodic bilinear form int_Y (C grad phi_i) . grad phi_j on a CellMesh."""
-    if not isinstance(mesh, CellMesh):
+    if not mesh.periodic:
         raise AssemblyError("scalar stiffness is assembled on periodic cell meshes")
     cbar = _coef_matrix(cell_coefficient(mesh, coef_fn, rule), mesh.d)
     A = _assemble(mesh, cbar, nodal_ref(mesh.d)["GRAD"], 1, mesh.cell_nodes, mesh.n_nodes)
@@ -332,7 +332,7 @@ def assemble_curl_stiffness(mesh, coef_fn, rule=1):
     abar = cell_coefficient(mesh, coef_fn, rule)
     ref = edge_ref(mesh.d)["CURL"]
     coef = _coef_matrix(abar, ref.shape[0])
-    if isinstance(mesh, CellMesh):
+    if mesh.periodic:
         n, index_map = mesh.n_edges, None
     else:
         n, index_map = mesh.n_interior_edges, mesh.interior_index
@@ -351,7 +351,7 @@ def curl_cell_rhs(mesh, abar):
 
 def assemble_vector_mass(mesh, coef_fn, rule=2):
     """Positive definite form int_D (B phi_i) . phi_j on interior edge DOFs."""
-    if not isinstance(mesh, DomainMesh):
+    if mesh.periodic:
         raise AssemblyError("the vector mass matrix lives on a DomainMesh")
     bbar = _coef_matrix(cell_coefficient(mesh, coef_fn, rule), mesh.d)
     n = mesh.n_interior_edges
@@ -360,17 +360,12 @@ def assemble_vector_mass(mesh, coef_fn, rule=2):
     return SparseSymSystem(n, A, nullspace="none"), bbar
 
 
-def assemble_load(mesh, f_fn, rule=2, t=None):
-    """Load vector int_D f . phi_i on interior edge DOFs.
-
-    f_fn maps (npts, d) -> (npts, d) (or (t, points) when t is given).
-    """
+def assemble_load(mesh, f_fn, rule=2):
+    """Load vector int_D f . phi_i on interior edge DOFs; f_fn maps (npts, d) -> (npts, d)."""
     d, h = mesh.d, mesh.h
-    xq, wts = quad_points(mesh, rule)
-    flat = xq.reshape(-1, d)
-    fv = f_fn(t, flat) if t is not None else f_fn(flat)
-    fv = fv.reshape(xq.shape)
-    pts, _ = gauss_rule(d, rule)
+    pts, wts = gauss_rule(d, rule)
+    xq = _cell_points(mesh, pts, slice(None))
+    fv = f_fn(xq.reshape(-1, d)).reshape(xq.shape)
     eb = edge_basis(d, pts)  # (nloc, d, nq)
     per_cell = h ** (d - 1) * np.einsum("cqa,iaq,q->ci", fv, eb, wts)
     full = np.zeros(mesh.n_edges)
@@ -485,7 +480,14 @@ def expand_interior(mesh, interior_values):
 # ---------------------------------------------------------------------------
 # solver
 
-def solve_spd(system, rhs, rel_tol=1e-10, x0=None, cap_factor=20):
+# CG gives up after CG_CAP_FACTOR * n + 10 iterations, or once
+# CG_STAGNATION_WINDOW iterations in a row find no residual norm below the best
+# so far; the largest such run seen in a converging solve is a few dozen.
+CG_CAP_FACTOR = 20
+CG_STAGNATION_WINDOW = 1000
+
+
+def solve_spd(system, rhs, rel_tol=1e-10, x0=None):
     """Jacobi-preconditioned CG meeting ||A x - rhs|| <= rel_tol ||rhs||.
 
     For nullspace == "constants" the rhs and iterates are projected onto the
@@ -496,7 +498,8 @@ def solve_spd(system, rhs, rel_tol=1e-10, x0=None, cap_factor=20):
     When the rhs itself sits at the rounding floor of forming b - A x (it can
     vanish exactly, e.g. at a time-reversal turning point), the relative
     contract is numerically meaningless and an absolute floor of a few ulps of
-    ||A|| (||x0|| + ||x||) is accepted instead.
+    ||A|| (||x0|| + ||x||) is accepted instead.  A solve whose residual
+    norm stagnates (see CG_STAGNATION_WINDOW) raises SolveError.
     """
     if not (0 < rel_tol < 1):
         raise SolveError("rel_tol must lie in (0, 1)")
@@ -530,10 +533,19 @@ def solve_spd(system, rhs, rel_tol=1e-10, x0=None, cap_factor=20):
         z -= z.mean()
     p = z.copy()
     rz = r @ z
-    cap = cap_factor * n + 10
-    for _ in range(cap):
-        if np.linalg.norm(r) <= max(rel_tol * normb, floor):
+    best, stalled = np.inf, 0
+    for _ in range(CG_CAP_FACTOR * n + 10):
+        rnorm = np.linalg.norm(r)
+        if rnorm <= max(rel_tol * normb, floor):
             break
+        if rnorm < best:
+            best, stalled = rnorm, 0
+        else:
+            stalled += 1
+            if stalled >= CG_STAGNATION_WINDOW:
+                raise SolveError(
+                    f"CG stagnated: no residual decrease in {stalled} iterations "
+                    f"(best {best:.3e} > {rel_tol:.1e} * {normb:.3e})")
         Ap = A @ p
         pAp = p @ Ap
         if pAp <= 0.0:

@@ -1,9 +1,11 @@
 """Structured uniform meshes with nodal and edge DOF numbering.
 
-CellMesh lives on the unit cell Y with full periodic identification
-(N^d distinct nodes, d*N^d distinct edges).  DomainMesh lives on a box
-[0, L]^d and flags edges whose tangential direction lies in the boundary
-(the essential condition u x nu = 0 eliminates exactly those).
+StructuredMesh holds the one numbering of both meshes.  CellMesh lives on
+the unit cell Y with full periodic identification (N^d distinct nodes,
+d*N^d distinct edges).  DomainMesh lives on a box [0, L]^d and flags edges
+whose tangential direction lies in the boundary (the essential condition
+u x nu = 0 eliminates exactly those).  grid_points builds every
+tensor-product point grid.
 
 Cells are enumerated in C order (last axis fastest); cell (i_1..i_d) covers
 prod_a [i_a h, (i_a+1) h].  Per-cell entity ordering is fixed by
@@ -44,18 +46,33 @@ def edge_local_layout(d):
     return layout
 
 
-def _cell_multi_indices(dims):
-    """(ncells, d) multi-indices in C order for a dims grid."""
-    grids = np.indices(dims)
+def grid_points(*axes):
+    """Tensor-product points of 1D axes in C order (last axis fastest): (prod len, len(axes))."""
+    grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
+def _cell_multi_indices(dims):
+    """(ncells, d) multi-indices in C order for a dims grid."""
+    return grid_points(*(np.arange(n) for n in dims))
+
+
 @dataclass(frozen=True)
-class CellMesh:
-    """Periodic tensor-product mesh of the unit cell Y = [0,1)^d."""
+class StructuredMesh:
+    """The numbering shared by CellMesh and DomainMesh: N^d cells of size h = extent / N.
+
+    Nodes, and the edges of each family f (tangent along axis f), are numbered
+    in C order over their index grids, family f after families < f.  A
+    periodic mesh (class attribute `periodic`) identifies opposite faces: every
+    grid is N per axis and ids wrap mod N.  Otherwise the node grid is N + 1
+    per axis and the family-f grid is N along f and N + 1 across.  Subclasses
+    give `periodic` and `extent`.
+    """
 
     d: int
     N: int
+
+    periodic = False
 
     def __post_init__(self):
         if self.d not in (2, 3):
@@ -65,35 +82,48 @@ class CellMesh:
 
     @property
     def h(self):
-        return 1.0 / self.N
+        return self.extent / self.N
 
     @property
     def n_cells(self):
         return self.N ** self.d
 
     @property
+    def _node_dims(self):
+        return (self.N if self.periodic else self.N + 1,) * self.d
+
+    def _edge_dims(self, family):
+        return tuple(self.N if self.periodic or a == family else self.N + 1
+                     for a in range(self.d))
+
+    @cached_property
+    def _edge_offsets(self):
+        sizes = [int(np.prod(self._edge_dims(f))) for f in range(self.d)]
+        return np.concatenate([[0], np.cumsum(sizes)])
+
+    @property
     def n_nodes(self):
-        return self.N ** self.d
+        return self._node_dims[0] ** self.d
 
     @property
     def n_edges(self):
-        return self.d * self.N ** self.d
+        return int(self._edge_offsets[-1])
+
+    def _index(self, multi):
+        return np.mod(multi, self.N) if self.periodic else np.asarray(multi)
 
     def node_id(self, multi):
-        """Global node ids for (npts, d) integer multi-indices (wrapped)."""
-        multi = np.mod(multi, self.N)
-        return np.ravel_multi_index(multi.T, (self.N,) * self.d)
+        """Global node ids for (npts, d) integer multi-indices (wrapped when periodic)."""
+        return np.ravel_multi_index(self._index(multi).T, self._node_dims)
 
     def edge_id(self, family, multi):
-        multi = np.mod(multi, self.N)
-        return family * self.N ** self.d + np.ravel_multi_index(multi.T, (self.N,) * self.d)
+        return self._edge_offsets[family] + np.ravel_multi_index(self._index(multi).T,
+                                                                 self._edge_dims(family))
 
     @cached_property
     def cell_nodes(self):
         cells = _cell_multi_indices((self.N,) * self.d)
-        corners = node_corner_layout(self.d)
-        ids = [self.node_id(cells + c) for c in corners]
-        return np.stack(ids, axis=1)
+        return np.stack([self.node_id(cells + c) for c in node_corner_layout(self.d)], axis=1)
 
     @cached_property
     def cell_edges(self):
@@ -105,6 +135,14 @@ class CellMesh:
     def cell_centers(self):
         cells = _cell_multi_indices((self.N,) * self.d)
         return (cells + 0.5) * self.h
+
+
+@dataclass(frozen=True)
+class CellMesh(StructuredMesh):
+    """Periodic tensor-product mesh of the unit cell Y = [0,1)^d."""
+
+    periodic = True
+    extent = 1.0
 
     def locate(self, x):
         """Wrap points into [0,1)^d and return (cell ids, local coords)."""
@@ -119,68 +157,19 @@ class CellMesh:
 
 
 @dataclass(frozen=True)
-class DomainMesh:
+class DomainMesh(StructuredMesh):
     """Tensor-product mesh of the box [0, extent]^d with boundary-edge flags."""
 
-    d: int
-    N: int
     extent: float = 1.0
 
     def __post_init__(self):
-        if self.d not in (2, 3):
-            raise MeshError("dimension must be 2 or 3")
-        if self.N < 1:
-            raise MeshError("need at least one subdivision")
+        super().__post_init__()
         if self.extent <= 0:
             raise MeshError("extent must be positive")
 
-    @property
-    def h(self):
-        return self.extent / self.N
-
-    @property
-    def n_cells(self):
-        return self.N ** self.d
-
-    @property
-    def n_nodes(self):
-        return (self.N + 1) ** self.d
-
-    def _edge_dims(self, family):
-        return tuple(self.N if a == family else self.N + 1 for a in range(self.d))
-
-    @cached_property
-    def _edge_offsets(self):
-        sizes = [int(np.prod(self._edge_dims(f))) for f in range(self.d)]
-        return np.concatenate([[0], np.cumsum(sizes)])
-
-    @property
-    def n_edges(self):
-        return int(self._edge_offsets[-1])
-
-    def node_id(self, multi):
-        return np.ravel_multi_index(np.asarray(multi).T, (self.N + 1,) * self.d)
-
-    def edge_id(self, family, multi):
-        dims = self._edge_dims(family)
-        return self._edge_offsets[family] + np.ravel_multi_index(np.asarray(multi).T, dims)
-
-    @cached_property
-    def cell_nodes(self):
-        cells = _cell_multi_indices((self.N,) * self.d)
-        corners = node_corner_layout(self.d)
-        return np.stack([self.node_id(cells + c) for c in corners], axis=1)
-
-    @cached_property
-    def cell_edges(self):
-        cells = _cell_multi_indices((self.N,) * self.d)
-        ids = [self.edge_id(f, cells + off) for f, off in edge_local_layout(self.d)]
-        return np.stack(ids, axis=1)
-
     @cached_property
     def node_coords(self):
-        nodes = _cell_multi_indices((self.N + 1,) * self.d)
-        return nodes * self.h
+        return _cell_multi_indices(self._node_dims) * self.h
 
     @cached_property
     def boundary_edge_mask(self):
@@ -224,11 +213,6 @@ class DomainMesh:
             mids[sl] = multi * self.h
             fam[sl] = f
         return mids, fam
-
-    @cached_property
-    def cell_centers(self):
-        cells = _cell_multi_indices((self.N,) * self.d)
-        return (cells + 0.5) * self.h
 
     def locate(self, x):
         """(cell ids, local coords) with lower-cell tie-break on interior faces."""

@@ -36,9 +36,9 @@ class Forcing:
 class WaveData:
     """Closed-form data and time parameters of one run.
 
-    g0/g1: vectorized x -> (npts, d) (None means zero).  f: a Forcing, a plain
-    callable f(t, pts) -> (npts, d), or None.  store_every thins the DOF
-    snapshots kept on the trajectory; energies and probes are kept per step.
+    g0/g1: vectorized x -> (npts, d) (None means zero).  f: a Forcing or None.
+    store_every thins the DOF snapshots kept on the trajectory; energies and
+    probes are kept per step.
     """
 
     T: float
@@ -55,6 +55,8 @@ class WaveData:
             raise WaveSetupError("need dt > 0 and T >= dt")
         if self.store_every < 1:
             raise WaveSetupError("store_every must be >= 1")
+        if self.f is not None and not isinstance(self.f, Forcing):
+            raise WaveSetupError(f"f must be a Forcing or None, got {type(self.f).__name__}")
 
     @property
     def n_steps(self):
@@ -76,16 +78,14 @@ class WaveProblem:
         dt = self.data.dt
         L = (self.M.A + (dt * dt / 4.0) * self.K.A).tocsr()
         self.step_system = fem.SparseSymSystem(self.M.n, L, nullspace="none")
-        if isinstance(self.data.f, Forcing):
+        if self.data.f is not None:
             self.f_load = fem.assemble_load(self.mesh, self.data.f.space_fn,
                                             rule=self.quad_rule)
 
     def load_at(self, t):
         if self.data.f is None:
             return None
-        if isinstance(self.data.f, Forcing):
-            return self.data.f.time_fn(t) * self.f_load
-        return fem.assemble_load(self.mesh, self.data.f, rule=self.quad_rule, t=t)
+        return self.data.f.time_fn(t) * self.f_load
 
     def interpolate_initial(self, fn, name):
         """Edge-interpolate closed-form data; enforce the zero tangential trace."""

@@ -409,14 +409,14 @@ def folded_error_oracle(fine_traj, u0_traj, hom, schedule, g1):
                     continue
                 for nu in np.flatnonzero(np.abs(S[k]) > 1e-14):
                     sol_a = hom.cell_solution("a", 2, int(nu))
-                    q2 = fem.eval_edge_curl(hom.mesh, sol_a.n_curl[0], None,
+                    q2 = fem.eval_edge_curl(hom.mesh, sol_a[0], None,
                                             cells2[sel], local2[sel])
                     factor[sel] += (1.0 + q2) * S[k, nu]
                     sol_b = hom.cell_solution("b", 2, int(nu))
                     P2 = np.zeros((int(sel.sum()), d, d))
                     for r in range(d):
                         P2[:, :, r] = fem.eval_nodal_gradient(
-                            hom.mesh, sol_b.w[r], None, cells2[sel], local2[sel])
+                            hom.mesh, sol_b[r], None, cells2[sel], local2[sel])
                     v_fold[sel] += np.einsum("pjr,rs,ps->pj", P2, T[k, nu], diff_avg[sel])
             c_fold = factor * cu0_avg
         duf = fem.eval_edge_field(mesh, fem.expand_interior(mesh, fine_traj.V[i]),
@@ -583,7 +583,7 @@ def test_x_dependent_cell_field_sampler():
     sol0 = hom.cell_solution("b", 1, 0)
     P_ref = np.zeros((50, 2, 2))
     for r in range(2):
-        P_ref[:, :, r] = fem.eval_nodal_gradient(hom.mesh, sol0.w[r], y)
+        P_ref[:, :, r] = fem.eval_nodal_gradient(hom.mesh, sol0[r], y)
     assert np.abs(P - P_ref).max() < 1e-9
     ymid = hom.mesh.cell_centers[hom.mesh.locate(y)[0], 0]
     assert np.abs(G - SQRT3 / (2.0 + np.sin(2 * np.pi * ymid))).max() < 1e-9

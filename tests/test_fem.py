@@ -88,6 +88,23 @@ def test_cell_coefficient_blocks_bitwise(monkeypatch, mesh, coef_fn):
     assert np.array_equal(blocked, whole)
 
 
+def test_cell_coefficient_forms_only_the_points_of_a_block(peak_bytes):
+    # each block maps its own cells' Gauss points: no (ncells, nq, d) array of
+    # every point (the whole-mesh layout took 224 and 191 B a cell at 256^2)
+    mesh = DomainMesh(2, 256)
+    mesh.cell_centers
+
+    def scalar(x):
+        return 2.0 + np.sin(2 * np.pi * x[:, 0]) * np.cos(2 * np.pi * x[:, 1])
+
+    def tensor(x):
+        return scalar(x)[:, None, None] * np.array([[1.0, 0.1], [0.1, 2.0]])
+
+    for coef_fn in (scalar, tensor):
+        _, peak = peak_bytes(lambda: fem.cell_coefficient(mesh, coef_fn, 3))
+        assert peak < 120 * mesh.n_cells, peak / mesh.n_cells
+
+
 # ---------------------------------------------------------------------------
 # assembly oracles
 
@@ -195,13 +212,40 @@ def test_solve_matches_dense_oracle():
     assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b) * (1 + 1e-9)
 
 
-def test_solve_nonconvergence_reports():
+def test_solve_nonconvergence_reports(monkeypatch):
+    monkeypatch.setattr(fem, "CG_CAP_FACTOR", 0)
     rng = np.random.default_rng(3)
     B = rng.standard_normal((60, 60))
     A = sp.csr_matrix(B @ B.T + 1e-8 * np.eye(60))
     syst = fem.SparseSymSystem(60, A)
     with pytest.raises(fem.SolveError, match="residual"):
-        fem.solve_spd(syst, rng.standard_normal(60), 1e-14, cap_factor=0)
+        fem.solve_spd(syst, rng.standard_normal(60), 1e-14)
+
+
+class _CountingMatrix:
+    """A matrix that counts its products with vectors."""
+
+    def __init__(self, A):
+        self.A, self.matvecs = A, 0
+
+    def __matmul__(self, x):
+        self.matvecs += 1
+        return self.A @ x
+
+    def diagonal(self):
+        return self.A.diagonal()
+
+
+def test_solve_stagnation_stops_early():
+    # condition number 1e12 at rel_tol 1e-12: the residual norm never falls
+    # below ||b||, and only the cap of 20 n + 10 = 8,010 iterations ended it
+    n = 400
+    rng = np.random.default_rng(0)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = _CountingMatrix(sp.csr_matrix((Q * np.logspace(0, 12, n)) @ Q.T))
+    with pytest.raises(fem.SolveError, match="stagnated"):
+        fem.solve_spd(fem.SparseSymSystem(n, A), rng.standard_normal(n), 1e-12)
+    assert A.matvecs <= fem.CG_STAGNATION_WINDOW + 1 < fem.CG_CAP_FACTOR * n + 10
 
 
 def test_solve_projects_nullspace_component():

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from maxhom.mesh import CellMesh, DomainMesh, MeshError
+from maxhom.mesh import (CellMesh, DomainMesh, MeshError, edge_local_layout, grid_points,
+                         node_corner_layout)
 
 
 @pytest.mark.parametrize("d,N,nodes,edges", [
@@ -107,3 +110,46 @@ def test_boundary_edges_are_tangential():
         f = fam[e]
         t = [a for a in range(2) if a != f][0]
         assert mids[e, t] in (0.0, m.extent)
+
+
+# ---------------------------------------------------------------------------
+# the shared numbering
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from((2, 3)), N=st.integers(1, 6), periodic=st.booleans())
+def test_edges_join_their_cell_nodes(d, N, periodic):
+    # local edge (f, off) of a cell runs from its corner off to corner off + e_f,
+    # and every global edge id gets one ordered node pair from all its cells
+    m = CellMesh(d, N) if periodic else DomainMesh(d, N, 1.25)
+    corners = [tuple(c) for c in node_corner_layout(d)]
+    ends = {}
+    for i, (f, off) in enumerate(edge_local_layout(d)):
+        start = m.cell_nodes[:, corners.index(tuple(off))]
+        stop = m.cell_nodes[:, corners.index(tuple(off + np.eye(d, dtype=np.int64)[f]))]
+        for e, pair in zip(m.cell_edges[:, i].tolist(), zip(start.tolist(), stop.tolist())):
+            assert ends.setdefault(e, pair) == pair
+        if not periodic:
+            step = m.node_coords[stop] - m.node_coords[start]
+            assert np.allclose(step, m.h * np.eye(d)[f], rtol=0, atol=1e-12)
+    assert sorted(ends) == list(range(m.n_edges))
+    assert np.array_equal(np.unique(m.cell_nodes), np.arange(m.n_nodes))
+
+
+@settings(max_examples=50, deadline=None)
+@given(lens=st.lists(st.integers(1, 5), min_size=1, max_size=4), data=st.data())
+def test_grid_points_are_c_ordered_products(lens, data):
+    axes = [data.draw(hnp.arrays(float, n, elements=st.floats(-10, 10))) for n in lens]
+    pts = grid_points(*axes)
+    assert pts.shape == (int(np.prod(lens)), len(lens))
+    for k in range(len(pts)):
+        multi = np.unravel_index(k, lens)
+        assert [pts[k, a] for a in range(len(lens))] == [axes[a][multi[a]]
+                                                         for a in range(len(lens))]
+
+
+def test_meshes_compare_by_class_and_fields():
+    assert CellMesh(2, 3) == CellMesh(2, 3) and hash(CellMesh(2, 3)) == hash(CellMesh(2, 3))
+    assert CellMesh(2, 3) != DomainMesh(2, 3)
+    assert DomainMesh(2, 3) != DomainMesh(2, 3, 1.25)
+    assert CellMesh(3, 2).periodic and not DomainMesh(3, 2).periodic
+    assert CellMesh(3, 2).extent == 1.0 and CellMesh(3, 2).h == 0.5

@@ -52,6 +52,11 @@ def test_setup_dimensions_match_interior_count(unit_hom):
     assert prob.K.n == mesh.n_interior_edges
 
 
+def test_forcing_must_be_a_forcing():
+    with pytest.raises(wave.WaveSetupError, match="Forcing"):
+        wave.WaveData(T=0.1, dt=0.05, f=lambda t, x: np.zeros_like(x))
+
+
 def test_fine_setup_underresolved_rejected():
     mesh = DomainMesh(2, 8)
     data = wave.WaveData(T=0.1, dt=0.05)
