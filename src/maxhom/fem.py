@@ -364,12 +364,14 @@ def assemble_load(mesh, f_fn, rule=2):
     """Load vector int_D f . phi_i on interior edge DOFs; f_fn maps (npts, d) -> (npts, d)."""
     d, h = mesh.d, mesh.h
     pts, wts = gauss_rule(d, rule)
-    xq = _cell_points(mesh, pts, slice(None))
-    fv = f_fn(xq.reshape(-1, d)).reshape(xq.shape)
     eb = edge_basis(d, pts)  # (nloc, d, nq)
-    per_cell = h ** (d - 1) * np.einsum("cqa,iaq,q->ci", fv, eb, wts)
     full = np.zeros(mesh.n_edges)
-    np.add.at(full, mesh.cell_edges.ravel(), per_cell.ravel())
+    # one block of cells at a time, added in cell order: the bits of one pass
+    for blk in point_blocks(mesh.n_cells, len(wts)):
+        xq = _cell_points(mesh, pts, blk)
+        fv = f_fn(xq.reshape(-1, d)).reshape(xq.shape)
+        per_cell = h ** (d - 1) * np.einsum("cqa,iaq,q->ci", fv, eb, wts)
+        np.add.at(full, mesh.cell_edges[blk].ravel(), per_cell.ravel())
     return full[mesh.interior_edges]
 
 

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure.
 """
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -342,12 +343,8 @@ def run_homogenize(cfg, outdir):
     return hom
 
 
-def _simulate_once(cfg, spec, schedule, hom, mesh, dt, t_final, store_every, probes):
-    data = build_wave_data(cfg, dt, t_final, store_every, probes)
-    quad = cfg["sim.quad"] or _default_quad(spec)
-    prob = wave.setup_problem(cfg["sim.kind"], mesh, data, spec=spec,
-                              schedule=schedule, hom=hom, quad_rule=quad)
-    return wave.integrate(prob)
+def _drop_snapshots(k, u, v):
+    """Snapshot sink of a simulate run without sim.snapshots: nothing is stored."""
 
 
 def run_simulate(cfg, outdir):
@@ -366,11 +363,18 @@ def run_simulate(cfg, outdir):
     if probes is None:
         n_int = mesh.n_interior_edges
         probes = tuple(sorted({n_int // 7, n_int // 3, (5 * n_int) // 7})) if n_int else ()
-    traj = _simulate_once(cfg, spec, schedule, hom, mesh, dt,
-                          cfg["sim.t_final"], cfg["sim.store_every"], probes)
-    wave.export_trajectory_csv(traj, os.path.join(outdir, "trajectory.csv"))
+    data = build_wave_data(cfg, dt, cfg["sim.t_final"], cfg["sim.store_every"], probes)
+    quad = cfg["sim.quad"] or _default_quad(spec)
+    prob = wave.setup_problem(cfg["sim.kind"], mesh, data, spec=spec,
+                              schedule=schedule, hom=hom, quad_rule=quad)
+    # snapshots stream to their file as the loop stores them; none are kept
     if cfg["sim.snapshots"]:
-        wave.export_snapshots(traj, os.path.join(outdir, "snapshots.bin"))
+        sink = wave.export_snapshots(prob, os.path.join(outdir, "snapshots.bin"))
+    else:
+        sink = contextlib.nullcontext(_drop_snapshots)
+    with sink as store:
+        traj = wave.integrate(prob, sink=store)
+    wave.export_trajectory_csv(traj, os.path.join(outdir, "trajectory.csv"))
     _write_manifest(outdir, cfg)
     return traj
 

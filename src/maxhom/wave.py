@@ -11,6 +11,7 @@ All systems live on interior edge DOFs (boundary circulations eliminated).
 """
 
 from dataclasses import dataclass, field
+import os
 import struct
 
 import numpy as np
@@ -37,8 +38,8 @@ class WaveData:
     """Closed-form data and time parameters of one run.
 
     g0/g1: vectorized x -> (npts, d) (None means zero).  f: a Forcing or None.
-    store_every thins the DOF snapshots kept on the trajectory; energies and
-    probes are kept per step.
+    store_every thins the DOF snapshots (`snap_steps`); energies and probes
+    are kept per step.
     """
 
     T: float
@@ -61,6 +62,17 @@ class WaveData:
     @property
     def n_steps(self):
         return int(round(self.T / self.dt))
+
+    @property
+    def snap_steps(self):
+        """Steps whose (u, v) are stored: every store_every-th one and the last."""
+        n = self.n_steps
+        steps = np.arange(0, n + 1, self.store_every, dtype=np.int64)
+        return steps if steps[-1] == n else np.append(steps, n)
+
+    @property
+    def snap_times(self):
+        return self.snap_steps.astype(float) * self.dt
 
 
 @dataclass
@@ -112,7 +124,7 @@ class WaveTrajectory:
     probe_values: np.ndarray
     snap_times: np.ndarray
     snap_steps: np.ndarray
-    U: np.ndarray          # (n_snaps, n_interior)
+    U: np.ndarray          # (n_snaps, n_interior), or None if a sink took them
     V: np.ndarray
     kind: str = "fine"
 
@@ -158,8 +170,14 @@ def energy(problem, u, v):
     return 0.5 * (v @ (problem.M.A @ v) + u @ (problem.K.A @ u))
 
 
-def integrate(problem, u0=None, v0=None):
-    """Run the time loop; u0/v0 override the interpolated initial data."""
+def integrate(problem, u0=None, v0=None, sink=None):
+    """Run the time loop; u0/v0 override the interpolated initial data.
+
+    The k-th stored step, data.snap_steps[k], goes to sink(k, u, v).  The
+    default sink keeps them all in preallocated (n_snaps, n) arrays, the
+    trajectory's U, V; with any other sink (a snapshot file, or one that drops
+    them) U and V are None.
+    """
     data = problem.data
     mesh = problem.mesh
     dt = data.dt
@@ -167,11 +185,16 @@ def integrate(problem, u0=None, v0=None):
     u = problem.interpolate_initial(data.g0, "g0") if u0 is None else np.asarray(u0, float).copy()
     v = problem.interpolate_initial(data.g1, "g1") if v0 is None else np.asarray(v0, float).copy()
 
-    store = set(range(0, nsteps + 1, data.store_every))
-    store.add(nsteps)
-    snap_steps = np.array(sorted(store), dtype=np.int64)
-    U = np.empty((len(snap_steps), len(u)))
-    V = np.empty((len(snap_steps), len(v)))
+    snap_steps = data.snap_steps
+    U = V = None
+    if sink is None:
+        U = np.empty((len(snap_steps), len(u)))
+        V = np.empty((len(snap_steps), len(v)))
+
+        def sink(k, u, v):
+            U[k], V[k] = u, v
+
+    store = snap_steps.tolist()
     probes = np.asarray(data.probe_edges, dtype=np.int64)
     step_times = np.arange(nsteps + 1) * dt
     energies = np.empty(nsteps + 1)
@@ -184,8 +207,8 @@ def integrate(problem, u0=None, v0=None):
         Mv = problem.M.A @ v
         energies[n] = 0.5 * (v @ Mv + u @ Ku)
         probe_values[n] = u[probes] if len(probes) else ()
-        if n in store:
-            U[k], V[k] = u, v
+        if n == store[k]:  # the last step is always stored, so k stays in range
+            sink(k, u, v)
             k += 1
         if n == nsteps:
             break
@@ -201,8 +224,7 @@ def integrate(problem, u0=None, v0=None):
 
     return WaveTrajectory(
         mesh=mesh, dt=dt, step_times=step_times, energies=energies,
-        probe_values=probe_values,
-        snap_times=snap_steps.astype(float) * dt, snap_steps=snap_steps,
+        probe_values=probe_values, snap_times=data.snap_times, snap_steps=snap_steps,
         U=U, V=V, kind=problem.kind)
 
 
@@ -224,21 +246,61 @@ def export_trajectory_csv(traj, path):
 _SNAP_MAGIC = b"MXHMSNP1"
 
 
-def export_snapshots(traj, path):
-    """Flat little-endian binary dump of the stored DOF snapshots.
+class _SnapshotWriter:
+    """Snapshot sink that writes each (u, v) into its rows of the file as it comes.
 
-    Layout: magic 'MXHMSNP1'; int64 d, N, n_interior, n_snaps; float64 extent,
-    dt; then snap_times (n_snaps float64), U (n_snaps * n_interior float64,
-    C order), V (same).
+    The file is written under `path + ".part"`.  Leaving the with-block
+    renames it to `path` once every snapshot is in; an exception, or a
+    snapshot missing, removes it, so a failed run leaves no snapshot file.
     """
-    mesh = traj.mesh
-    with open(path, "wb") as fh:
-        fh.write(_SNAP_MAGIC)
-        fh.write(struct.pack("<4q", mesh.d, mesh.N, traj.U.shape[1], traj.n_snaps))
-        fh.write(struct.pack("<2d", mesh.extent, traj.dt))
-        # already little-endian float64 and C-ordered: written without a copy
-        for a in (traj.snap_times, traj.U, traj.V):
-            fh.write(np.ascontiguousarray(a, dtype="<f8"))
+
+    def __init__(self, path, mesh, data):
+        self.path, self.part = path, path + ".part"
+        self.n = mesh.n_interior_edges
+        times = data.snap_times
+        self.n_snaps = len(times)
+        self.written = 0
+        self.fh = open(self.part, "wb")
+        self.fh.write(_SNAP_MAGIC)
+        self.fh.write(struct.pack("<4q", mesh.d, mesh.N, self.n, self.n_snaps))
+        self.fh.write(struct.pack("<2d", mesh.extent, data.dt))
+        self.fh.write(times.astype("<f8"))
+        self.u_row0 = self.fh.tell()
+        self.v_row0 = self.u_row0 + 8 * self.n * self.n_snaps
+
+    def __call__(self, k, u, v):
+        for row0, a in ((self.u_row0, u), (self.v_row0, v)):
+            self.fh.seek(row0 + 8 * self.n * k)
+            # already little-endian float64 and contiguous: written without a copy
+            self.fh.write(np.ascontiguousarray(a, dtype="<f8"))
+        self.written += 1
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self.fh.close()
+        if exc_type is None and self.written == self.n_snaps:
+            os.replace(self.part, self.path)
+            return
+        os.remove(self.part)
+        if exc_type is None:
+            raise WaveSetupError(f"{self.path}: {self.written} of {self.n_snaps} "
+                                 f"snapshots were written")
+
+
+def export_snapshots(problem, path):
+    """Open `path` as the snapshot sink of problem's time loop.
+
+        with export_snapshots(problem, path) as sink:
+            traj = integrate(problem, sink=sink)
+
+    Flat little-endian layout: magic 'MXHMSNP1'; int64 d, N, n_interior,
+    n_snaps; float64 extent, dt; then snap_times (n_snaps float64), U
+    (n_snaps * n_interior float64, C order), V (same).  The header and
+    snap_times are written here, each row of U and V when its step is stored.
+    """
+    return _SnapshotWriter(path, problem.mesh, problem.data)
 
 
 def read_snapshots(path):

@@ -406,3 +406,71 @@ data.g1 = cavity11
     snap = wave.read_snapshots(str(tmp_path / "snapshots.bin"))
     assert snap["N"] == 16 and snap["U"].shape[0] == snap["times"].shape[0]
     assert (tmp_path / "trajectory.csv").exists()
+
+
+FINE_SIM = """
+mode = simulate
+tol = 1e-10
+coeff.d = 2
+coeff.n = 1
+coeff.alpha = 1.0
+coeff.beta = 3.0
+coeff.a.family = layered
+coeff.a.offset = 2.0
+coeff.a.amplitude = 1.0
+coeff.b.family = layered
+coeff.b.offset = 2.0
+coeff.b.amplitude = 1.0
+schedule.epsilon = 0.25
+sim.kind = fine
+sim.n = 16
+sim.t_final = 0.1
+sim.dt = 0.025
+sim.snapshots = true
+data.g1 = cavity11
+"""
+
+
+def test_simulate_failing_in_time_loop_leaves_no_snapshots(tmp_path, monkeypatch, capsys):
+    # a fine run solves nothing before its time loop: the 3rd step's solve fails
+    from maxhom import fem
+
+    solve, calls = fem.solve_spd, []
+
+    def failing_solve(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise fem.SolveError("injected failure")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "solve_spd", failing_solve)
+    cfg_path = tmp_path / "s.cfg"
+    cfg_path.write_text(FINE_SIM)
+    out = tmp_path / "o"
+    assert harness.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 3
+    assert "injected failure" in capsys.readouterr().err
+    assert len(calls) == 3 and os.listdir(out) == []
+
+
+def test_simulate_without_snapshots_stores_none(tmp_path, monkeypatch, peak_bytes):
+    # 32^2, 256 steps: the loop's peak does not grow with the stored steps
+    from maxhom import wave
+
+    integrate, peaks = wave.integrate, []
+
+    def measured(*args, **kwargs):
+        traj, peak = peak_bytes(lambda: integrate(*args, **kwargs))
+        peaks.append(peak)
+        return traj
+
+    monkeypatch.setattr(wave, "integrate", measured)
+    text = FINE_SIM.replace("sim.snapshots = true", "sim.snapshots = false")
+    text = text.replace("sim.n = 16", "sim.n = 32").replace("sim.t_final = 0.1", "sim.t_final = 4.0")
+    text = text.replace("sim.dt = 0.025", "sim.dt = 0.015625")
+    for every in (256, 256, 1):  # the first run also fills the mesh's cached maps
+        cfg = parse_config(text + f"sim.store_every = {every}\n")
+        traj = harness.run(cfg, outdir=str(tmp_path / str(every)))
+        assert traj.U is None and traj.V is None and len(traj.snap_steps) == 1 + 256 // every
+        assert not (tmp_path / str(every) / "snapshots.bin").exists()
+    row = 8 * traj.mesh.n_interior_edges
+    assert peaks[2] - peaks[1] <= 2 * row, (peaks[2] - peaks[1]) / row

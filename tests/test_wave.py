@@ -250,6 +250,12 @@ def test_apriori_bound_uniform_in_eps():
 # ---------------------------------------------------------------------------
 # exports
 
+def stream(prob, path):
+    """integrate(prob) with its snapshots written to path as the loop stores them."""
+    with wave.export_snapshots(prob, path) as sink:
+        return wave.integrate(prob, sink=sink)
+
+
 def test_trajectory_csv_and_snapshot_roundtrip(tmp_path, unit_hom):
     mesh = DomainMesh(2, 6)
     data = wave.WaveData(T=0.2, dt=0.05, g0=cavity11, store_every=2,
@@ -263,7 +269,7 @@ def test_trajectory_csv_and_snapshot_roundtrip(tmp_path, unit_hom):
     assert float(lines[1].split(",")[1]) == traj.energies[0]
 
     bin_path = os.path.join(tmp_path, "snapshots.bin")
-    wave.export_snapshots(traj, bin_path)
+    stream(wave.setup_problem("homogenized", mesh, data, hom=unit_hom), bin_path)
     back = wave.read_snapshots(bin_path)
     assert back["N"] == 6 and back["d"] == 2
     assert np.array_equal(back["U"], traj.U)
@@ -288,14 +294,73 @@ def test_thinned_snapshots_are_rows_of_every_step(unit_hom):
 def test_snapshot_bytes_match_struct_layout(tmp_path, unit_hom):
     mesh = DomainMesh(2, 5, 1.25)
     data = wave.WaveData(T=0.15, dt=0.05, g0=lambda x: cavity11(x / 1.25), store_every=2)
-    traj = wave.integrate(wave.setup_problem("homogenized", mesh, data, hom=unit_hom))
+    prob = wave.setup_problem("homogenized", mesh, data, hom=unit_hom)
+    traj = wave.integrate(prob)
     path = os.path.join(tmp_path, "snapshots.bin")
-    wave.export_snapshots(traj, path)
+    stream(prob, path)
     n_snaps, n = traj.U.shape
     ref = b"MXHMSNP1" + struct.pack("<4q", 2, 5, n, n_snaps) + struct.pack("<2d", 1.25, 0.05)
     for a in (traj.snap_times, traj.U.ravel(), traj.V.ravel()):
         ref += struct.pack(f"<{len(a)}d", *a)
     assert open(path, "rb").read() == ref
+
+
+@pytest.mark.parametrize("store_every", [2, 3], ids=["divides", "extra-last"])
+def test_streamed_snapshots_equal_kept_ones(tmp_path, unit_hom, store_every):
+    # 8 steps: every 2nd gives rows 0..8, every 3rd rows 0, 3, 6 and the final 8
+    mesh = DomainMesh(2, 6)
+    data = wave.WaveData(T=0.4, dt=0.05, g0=cavity11, f=wave.Forcing(cavity11, np.cos),
+                         store_every=store_every, tol=1e-11)
+    prob = wave.setup_problem("homogenized", mesh, data, hom=unit_hom)
+    kept = wave.integrate(prob)
+    path = os.path.join(tmp_path, "snapshots.bin")
+    streamed = stream(prob, path)
+    assert streamed.U is None and streamed.V is None
+    assert np.array_equal(streamed.snap_steps, kept.snap_steps)
+    assert kept.snap_steps[-1] == 8 and (store_every == 2) == (len(kept.snap_steps) == 5)
+    back = wave.read_snapshots(path)
+    assert np.array_equal(back["times"], kept.snap_times)
+    assert np.array_equal(back["U"], kept.U)
+    assert np.array_equal(back["V"], kept.V)
+    assert np.array_equal(streamed.energies, kept.energies)
+    assert os.listdir(tmp_path) == ["snapshots.bin"]
+
+
+def test_snapshot_file_removed_unless_complete(tmp_path, unit_hom):
+    mesh = DomainMesh(2, 4)
+    data = wave.WaveData(T=0.2, dt=0.05, g0=cavity11, store_every=1)
+    prob = wave.setup_problem("homogenized", mesh, data, hom=unit_hom)
+    path = os.path.join(tmp_path, "snapshots.bin")
+    with pytest.raises(RuntimeError, match="stop"):
+        with wave.export_snapshots(prob, path) as sink:
+            sink(0, np.zeros(mesh.n_interior_edges), np.zeros(mesh.n_interior_edges))
+            raise RuntimeError("stop")
+    assert os.listdir(tmp_path) == []
+    with pytest.raises(wave.WaveSetupError, match="1 of 5 snapshots"):
+        with wave.export_snapshots(prob, path) as sink:
+            sink(0, np.zeros(mesh.n_interior_edges), np.zeros(mesh.n_interior_edges))
+    assert os.listdir(tmp_path) == []
+
+
+def test_streamed_integrate_memory_does_not_grow_with_snapshots(tmp_path, unit_hom, peak_bytes):
+    # 32^2, 256 steps: kept in memory, 257 snapshots take 2 * 257 rows
+    mesh = DomainMesh(2, 32)
+    row = 8 * mesh.n_interior_edges
+
+    def peak(store_every, streamed=True):
+        data = wave.WaveData(T=4.0, dt=1 / 64, g0=cavity11, store_every=store_every)
+        prob = wave.setup_problem("homogenized", mesh, data, hom=unit_hom)
+        if streamed:
+            return peak_bytes(lambda: stream(prob, os.path.join(tmp_path, "snapshots.bin")))
+        return peak_bytes(lambda: wave.integrate(prob))
+
+    peak(256)  # fills the mesh's cached maps, which the runs below reuse
+    _, two = peak(256)
+    traj, every = peak(1)
+    assert traj.U is None and len(traj.snap_steps) == 257
+    assert abs(every - two) <= 2 * row, (every - two) / row
+    _, kept = peak(1, streamed=False)
+    assert kept >= every + 2 * 256 * row
 
 
 def test_3d_wave_smoke():
