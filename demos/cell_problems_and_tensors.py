@@ -38,7 +38,7 @@ scal = lambda y: 2.0 + np.sin(2 * np.pi * y[:, 0])
 Nc, abar = solve_curl_cell(scal, mesh)
 a0 = curl_level_tensor(mesh, abar, Nc)
 print(f"a0 = {a0:.12f} (harmonic mean, error {abs(a0-SQRT3):.2e})")
-s = fem.edge_ref(2)["CURLS"]
+s = fem.edge_ref(2)["CVEC"][0]
 flux = abar * (1.0 + (Nc[0][mesh.cell_edges] @ s) / mesh.h ** 2)
 print(f"constant-flux identity: a (1 + curl_y N) has std {flux.std():.2e}")
 

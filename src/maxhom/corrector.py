@@ -5,7 +5,7 @@ The corrector pair compared against a fine-scale run is
     velocity:  du0/dt + grad_y w^r(x, x/eps) (du0_r/dt - g1_r)
     curl:      curl u0 + curl_y N^r(x, x/eps) (curl u0)_r
 
-(in 2D the curl line collapses to (1 + curl_y N(y)) curl u0), valid under the
+(the curl has m = 1 component in 2D and 3 in 3D), valid under the
 g0 = 0 hypothesis; the time-dependent part of the scalar corrector potential
 enters only through the -g1 shift of the velocity.  This pointwise corrector
 and the folded one (the summed corrector averaged with U^n_eps) both read
@@ -42,7 +42,7 @@ def _cell_fields(hom, level, sample, cells, local):
     """grad_y w^r and curl_y N^r of the cached cell solutions at (level, sample).
 
     cells, local: the points located on hom.mesh.  Returns (npts, d, d) and
-    (npts, 1) in 2D / (npts, 3, 3) in 3D, with the field index r last.
+    (npts, m, m), with the field index r last.
     """
     mesh = hom.mesh
     dw = fem.eval_nodal_gradient(mesh, hom.cell_solution("b", level, sample), None,
@@ -54,31 +54,28 @@ def _cell_fields(hom, level, sample, cells, local):
 def cell_factors(hom, y, slow=None):
     """Factors (P, G) of the level-1 cell fields at fast points y (npts, d).
 
-    P[:, j, r] = d w^r / d y_j; G = 1 + curl_y N (npts,) in 2D and I + columns
-    curl_y N^r (npts, 3, 3) in 3D.  The fields may depend on x (x-dependent
-    specs): the <= 2^d x-grid corner solutions are combined multilinearly at
-    the x values `slow`.
+    P[:, j, r] = d w^r / d y_j (npts, d, d) and G = I + columns curl_y N^r
+    (npts, m, m).  The fields may depend on x (x-dependent specs): the <= 2^d
+    x-grid corner solutions are combined multilinearly at the x values `slow`.
     """
     d, res = hom.d, hom.x_res
     y = np.atleast_2d(np.asarray(y, dtype=float))
     slow = None if slow is None else np.asarray(slow, dtype=float)
-    npts = len(y)
+    npts, m = len(y), len(fem.edge_ref(d)["CVEC"])
     P = np.zeros((npts, d, d))
-    C = np.zeros((npts, 1) if d == 2 else (npts, 3, 3))
+    G = np.zeros((npts, m, m))
     for blk in fem.point_blocks(npts):
         cells, local = hom.mesh.locate(y[blk])
         z = np.zeros((len(cells), d)) if slow is None else slow[blk]
-        Pb, Cb = P[blk], C[blk]
+        Pb, Gb = P[blk], G[blk]
         for flat, wgt in multilinear_corners(z * (res - 1), res, periodic=False):
             for si in np.unique(flat):
                 sel = flat == si
                 dw, cn = _cell_fields(hom, 1, int(si), cells[sel], local[sel])
                 Pb[sel] += wgt[sel, None, None] * dw
-                Cb[sel] += wgt[sel].reshape((-1,) + (1,) * (cn.ndim - 1)) * cn
-    if d == 2:
-        return P, 1.0 + C[:, 0]
-    C += np.eye(3)
-    return P, C
+                Gb[sel] += wgt[sel, None, None] * cn
+    G += np.eye(m)
+    return P, G
 
 
 # ---------------------------------------------------------------------------
@@ -99,14 +96,10 @@ def _gauss_cells(mesh, rule):
 
 
 def _l2(wq, diff):
-    """sqrt(sum_p wq |diff_p|^2); squares a vector-valued diff in place."""
-    if diff.ndim == 1:
-        sq = wq * diff
-        sq *= diff
-    else:
-        diff *= diff
-        sq = np.sum(diff, axis=1)
-        sq *= wq
+    """sqrt(sum_p wq |diff_p|^2) of diff (npts, m); squares diff in place."""
+    diff *= diff
+    sq = np.sum(diff, axis=1)
+    sq *= wq
     return float(np.sqrt(np.sum(sq)))
 
 
@@ -123,11 +116,11 @@ class CorrectorField:
     xq: np.ndarray
     wq: np.ndarray
     P: np.ndarray          # (npts, d, d) grad_y w matrix at x/eps
-    G: np.ndarray          # (npts,) in 2D / (npts, 3, 3) in 3D
+    G: np.ndarray          # (npts, m, m) I + curl_y N matrix at x/eps
     g1_vals: np.ndarray    # (npts, d)
     # macro-cell averaging A of the folded corrector: (bin of each point,
     # quadrature weight of each bin); None for the pointwise corrector
-    _macro: tuple = field(default=None, init=False, repr=False)
+    macro: tuple = field(default=None, repr=False)
     rule = _QUAD_RULE
 
     def __post_init__(self):
@@ -139,14 +132,14 @@ class CorrectorField:
 
     def _bin_average(self, values):
         """Weighted macro-cell average of per-point values: (bins, ...) per bin."""
-        bins, wsum = self._macro
+        bins, wsum = self.macro
         cols = values.reshape(len(values), -1).T
         avg = np.stack([np.bincount(bins, weights=self.wq * c, minlength=len(wsum))
                         for c in cols], axis=1) / wsum[:, None]
         return avg.reshape((len(wsum),) + values.shape[1:])
 
     def eval_stamp(self, i):
-        """Corrector fields at stored stamp i: (v_c (npts,d), q_c).
+        """Corrector fields at stored stamp i: (v_c (npts, d), q_c (npts, m)).
 
         Every per-point stage runs in blocks of points; only the folded
         corrector's macro-cell averages read all points at once.
@@ -158,7 +151,7 @@ class CorrectorField:
         npts, d = self.xq.shape
         blocks = fem.point_blocks(npts)
         v_c = np.empty((npts, d))
-        q_c = np.empty(npts if d == 2 else (npts, 3))
+        q_c = np.empty((npts, self.G.shape[-1]))
 
         def at_points(blk):
             """du0, du0 - g1 and curl u0 at the points of a block."""
@@ -166,7 +159,7 @@ class CorrectorField:
             cu0 = fem.eval_edge_curl(mesh0, u0, None, cells0[blk], local0[blk])
             return du0, du0 - self.g1_vals[blk], cu0
 
-        if self._macro is None:
+        if self.macro is None:
             fields = at_points
         else:
             # the macro-cell average needs every point: the blocks fill whole
@@ -176,7 +169,7 @@ class CorrectorField:
                 v_c[blk], diff[blk], q_c[blk] = at_points(blk)
             avgs = [self._bin_average(a) for a in (v_c, diff, q_c)]
             del diff
-            bins = self._macro[0]
+            bins = self.macro[0]
 
             def fields(blk):
                 """The macro-cell averages at the points of a block."""
@@ -185,10 +178,7 @@ class CorrectorField:
         for blk in blocks:
             du0, diff, cu0 = fields(blk)
             v_c[blk] = du0 + np.einsum("pjr,pr->pj", self.P[blk], diff)
-            if d == 2:
-                q_c[blk] = self.G[blk] * cu0
-            else:
-                q_c[blk] = np.einsum("pjr,pr->pj", self.G[blk], cu0)
+            q_c[blk] = np.einsum("pjr,pr->pj", self.G[blk], cu0)
         return v_c, q_c
 
 
@@ -246,8 +236,8 @@ def reconstruct_corrector(u0_traj, hom, schedule, g1=None, g0=None, *, fine_mesh
         tau = fem.eval_nodal_field(fine_mesh, cutoff_field(fine_mesh, cutoff_eps), None,
                                    *_gauss_cells(fine_mesh, _QUAD_RULE))
         P = tau[:, None, None] * P
-        eye = 1.0 if G.ndim == 1 else np.eye(3)
-        G = eye + tau.reshape((-1,) + (1,) * (G.ndim - 1)) * (G - eye)
+        eye = np.eye(G.shape[-1])
+        G = eye + tau[:, None, None] * (G - eye)
     return CorrectorField(times=u0_traj.snap_times, fine_mesh=fine_mesh,
                           u0_traj=u0_traj, xq=xq, wq=wq, P=P, G=G, g1_vals=g1_vals)
 
@@ -314,7 +304,7 @@ def _fold_factors(hom, schedule, xq):
     n = 1: P1, G1 at y1.  n = 2, with T, S the subcell tables of the y1-subcell
     k2 of each point and P2_nu, N2_nu the level-2 cell fields of sample nu:
     P = sum_nu T[k2, nu] - I + sum_nu P2_nu(y2) T[k2, nu] and
-    G = sum_nu (1 + curl_y N2_nu(y2)) S[k2, nu], summed over S[k2, nu] != 0.
+    G = sum_nu (I + curl_y N2_nu(y2)) S[k2, nu], summed over S[k2, nu] != 0.
     """
     d = hom.d
     y1, *y2 = schedule.fast_variables(xq)
@@ -326,12 +316,13 @@ def _fold_factors(hom, schedule, xq):
     k2 = np.ravel_multi_index(sub.T, (r2,) * d)
     cells2, local2 = hom.mesh.locate(y2[0])
     P = (T.sum(axis=1) - np.eye(d))[k2]   # subcell average of P1
-    G = np.zeros(len(xq))
-    support = np.abs(S) > 1e-14
+    m = S.shape[-1]
+    G = np.zeros((len(xq), m, m))
+    support = (np.abs(S) > 1e-14).any(axis=(2, 3))
     for nu in np.flatnonzero(support.any(axis=0)):
         sel = support[k2, nu]
         P2, C2 = _cell_fields(hom, 2, int(nu), cells2[sel], local2[sel])
-        G[sel] += (1.0 + C2[:, 0]) * S[k2[sel], nu]
+        G[sel] += np.matmul(np.eye(m) + C2, S[k2[sel], nu])
         P[sel] += np.matmul(P2, T[k2[sel], nu])
     return P, G
 
@@ -390,8 +381,8 @@ def multiscale_corrector_error(fine_traj, u0_traj, hom, schedule, g1=None):
         P, G = _period_fold_factors(hom, schedule, mesh)
     g1_vals = g1(xq) if g1 is not None else np.zeros_like(xq)
     corr = CorrectorField(times=u0_traj.snap_times, fine_mesh=mesh, u0_traj=u0_traj,
-                          xq=xq, wq=wq, P=P, G=G, g1_vals=g1_vals)
-    corr._macro = (bins, np.bincount(bins, weights=wq, minlength=nbins))
+                          xq=xq, wq=wq, P=P, G=G, g1_vals=g1_vals,
+                          macro=(bins, np.bincount(bins, weights=wq, minlength=nbins)))
     e_vel, e_curl = _stamp_errors(fine_traj, corr)
     return ErrorSeries(fine_traj.snap_times.copy(), np.zeros_like(e_vel),
                        np.zeros_like(e_vel), e_vel + e_curl)
@@ -401,7 +392,7 @@ def _subcell_tables(hom, r2, m1):
     """Subcell-averaged slow-factor tables for the n=2 folded corrector.
 
     T[k, nu] = avg over y1-subcell k of lambda_nu(y1) (I + P1(y1))  (d x d)
-    S[k, nu] = avg over y1-subcell k of lambda_nu(y1) G1(y1)        (scalar)
+    S[k, nu] = avg over y1-subcell k of lambda_nu(y1) G1(y1)        (m x m)
 
     where lambda_nu are the multilinear hat weights of the level-2 slow
     sample grid (resolution m1 per axis).
@@ -417,12 +408,12 @@ def _subcell_tables(hom, r2, m1):
     nsub = r2 ** d
     count = np.bincount(k_flat, minlength=nsub).astype(float)
     T = np.zeros((nsub, m1 ** d, d, d))
-    S = np.zeros((nsub, m1 ** d))
+    S = np.zeros((nsub, m1 ** d) + G1.shape[1:])
     eye = np.eye(d)
     for nu, lam in multilinear_corners(pts * m1, m1, periodic=True):
         contrib = lam[:, None, None] * (eye + P1)
         np.add.at(T, (k_flat, nu), contrib / count[k_flat, None, None])
-        np.add.at(S, (k_flat, nu), lam * G1 / count[k_flat])
+        np.add.at(S, (k_flat, nu), lam[:, None, None] * G1 / count[k_flat, None, None])
     return T, S
 
 

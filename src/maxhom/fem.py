@@ -101,19 +101,19 @@ def edge_basis(d, xi):
 
 
 def edge_curl_basis(d, xi):
-    """Reference curls; physical = / h^2.
+    """Reference curls (n_edges_per_cell, m, npts): m = 1 in 2D, 3 in 3D; physical = / h^2.
 
-    2D: (n_edges_per_cell,) constants (scalar curl).
-    3D: (n_edges_per_cell, 3, npts).
+    The 2D curl is constant on a cell, and its table is a broadcast view of
+    the four constants (stride 0 along the points).  With that view einsum
+    gives the bits of contracting the constants once per cell; a contiguous
+    copy makes it sum in another order and moves curl values by an ulp.
     """
+    xi = np.atleast_2d(xi)
     layout = edge_local_layout(d)
     if d == 2:
         # curl (g(x2), 0) = -dg/dx2 ; curl (0, g(x1)) = dg/dx1
-        out = np.empty(len(layout))
-        for i, (f, off) in enumerate(layout):
-            out[i] = _dlin(off[1 - f]) * (-1.0 if f == 0 else 1.0)
-        return out
-    xi = np.atleast_2d(xi)
+        s = np.array([_dlin(off[1 - f]) * (-1.0 if f == 0 else 1.0) for f, off in layout])
+        return np.broadcast_to(s[:, None, None], (len(layout), 1, xi.shape[0]))
     out = np.zeros((len(layout), 3, xi.shape[0]))
     ef = np.eye(3)
     for i, (f, off) in enumerate(layout):
@@ -147,21 +147,14 @@ def edge_ref(d):
     """Exact reference tensors for the edge element.
 
     MASS[a, b, i, j] = int E_i,a E_j,b ; CURL[a, b, i, j] = int curl_a E_i curl_b E_j ;
-    CVEC[a, i] = int curl_a E_i.  2D has one curl component (a = b = 0), and
-    CURLS[i] holds its constant values.
+    CVEC[a, i] = int curl_a E_i, with a, b < m (one curl component in 2D).
     """
     pts, wts = gauss_rule(d, 3)
     e = edge_basis(d, pts)
-    mass = np.einsum("iaq,jbq,q->abij", e, e, wts)
-    out = {"MASS": mass}
-    if d == 2:
-        s = edge_curl_basis(2, pts)
-        out.update(CURLS=s, CURL=np.outer(s, s)[None, None], CVEC=s[None])
-    else:
-        c = edge_curl_basis(3, pts)
-        out["CURL"] = np.einsum("iaq,jbq,q->abij", c, c, wts)
-        out["CVEC"] = np.einsum("iaq,q->ai", c, wts)
-    return out
+    c = edge_curl_basis(d, pts)
+    return {"MASS": np.einsum("iaq,jbq,q->abij", e, e, wts),
+            "CURL": np.einsum("iaq,jbq,q->abij", c, c, wts),
+            "CVEC": np.einsum("iaq,q->ai", c, wts)}
 
 
 # ---------------------------------------------------------------------------
@@ -400,53 +393,45 @@ def edge_interpolate(mesh, vec_fn):
 # the nodal basis of a lone point in another order than that of two or more,
 # so the nodal evaluations repeat a lone point and return one row.
 
-def eval_edge_field(mesh, values, points, cells=None, local=None):
-    """Evaluate an edge field (full DOF vector) at points: (npts, d)."""
+def _eval_edge(mesh, basis, order, values, points, cells, local):
+    """Contract the local DOFs with a reference basis (nloc, m, npts) scaling as h^-order."""
     if cells is None:
         cells, local = mesh.locate(points)
     dofs = np.take(values, mesh.cell_edges[cells], axis=-1)  # (npts, nloc) per field
-    eb = edge_basis(mesh.d, local)  # (nloc, d, npts)
-    return np.einsum("...pi,iap->pa...", dofs, eb) / mesh.h
+    return np.einsum("...pi,iap->pa...", dofs, basis(mesh.d, local)) / mesh.h ** order
+
+
+def eval_edge_field(mesh, values, points, cells=None, local=None):
+    """Evaluate an edge field (full DOF vector) at points: (npts, d)."""
+    return _eval_edge(mesh, edge_basis, 1, values, points, cells, local)
 
 
 def eval_edge_curl(mesh, values, points, cells=None, local=None):
-    """Evaluate the curl of an edge field: (npts,) in 2D, (npts, 3) in 3D."""
-    if cells is None:
-        cells, local = mesh.locate(points)
-    dofs = np.take(values, mesh.cell_edges[cells], axis=-1)
-    if mesh.d == 2:
-        s = edge_ref(2)["CURLS"]
-        return np.einsum("...pi,i->p...", dofs, s) / mesh.h ** 2
-    cb = edge_curl_basis(3, local)
-    return np.einsum("...pi,iap->pa...", dofs, cb) / mesh.h ** 2
+    """Evaluate the curl of an edge field: (npts, m), m = 1 in 2D and 3 in 3D."""
+    return _eval_edge(mesh, edge_curl_basis, 2, values, points, cells, local)
 
 
 def eval_edge_gauss(mesh, rule, values, curl_values):
     """An edge field and the curl of another at every cell's Gauss points of a rule.
 
-    values, curl_values: full DOF vectors.  Returns (ncells * nq, d) field
-    values of `values` and the curl of `curl_values`, (ncells * nq,) in 2D or
-    (ncells * nq, 3) in 3D, with the points in quad_points order.  The basis
-    is tabulated once at the nq reference points, and every point equals
-    eval_edge_field / eval_edge_curl at its cell and reference point bitwise.
+    values, curl_values: full DOF vectors.  Returns the (ncells * nq, d) field
+    values of `values` and the (ncells * nq, m) curl of `curl_values`, with
+    the points in quad_points order.  The bases are tabulated once at the nq
+    reference points, and every point equals eval_edge_field /
+    eval_edge_curl at its cell and reference point bitwise.
     """
     d, h = mesh.d, mesh.h
     pts, _ = gauss_rule(d, rule)
     nq = len(pts)
-    eb = edge_basis(d, pts)
-    cb = edge_ref(2)["CURLS"] if d == 2 else edge_curl_basis(3, pts)
+    eb, cb = edge_basis(d, pts), edge_curl_basis(d, pts)
     field = np.empty((mesh.n_cells, nq, d))
-    curl = np.empty((mesh.n_cells, nq) if d == 2 else (mesh.n_cells, nq, 3))
+    curl = np.empty((mesh.n_cells, nq, cb.shape[1]))
     for blk in point_blocks(mesh.n_cells, nq):
         dofs = np.take(values, mesh.cell_edges[blk], axis=-1)
         field[blk] = np.einsum("ci,iaq->cqa", dofs, eb) / h
         dofs = np.take(curl_values, mesh.cell_edges[blk], axis=-1)
-        if d == 2:
-            # the 2D curl is constant on a cell
-            curl[blk] = (np.einsum("ci,i->c", dofs, cb) / h ** 2)[:, None]
-        else:
-            curl[blk] = np.einsum("ci,iaq->cqa", dofs, cb) / h ** 2
-    return field.reshape(-1, d), curl.reshape((-1,) + curl.shape[2:])
+        curl[blk] = np.einsum("ci,iaq->cqa", dofs, cb) / h ** 2
+    return field.reshape(-1, d), curl.reshape(-1, cb.shape[1])
 
 
 def eval_nodal_field(mesh, values, points, cells=None, local=None):

@@ -289,9 +289,16 @@ def _field(cfg, key, registry):
     return registry[name]
 
 
-def _default_quad(spec):
-    fams = (spec.a.family, spec.b.family)
-    return 3 if any(f in ("layered", "trigonometric", "separable-product") for f in fams) else 2
+def _quad_rule(cfg, spec):
+    """sim.quad, checked, or by default 3 for oscillatory coefficient families, else 2."""
+    quad = cfg["sim.quad"]
+    if quad is None:
+        fams = (spec.a.family, spec.b.family)
+        return 3 if any(f in ("layered", "trigonometric", "separable-product")
+                        for f in fams) else 2
+    if quad not in (1, 2, 3):
+        raise ConfigError(f"sim.quad must be 1, 2 or 3, got {quad}")
+    return quad
 
 
 def build_wave_data(cfg, dt, t_final, store_every, probes=()):
@@ -349,22 +356,29 @@ def _drop_snapshots(k, u, v):
 
 def run_simulate(cfg, outdir):
     spec = build_spec(cfg)
+    # every sim.* and data.* key is checked before the cell solves
+    if cfg["sim.kind"] not in ("fine", "homogenized"):
+        raise ConfigError(f"sim.kind must be fine or homogenized, got {cfg['sim.kind']!r}")
+    if cfg["sim.n"] is None:
+        raise ConfigError("sim.n is required in simulate mode")
+    if cfg["sim.store_every"] < 1:
+        raise ConfigError(f"sim.store_every must be at least 1, got {cfg['sim.store_every']}")
+    mesh = DomainMesh(cfg["coeff.d"], cfg["sim.n"], cfg["sim.extent"])
+    dt = cfg["sim.dt"] if cfg["sim.dt"] is not None else mesh.h / 2.0
+    probes, n_int = cfg["sim.probes"], mesh.n_interior_edges
+    if probes is None:
+        probes = tuple(sorted({n_int // 7, n_int // 3, (5 * n_int) // 7})) if n_int else ()
+    elif any(not 0 <= p < n_int for p in probes):
+        raise ConfigError(f"sim.probes must lie in [0, {n_int}) (interior edges), "
+                          f"got {','.join(map(str, probes))}")
+    data = build_wave_data(cfg, dt, cfg["sim.t_final"], cfg["sim.store_every"], probes)
+    quad = _quad_rule(cfg, spec)
     schedule = hom = None
     if cfg["sim.kind"] == "fine":
         schedule = build_schedule(cfg)
     else:
         hom = _homogenize(cfg, spec)
         hom.export_text(os.path.join(outdir, "tensors.txt"))
-    if cfg["sim.n"] is None:
-        raise ConfigError("sim.n is required in simulate mode")
-    mesh = DomainMesh(cfg["coeff.d"], cfg["sim.n"], cfg["sim.extent"])
-    dt = cfg["sim.dt"] if cfg["sim.dt"] is not None else mesh.h / 2.0
-    probes = cfg["sim.probes"]
-    if probes is None:
-        n_int = mesh.n_interior_edges
-        probes = tuple(sorted({n_int // 7, n_int // 3, (5 * n_int) // 7})) if n_int else ()
-    data = build_wave_data(cfg, dt, cfg["sim.t_final"], cfg["sim.store_every"], probes)
-    quad = cfg["sim.quad"] or _default_quad(spec)
     prob = wave.setup_problem(cfg["sim.kind"], mesh, data, spec=spec,
                               schedule=schedule, hom=hom, quad_rule=quad)
     # snapshots stream to their file as the loop stores them; none are kept
@@ -441,17 +455,25 @@ class ConvergenceReport:
             fh.write("\n")
 
 
-def _sweep_one(cfg, spec, hom, eps):
-    t0 = time.perf_counter()
+def _sweep_leg(cfg, spec, eps):
+    """(eps, schedule, fine mesh, wave data, quadrature rule) of the leg at eps, keys checked."""
     schedule = build_schedule(cfg, epsilon=eps)
     eps_n = schedule.epsilons[-1]
     Nf = int(round(cfg["sweep.fine_ratio"] / eps_n))
     mesh = DomainMesh(cfg["coeff.d"], Nf, cfg["sim.extent"])
     dt = eps_n / cfg["sweep.dt_ratio"]
+    if cfg["sweep.t_final"] < dt:
+        raise ConfigError(f"sweep.t_final {cfg['sweep.t_final']:g} is shorter than one step "
+                          f"dt = {dt:g} at eps {eps:g}")
     steps = int(round(cfg["sweep.t_final"] / dt))
     store_every = max(1, steps // cfg["sweep.snapshots_per_run"])
     data = build_wave_data(cfg, dt, cfg["sweep.t_final"], store_every)
-    quad = cfg["sim.quad"] or _default_quad(spec)
+    return eps, schedule, mesh, data, _quad_rule(cfg, spec)
+
+
+def _sweep_one(cfg, spec, hom, leg):
+    t0 = time.perf_counter()
+    eps, schedule, mesh, data, quad = leg
 
     # no WaveProblem is kept: its matrices would stay alive through the corrector
     traj_f = wave.integrate(wave.setup_problem("fine", mesh, data, spec=spec,
@@ -460,15 +482,13 @@ def _sweep_one(cfg, spec, hom, eps):
     traj_h = wave.integrate(wave.setup_problem("homogenized", hom_mesh, data, hom=hom,
                                                quad_rule=quad))
 
-    g1 = _field(cfg, "data.g1", FIELD_REGISTRY)
     if cfg["sweep.multiscale"]:
-        errs = corrector.multiscale_corrector_error(traj_f, traj_h, hom, schedule, g1=g1)
+        errs = corrector.multiscale_corrector_error(traj_f, traj_h, hom, schedule, g1=data.g1)
         e_vel = e_curl = 0.0
         e_ms = errs.max_ms
     else:
-        field = corrector.reconstruct_corrector(
-            traj_h, hom, schedule, g1=g1, g0=_field(cfg, "data.g0", FIELD_REGISTRY),
-            fine_mesh=mesh)
+        field = corrector.reconstruct_corrector(traj_h, hom, schedule, g1=data.g1, g0=data.g0,
+                                                fine_mesh=mesh)
         errs = corrector.corrector_error(traj_f, field)
         e_vel, e_curl, e_ms = errs.max_vel, errs.max_curl, 0.0
     return eps, e_vel, e_curl, e_ms, errs, time.perf_counter() - t0
@@ -495,15 +515,18 @@ def run_sweep(cfg, outdir):
                                   f"sim.extent {cfg['sim.extent']:g} is not a multiple of "
                                   f"eps {e:g}")
     spec = build_spec(cfg)
+    # every leg's keys are checked before the cell solves
+    legs = [_sweep_leg(cfg, spec, e) for e in eps_list]
     hom = _homogenize(cfg, spec)
     hom.export_text(os.path.join(outdir, "tensors.txt"))
     report = ConvergenceReport(cfg)
     series = []
-    for e in eps_list:
+    while legs:
+        leg = legs.pop(0)   # a finished leg's mesh is not kept
         try:
-            eps, e_vel, e_curl, e_ms, errs, rt = _sweep_one(cfg, spec, hom, e)
+            eps, e_vel, e_curl, e_ms, errs, rt = _sweep_one(cfg, spec, hom, leg)
         except NUMERICAL_FAILURES as exc:
-            report.failures.append((e, exc))
+            report.failures.append((leg[0], exc))
             continue
         report.eps.append(eps)
         report.e_vel.append(e_vel)

@@ -124,7 +124,7 @@ def test_criterion_03_trivial_collapse():
     res = homogenize(spec, cell_N=16)
     w_max = max(np.abs(W).max() for k, W in res.cells.items() if k[0] == "b")
     mesh = res.mesh
-    s = fem.edge_ref(2)["CURLS"]
+    s = fem.edge_ref(2)["CVEC"][0]
     q_max = max(np.abs((Nc[0][mesh.cell_edges] @ s) / mesh.h ** 2).max()
                 for k, Nc in res.cells.items() if k[0] == "a")
     ea = abs(float(res.a0[0]) - a_val)

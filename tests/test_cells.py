@@ -54,7 +54,7 @@ def curl_level_tensor_flux(mesh, abar, Nc):
     """Flux-form curl tensor; scalar in 2D, 3x3 in 3D."""
     d, h = mesh.d, mesh.h
     if d == 2:
-        s = fem.edge_ref(2)["CURLS"]
+        s = fem.edge_ref(2)["CVEC"][0]
         q = (Nc[0][mesh.cell_edges] @ s) / h ** 2
         return float(np.sum(h ** d * abar * (1.0 + q)) / (h ** d * mesh.n_cells))
     ref = fem.edge_ref(3)
@@ -92,7 +92,7 @@ def energy_tensor_oracle(mesh, coef, local, ref_vec, ref_mat, order):
 
 def curl_level_tensor_2d_oracle(mesh, abar, Nc):
     """Closed form of the 2D scalar curl tensor: mean of abar (1 + curl_y N)^2."""
-    s = fem.edge_ref(2)["CURLS"]
+    s = fem.edge_ref(2)["CVEC"][0]
     q = (Nc[0][mesh.cell_edges] @ s) / mesh.h ** 2
     w = mesh.h ** mesh.d
     return float(np.sum(w * abar * (1.0 + q) ** 2) / (w * mesh.n_cells))
@@ -278,7 +278,7 @@ def test_smooth_coefficient_self_convergence():
 def test_constant_curl_cell_collapses():
     mesh = CellMesh(2, 8)
     Nc, abar = solve_curl_cell(lambda x: 1.5 * np.ones(len(x)), mesh)
-    s = fem.edge_ref(2)["CURLS"]
+    s = fem.edge_ref(2)["CVEC"][0]
     q = (Nc[0][mesh.cell_edges] @ s) / mesh.h ** 2
     assert np.abs(q).max() < 1e-12
     assert abs(curl_level_tensor(mesh, abar, Nc) - 1.5) < 1e-14
@@ -288,7 +288,7 @@ def test_2d_constant_flux_identity():
     # a (1 + curl_y N) must be a single constant = the harmonic mean
     mesh = CellMesh(2, 64)
     Nc, abar = solve_curl_cell(layered_scalar, mesh)
-    s = fem.edge_ref(2)["CURLS"]
+    s = fem.edge_ref(2)["CVEC"][0]
     q = (Nc[0][mesh.cell_edges] @ s) / mesh.h ** 2
     flux = abar * (1.0 + q)
     assert flux.std() < 1e-10

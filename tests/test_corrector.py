@@ -65,7 +65,7 @@ def test_constant_coefficients_collapse_bitwise():
     th = wave.integrate(wave.setup_problem("homogenized", mesh, data, hom=hom))
     field = corr.reconstruct_corrector(th, hom, sched, g1=cavity11, fine_mesh=mesh)
     assert np.abs(field.P).max() == 0.0
-    assert np.array_equal(field.G, np.ones(len(field.G)))
+    assert np.array_equal(field.G, np.ones((len(field.G), 1, 1)))
     v_c, q_c = field.eval_stamp(1)
     cells0, local0 = mesh.locate(field.xq)
     du0 = fem.eval_edge_field(mesh, fem.expand_interior(mesh, th.V[1]), None, cells0, local0)
@@ -99,13 +99,15 @@ def test_layered_curl_corrector_closed_form(layered_setup):
     cells, _ = hom.mesh.locate(y)
     ymid = hom.mesh.cell_centers[cells, 0]
     a_mid = 2.0 + np.sin(2 * np.pi * ymid)
-    assert np.abs(field.G - SQRT3 / a_mid).max() < 1e-9
+    assert np.abs(field.G[:, 0, 0] - SQRT3 / a_mid).max() < 1e-9
     i = 2
     _, q_c = field.eval_stamp(i)
     cells0, local0 = th.mesh.locate(field.xq)
     cu0 = fem.eval_edge_curl(th.mesh, fem.expand_interior(th.mesh, th.U[i]),
                              None, cells0, local0)
-    assert np.allclose(q_c, (SQRT3 / a_mid) * cu0, atol=1e-8 * max(1, np.abs(cu0).max()))
+    assert q_c.shape == cu0.shape == (len(a_mid), 1)
+    assert np.allclose(q_c, (SQRT3 / a_mid)[:, None] * cu0,
+                       atol=1e-8 * max(1, np.abs(cu0).max()))
 
 
 def test_identical_trajectories_zero_error(layered_setup):
@@ -364,8 +366,6 @@ def folded_error_oracle(fine_traj, u0_traj, hom, schedule, g1):
 
     def bin_average(values):
         wsum = np.bincount(mc, weights=wq, minlength=nmc)
-        if values.ndim == 1:
-            return (np.bincount(mc, weights=wq * values, minlength=nmc) / wsum)[mc]
         out = np.empty((nmc, values.shape[1]))
         for k in range(values.shape[1]):
             out[:, k] = np.bincount(mc, weights=wq * values[:, k], minlength=nmc) / wsum
@@ -397,21 +397,21 @@ def folded_error_oracle(fine_traj, u0_traj, hom, schedule, g1):
         cu0_avg = bin_average(cu0)
         if n == 1:
             v_fold = du0_avg + np.einsum("pjr,pr->pj", P1, diff_avg)
-            c_fold = G1 * cu0_avg
+            c_fold = G1[:, 0] * cu0_avg
         else:
             v_fold = du0_avg.copy()
             avgP = T.sum(axis=1) - np.eye(d)   # subcell average of P1
             v_fold += np.einsum("pjr,pr->pj", avgP[k2], diff_avg)
-            factor = np.zeros(len(xq))
+            factor = np.zeros((len(xq), 1))
             for k in range(r2 ** d):
                 sel = k2 == k
                 if not np.any(sel):
                     continue
-                for nu in np.flatnonzero(np.abs(S[k]) > 1e-14):
+                for nu in np.flatnonzero(np.abs(S[k, :, 0, 0]) > 1e-14):
                     sol_a = hom.cell_solution("a", 2, int(nu))
                     q2 = fem.eval_edge_curl(hom.mesh, sol_a[0], None,
                                             cells2[sel], local2[sel])
-                    factor[sel] += (1.0 + q2) * S[k, nu]
+                    factor[sel] += (1.0 + q2) * S[k, nu, 0, 0]
                     sol_b = hom.cell_solution("b", 2, int(nu))
                     P2 = np.zeros((int(sel.sum()), d, d))
                     for r in range(d):
@@ -586,7 +586,8 @@ def test_x_dependent_cell_field_sampler():
         P_ref[:, :, r] = fem.eval_nodal_gradient(hom.mesh, sol0[r], y)
     assert np.abs(P - P_ref).max() < 1e-9
     ymid = hom.mesh.cell_centers[hom.mesh.locate(y)[0], 0]
-    assert np.abs(G - SQRT3 / (2.0 + np.sin(2 * np.pi * ymid))).max() < 1e-9
+    assert G.shape == (50, 1, 1)
+    assert np.abs(G[:, 0, 0] - SQRT3 / (2.0 + np.sin(2 * np.pi * ymid))).max() < 1e-9
 
 
 # ---------------------------------------------------------------------------

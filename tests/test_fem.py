@@ -24,7 +24,7 @@ def test_edge_reference_closed_forms_2d():
     assert np.allclose(M[1, 1][2:, 2:], [[1 / 3, 1 / 6], [1 / 6, 1 / 3]], atol=1e-13)
     assert np.abs(M[0, 0][2:, 2:]).max() == 0.0
     assert np.allclose(M[0, 1][:2, 2:], 0.25, atol=1e-13)
-    assert np.allclose(ref["CURLS"], [1, -1, -1, 1])
+    assert np.array_equal(ref["CVEC"][0], [1, -1, -1, 1])
 
 
 def test_nodal_reference_closed_forms_2d():
@@ -181,7 +181,7 @@ def test_curl_stiffness_single_cell_hand_computation():
     mesh = CellMesh(2, 1)
     system, _ = fem.assemble_curl_stiffness(mesh, ones)
     K = np.zeros((2, 2))
-    s = fem.edge_ref(2)["CURLS"]
+    s = fem.edge_ref(2)["CVEC"][0]
     dofs = mesh.cell_edges[0]
     for i in range(4):
         for j in range(4):
@@ -385,6 +385,50 @@ def test_gauss_table_eval_equals_located_eval_bitwise(monkeypatch, mesh, rule):
     # the same points located from their coordinates agree to rounding
     assert np.allclose(field, fem.eval_edge_field(mesh, values, xq.reshape(-1, mesh.d)),
                        rtol=1e-12, atol=1e-12 * np.abs(field).max())
+
+
+@pytest.mark.parametrize("d,m", [(2, 1), (3, 3)])
+def test_edge_curl_has_m_components(d, m):
+    # the curl of an edge field has m components in 2D and 3D alike
+    mesh = DomainMesh(d, 3, 1.25)
+    rng = np.random.default_rng(33)
+    pts = 1.25 * rng.random((5, d))
+    nloc = mesh.cell_edges.shape[1]
+    assert fem.edge_curl_basis(d, pts).shape == (nloc, m, 5)
+    ref = fem.edge_ref(d)
+    assert ref["CURL"].shape == (m, m, nloc, nloc) and ref["CVEC"].shape == (m, nloc)
+    values = rng.standard_normal(mesh.n_edges)
+    assert fem.eval_edge_curl(mesh, values, pts).shape == (5, m)
+    stack = rng.standard_normal((4, mesh.n_edges))
+    assert fem.eval_edge_curl(mesh, stack, pts).shape == (5, m, 4)
+    assert fem.eval_edge_gauss(mesh, 2, values, values)[1].shape == (mesh.n_cells * 2 ** d, m)
+
+
+def constant_curl_2d(mesh, values, cells):
+    """The 2D curl as each cell's circulation / h^2: (npts,) per field."""
+    dofs = np.take(values, mesh.cell_edges[cells], -1)
+    return np.einsum("...pi,i->p...", dofs, np.array([1.0, -1.0, -1.0, 1.0])) / mesh.h ** 2
+
+
+@pytest.mark.parametrize("mesh", [CellMesh(2, 6), DomainMesh(2, 5, 1.5)],
+                         ids=["cell", "domain-extent"])
+def test_2d_curl_equals_cell_circulation_bitwise(monkeypatch, mesh):
+    # the one-component curl keeps the bits of the constant per-cell circulation
+    rng = np.random.default_rng(34)
+    pts = getattr(mesh, "extent", 1.0) * rng.random((23, 2))
+    cells, _ = mesh.locate(pts)
+    for values in (rng.standard_normal(mesh.n_edges), rng.standard_normal((3, mesh.n_edges))):
+        expect = constant_curl_2d(mesh, values, cells)
+        assert np.array_equal(fem.eval_edge_curl(mesh, values, pts)[:, 0], expect)
+        assert np.array_equal(fem.eval_edge_curl(mesh, values, pts[:1])[:, 0], expect[:1])
+    values, curl_values = rng.standard_normal((2, mesh.n_edges))
+    per_cell = constant_curl_2d(mesh, curl_values, np.arange(mesh.n_cells))
+    for rule in (1, 2, 3):
+        nq = rule ** 2
+        monkeypatch.setattr(fem, "POINT_BLOCK", 7 * nq)
+        _, curl = fem.eval_edge_gauss(mesh, rule, values, curl_values)
+        assert curl.shape == (mesh.n_cells * nq, 1)
+        assert np.array_equal(curl[:, 0], np.repeat(per_cell, nq))
 
 
 @pytest.mark.parametrize("mesh", [CellMesh(2, 5), DomainMesh(2, 4, 1.5), DomainMesh(3, 3)],

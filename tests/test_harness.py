@@ -348,6 +348,43 @@ def test_multiscale_lattice_that_does_not_tile_exits_2_before_cell_solves(tmp_pa
     assert not (out / "tensors.txt").exists()
 
 
+@pytest.mark.parametrize("mode,key,value", [
+    ("simulate", "sim.n", None),
+    ("simulate", "sim.kind", "bogus"),
+    ("simulate", "sim.store_every", "0"),
+    ("simulate", "sim.quad", "5"),
+    ("simulate", "sim.quad", "0"),          # once a silent fallback to the default rule
+    ("simulate", "sim.probes", "100000"),   # once an IndexError after the time loop began
+    ("simulate", "sim.probes", "-1"),       # once a silent probe of the last DOF
+    ("simulate", "data.g0", "bogus"),
+    ("sweep", "data.f", "bogus"),
+    ("sweep", "data.g0", "bogus"),
+    ("sweep", "sweep.t_final", "0.03"),     # one step is 0.0625 at eps 0.25
+    ("sweep", "sim.quad", "5"),
+])
+def test_cli_run_key_checked_before_cell_solves(tmp_path, capsys, monkeypatch, mode, key,
+                                                value):
+    solves = []
+    monkeypatch.setattr(harness, "homogenize", lambda *a, **k: solves.append(a))
+    text = CONST_SIM if mode == "simulate" else LAYERED_SWEEP
+    lines = [l for l in text.splitlines() if not l.startswith(key + " ")]
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text("\n".join(lines + ([f"{key} = {value}"] if value else [])) + "\n")
+    out = tmp_path / "o"
+    assert harness.main([mode, "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not (out / "tensors.txt").exists()
+    assert solves == []
+
+
+def test_simulate_probes_at_the_ends_of_the_interior_edges(tmp_path):
+    # CONST_SIM has 2 * 8 * 7 = 112 interior edges
+    cfg = parse_config(CONST_SIM + "sim.probes = 0,111\nsim.quad = 1\n")
+    traj = harness.run(cfg, outdir=str(tmp_path))
+    assert traj.probe_values.shape == (len(traj.step_times), 2)
+
+
 @pytest.mark.parametrize("multiscale", [False, True])
 def test_sweep_leg_frees_wave_problems_before_the_corrector(monkeypatch, multiscale):
     from maxhom import corrector, wave
@@ -372,7 +409,7 @@ def test_sweep_leg_frees_wave_problems_before_the_corrector(monkeypatch, multisc
     monkeypatch.setattr(wave, "setup_problem", tracked_setup)
     for name in ("reconstruct_corrector", "multiscale_corrector_error"):
         monkeypatch.setattr(corrector, name, watch(getattr(corrector, name)))
-    harness._sweep_one(cfg, spec, hom, 0.25)
+    harness._sweep_one(cfg, spec, hom, harness._sweep_leg(cfg, spec, 0.25))
     # the fine and the homogenized problem, both gone when the corrector starts
     assert len(problems) == 2 and alive == [False, False]
 
