@@ -16,8 +16,7 @@ from .cells import (HomogenizationError, HomogenizationResult, curl_level_tensor
 from .wave import (Forcing, WaveData, WaveProblem, WaveSetupError, WaveTrajectory,
                    energy, integrate, setup_problem)
 from .corrector import (CorrectorField, CorrectorInputError, ErrorSeries,
-                        corrector_error, cutoff_field, multiscale_corrector_error,
-                        reconstruct_corrector)
+                        corrector_error, multiscale_corrector_error, reconstruct_corrector)
 from .unfolding import UnfoldedField, fold, fold_integral, sample_points, unfold
 from .harness import ConfigError, ConvergenceReport, fit_slope, load_config, parse_config, run
 

@@ -203,8 +203,10 @@ class ScaleSchedule:
     """Microscopic scales eps_i = eps / (r_2 ... r_i), with integer ratios.
 
     epsilon: base scale eps_1; ratios: (r_2, ..., r_n), each an integer >= 2.
-    require_integer_inverse demands 1/eps integral (needed by the unfolding
-    operators and by lattice-aligned domain meshes).
+    require_integer_inverse demands 1/eps integral, i.e. an eps-lattice that
+    tiles the unit box.  The lattice users check their own tiling with
+    unfolding.lattice_cells: the unfolding operators on the unit box, the
+    folded corrector on the domain [0, extent]^d.
     """
 
     epsilon: float

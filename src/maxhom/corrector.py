@@ -13,7 +13,10 @@ v = A(du0/dt) + P A(du0/dt - g1), q = G A(curl u0), where A is the identity or
 the average over eps macro-cells.  The factors P, G do not depend on time and
 are built once per run (folded, n = 2: subcell averages of the slow factors
 and exact samples of the innermost cell fields, on the quadrature points of
-one eps-period of fine cells); one stamp loop serves both.
+one eps-period of fine cells); one stamp loop serves both.  The eps
+macro-cells of A and the y_1-subcells of the n = 2 tables are cells of the
+one eps-lattice of maxhom.unfolding (lattice_cells, lattice_index), the
+cells that unfolding.fold reads.
 
 Error norms are L^2(D) per stored stamp, via the fine mesh's Gauss grid; the
 reported L^infty(0,T) value is the maximum over stored stamps.
@@ -26,6 +29,7 @@ import numpy as np
 from . import fem
 from .cells import multilinear_corners
 from .mesh import DomainMesh, grid_points
+from .unfolding import lattice_cells, lattice_index
 
 # Gauss points per axis of the fine-mesh quadrature that carries the correctors
 _QUAD_RULE = 2
@@ -86,13 +90,6 @@ def _fine_quadrature(mesh, rule):
     xq, wts = fem.quad_points(mesh, rule)
     wq = np.tile(wts, mesh.n_cells) * mesh.h ** mesh.d
     return xq.reshape(-1, mesh.d), wq
-
-
-def _gauss_cells(mesh, rule):
-    """(cells, local) of the fine quadrature points: their cell and reference point."""
-    pts_ref, _ = fem.gauss_rule(mesh.d, rule)
-    return (np.repeat(np.arange(mesh.n_cells), len(pts_ref)),
-            np.tile(pts_ref, (mesh.n_cells, 1)))
 
 
 def _l2(wq, diff):
@@ -209,14 +206,11 @@ def _stamp_errors(fine_traj, corr):
 # ---------------------------------------------------------------------------
 # pointwise (two-scale) corrector
 
-def reconstruct_corrector(u0_traj, hom, schedule, g1=None, g0=None, *, fine_mesh,
-                          cutoff_eps=None):
+def reconstruct_corrector(u0_traj, hom, schedule, g1=None, g0=None, *, fine_mesh):
     """Build the first-order corrector of a homogenized trajectory.
 
     Requires g0 = 0 (pass None or a zero field); refuses otherwise, matching
-    the hypothesis under which the corrector bound holds.  cutoff_eps, when
-    given, tapers the oscillatory terms with the boundary cutoff field
-    (diagnostic variant; the plain corrector is the reported one).
+    the hypothesis under which the corrector bound holds.
     """
     if g0 is not None:
         probe = np.asarray(g0(np.full((1, hom.d), 0.5)), dtype=float)
@@ -232,12 +226,6 @@ def reconstruct_corrector(u0_traj, hom, schedule, g1=None, g0=None, *, fine_mesh
     y = schedule.fast_variables(xq)[0]
     P, G = cell_factors(hom, y, slow=xq if hom.x_res > 1 else None)
     g1_vals = g1(xq) if g1 is not None else np.zeros_like(xq)
-    if cutoff_eps is not None:
-        tau = fem.eval_nodal_field(fine_mesh, cutoff_field(fine_mesh, cutoff_eps), None,
-                                   *_gauss_cells(fine_mesh, _QUAD_RULE))
-        P = tau[:, None, None] * P
-        eye = np.eye(G.shape[-1])
-        G = eye + tau[:, None, None] * (G - eye)
     return CorrectorField(times=u0_traj.snap_times, fine_mesh=fine_mesh,
                           u0_traj=u0_traj, xq=xq, wq=wq, P=P, G=G, g1_vals=g1_vals)
 
@@ -276,13 +264,6 @@ def corrector_error(fine_traj, corr):
 # ---------------------------------------------------------------------------
 # folded multiscale corrector
 
-def lattice_cells(extent, eps):
-    """eps-lattice cells per axis of [0, extent]^d, or None when they do not tile it."""
-    ratio = extent / eps if eps > 0 else 0.0
-    L = int(round(ratio))
-    return L if L >= 1 and abs(ratio - L) <= 1e-9 * ratio else None
-
-
 def _macro_bins(xq, eps, extent):
     """eps macro-cell index of each point and the macro-cell count.
 
@@ -294,8 +275,7 @@ def _macro_bins(xq, eps, extent):
         raise CorrectorInputError(
             f"the eps-lattice does not tile the domain: extent {extent:g} is not a "
             f"multiple of eps {eps:g}")
-    idx = np.minimum((xq / eps).astype(np.int64), L - 1)
-    return np.ravel_multi_index(idx.T, (L,) * xq.shape[1]), L ** xq.shape[1]
+    return lattice_index(xq / eps, L), L ** xq.shape[1]
 
 
 def _fold_factors(hom, schedule, xq):
@@ -312,8 +292,7 @@ def _fold_factors(hom, schedule, xq):
         return cell_factors(hom, y1)
     r2 = schedule.ratios[0]
     T, S = _subcell_tables(hom, r2, hom.y_res[0])
-    sub = np.minimum((y1 * r2).astype(np.int64), r2 - 1)
-    k2 = np.ravel_multi_index(sub.T, (r2,) * d)
+    k2 = lattice_index(y1 * r2, r2)
     cells2, local2 = hom.mesh.locate(y2[0])
     P = (T.sum(axis=1) - np.eye(d))[k2]   # subcell average of P1
     m = S.shape[-1]
@@ -337,9 +316,8 @@ def _period_points(mesh, eps):
     quadrature point k: (cell multi-index mod p, Gauss point).
     """
     d, N = mesh.d, mesh.N
-    ratio = eps / mesh.h
-    p = int(round(ratio))
-    if p < 1 or abs(ratio - p) > 1e-9 * ratio or N % p:
+    p = lattice_cells(eps, mesh.h)
+    if p is None or N % p:
         p = N
     pts, _ = fem.gauss_rule(d, _QUAD_RULE)
     period = np.ravel_multi_index(grid_points(*[np.arange(p)] * d).T, (N,) * d)
@@ -403,8 +381,7 @@ def _subcell_tables(hom, r2, m1):
         raise CorrectorInputError("cell resolution must be divisible by the scale ratio")
     pts = hom.mesh.cell_centers
     P1, G1 = cell_factors(hom, pts)
-    sub = np.minimum((pts * r2).astype(np.int64), r2 - 1)
-    k_flat = np.ravel_multi_index(sub.T, (r2,) * d)
+    k_flat = lattice_index(pts * r2, r2)
     nsub = r2 ** d
     count = np.bincount(k_flat, minlength=nsub).astype(float)
     T = np.zeros((nsub, m1 ** d, d, d))
@@ -415,19 +392,3 @@ def _subcell_tables(hom, r2, m1):
         np.add.at(T, (k_flat, nu), contrib / count[k_flat, None, None])
         np.add.at(S, (k_flat, nu), lam[:, None, None] * G1 / count[k_flat, None, None])
     return T, S
-
-
-# ---------------------------------------------------------------------------
-# boundary cutoff
-
-def cutoff_field(mesh, epsilon):
-    """Nodal cutoff: 1 outside the eps-neighbourhood of the boundary, linear ramp.
-
-    Piecewise multilinear with eps |grad tau| <= 2; needs eps >= 2h so the
-    ramp is representable on the mesh.
-    """
-    if epsilon < 2 * mesh.h - 1e-12:
-        raise CorrectorInputError(f"cutoff width {epsilon:g} below 2h = {2 * mesh.h:g}")
-    x = mesh.node_coords
-    dist = np.minimum(x, mesh.extent - x).min(axis=1)
-    return np.clip(dist / epsilon, 0.0, 1.0)

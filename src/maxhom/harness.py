@@ -24,6 +24,7 @@ from . import corrector, fem, wave
 from .cells import HomogenizationError, homogenize
 from .coeffs import CoefficientError, CoefficientPart, CoefficientSpec, ScaleSchedule
 from .mesh import DomainMesh, MeshError
+from .unfolding import lattice_cells
 
 
 class ConfigError(ValueError):
@@ -461,6 +462,11 @@ def _sweep_leg(cfg, spec, eps):
     eps_n = schedule.epsilons[-1]
     Nf = int(round(cfg["sweep.fine_ratio"] / eps_n))
     mesh = DomainMesh(cfg["coeff.d"], Nf, cfg["sim.extent"])
+    try:
+        wave.check_fine_resolution(mesh, schedule)
+    except wave.WaveSetupError as exc:
+        raise ConfigError(f"sweep.fine_ratio {cfg['sweep.fine_ratio']} on sim.extent "
+                          f"{cfg['sim.extent']:g} at eps {eps:g}: {exc}") from exc
     dt = eps_n / cfg["sweep.dt_ratio"]
     if cfg["sweep.t_final"] < dt:
         raise ConfigError(f"sweep.t_final {cfg['sweep.t_final']:g} is shorter than one step "
@@ -468,6 +474,15 @@ def _sweep_leg(cfg, spec, eps):
     steps = int(round(cfg["sweep.t_final"] / dt))
     store_every = max(1, steps // cfg["sweep.snapshots_per_run"])
     data = build_wave_data(cfg, dt, cfg["sweep.t_final"], store_every)
+    if not cfg["sweep.multiscale"]:
+        # the hypotheses of the pointwise corrector (reconstruct_corrector)
+        if cfg["data.g0"] != "zero":
+            raise ConfigError(f"data.g0 = {cfg['data.g0']}: the pointwise corrector of a "
+                              "sweep needs data.g0 = zero")
+        h0 = cfg["sim.extent"] / cfg["sweep.hom_n"]
+        if h0 > eps + 1e-12:
+            raise ConfigError(f"sweep.hom_n {cfg['sweep.hom_n']} gives a homogenized mesh "
+                              f"h0={h0:g} coarser than eps={eps:g}")
     return eps, schedule, mesh, data, _quad_rule(cfg, spec)
 
 
@@ -487,7 +502,7 @@ def _sweep_one(cfg, spec, hom, leg):
         e_vel = e_curl = 0.0
         e_ms = errs.max_ms
     else:
-        field = corrector.reconstruct_corrector(traj_h, hom, schedule, g1=data.g1, g0=data.g0,
+        field = corrector.reconstruct_corrector(traj_h, hom, schedule, g1=data.g1,
                                                 fine_mesh=mesh)
         errs = corrector.corrector_error(traj_f, field)
         e_vel, e_curl, e_ms = errs.max_vel, errs.max_curl, 0.0
@@ -510,7 +525,7 @@ def run_sweep(cfg, outdir):
     if cfg["sweep.multiscale"]:
         # the folded corrector averages over eps macro-cells, which must tile the box
         for e in eps_list:
-            if corrector.lattice_cells(cfg["sim.extent"], e) is None:
+            if lattice_cells(cfg["sim.extent"], e) is None:
                 raise ConfigError(f"sweep.multiscale needs eps-lattices that tile the box: "
                                   f"sim.extent {cfg['sim.extent']:g} is not a multiple of "
                                   f"eps {e:g}")

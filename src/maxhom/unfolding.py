@@ -15,6 +15,10 @@ holding phi(eps_1 i_1 + eps_2 i_2 + ... + eps_n i_n + eps_n (q+1/2)/m) per axis:
 the leading group is the macro cell of each (x, y) pair (the eps-lattice
 bookkeeping), the middle groups the nested subcells ([y_i / (eps_{i+1}/eps_i)]
 quantization), the trailing group samples y_n at cell centers.
+
+lattice_cells and lattice_index are the package's one eps-lattice count and
+cell index: fold reads its axis groups through them, and the folded corrector
+takes its eps macro-cells and y_1-subcells from them.
 """
 
 from dataclasses import dataclass
@@ -26,19 +30,34 @@ class UnfoldingError(ValueError):
     pass
 
 
+def lattice_cells(extent, eps):
+    """eps-lattice cells per axis of [0, extent]^d, or None when they do not tile it."""
+    ratio = extent / eps if eps > 0 else 0.0
+    L = int(round(ratio))
+    return L if L >= 1 and abs(ratio - L) <= 1e-9 * ratio else None
+
+
+def lattice_index(z, k):
+    """Flat C-order index of scaled points z >= 0 (npts, d) in a k^d grid of unit
+    cells: floor(z) per axis, clamped to k - 1 (the far face is in the last cell)."""
+    cell = np.minimum(z.astype(np.int64), k - 1)
+    return np.ravel_multi_index(cell.T, (k,) * z.shape[1])
+
+
 def _macro_count(schedule):
-    inv = 1.0 / schedule.epsilon
-    if abs(inv - round(inv)) > 1e-12:
+    L = lattice_cells(1.0, schedule.epsilon)
+    if L is None:
         raise UnfoldingError("unfolding needs 1/eps_1 to be an integer")
-    return int(round(inv))
+    return L
+
+
+def _group_sizes(schedule, m):
+    """Cells per axis of each axis group: L1, r_2, ..., r_n and m samples."""
+    return (_macro_count(schedule), *schedule.ratios, m)
 
 
 def grid_shape(schedule, d, m):
-    shape = (_macro_count(schedule),) * d
-    for r in schedule.ratios:
-        shape += (int(r),) * d
-    shape += (m,) * d
-    return shape
+    return tuple(k for k in _group_sizes(schedule, m) for _ in range(d))
 
 
 def sample_points(schedule, d, m):
@@ -79,22 +98,14 @@ def unfold(phi_fn, schedule, d, m):
     return UnfoldedField(schedule, d, m, values)
 
 
-def _fold_indices(schedule, d, m, shape, points):
-    eps = schedule.epsilons
-    n = schedule.n_scales
+def _fold_indices(schedule, m, points):
+    """Flat index of each point in every axis group: the eps_1-lattice cell of x,
+    then the lattice cell of y_i among the r_{i+1} subcells (y_n: m samples)."""
     x = np.atleast_2d(np.asarray(points, dtype=float))
-    idx = []
-    cell = np.clip(np.floor(x / eps[0]).astype(np.int64), 0, shape[0] - 1)
-    idx.extend(cell.T)
-    for level in range(1, n):
-        frac = x / eps[level - 1] - np.floor(x / eps[level - 1])
-        r = int(schedule.ratios[level - 1])
-        sub = np.clip(np.floor(frac * r).astype(np.int64), 0, r - 1)
-        idx.extend(sub.T)
-    frac = x / eps[n - 1] - np.floor(x / eps[n - 1])
-    q = np.minimum((frac * m).astype(np.int64), m - 1)
-    idx.extend(q.T)
-    return tuple(idx)
+    sizes = _group_sizes(schedule, m)
+    ys = schedule.fast_variables(x)
+    scaled = [x / schedule.epsilon] + [y * k for y, k in zip(ys, sizes[1:])]
+    return tuple(lattice_index(z, k) for z, k in zip(scaled, sizes))
 
 
 def fold(values, schedule, d, m, points):
@@ -111,7 +122,8 @@ def fold(values, schedule, d, m, points):
     shape = grid_shape(schedule, d, m)
     if tuple(values.shape) != shape:
         raise UnfoldingError(f"expected product-grid shape {shape}, got {values.shape}")
-    return values[_fold_indices(schedule, d, m, shape, points)]
+    groups = tuple(k ** d for k in _group_sizes(schedule, m))
+    return values.reshape(groups)[_fold_indices(schedule, m, points)]
 
 
 def fold_integral(values, schedule, d, m):

@@ -133,16 +133,21 @@ class WaveTrajectory:
         return len(self.snap_times)
 
 
+def check_fine_resolution(mesh, schedule):
+    """Refuse a fine mesh that under-resolves the finest scale: h > eps_n/4."""
+    eps_n = schedule.epsilons[-1]
+    if mesh.h > eps_n / 4 + 1e-12:
+        needed = int(np.ceil(4 * mesh.extent / eps_n))
+        raise WaveSetupError(
+            f"fine mesh under-resolves eps_n={eps_n:g}: h={mesh.h:g} > eps_n/4; "
+            f"need N >= {needed}")
+
+
 def _coefficient_callables(kind, mesh, spec=None, schedule=None, hom=None):
     if kind == "fine":
         if spec is None or schedule is None:
             raise WaveSetupError("fine runs need a coefficient spec and a schedule")
-        eps_n = schedule.epsilons[-1]
-        if mesh.h > eps_n / 4 + 1e-12:
-            needed = int(np.ceil(4 * mesh.extent / eps_n))
-            raise WaveSetupError(
-                f"fine mesh under-resolves eps_n={eps_n:g}: h={mesh.h:g} > eps_n/4; "
-                f"need N >= {needed}")
+        check_fine_resolution(mesh, schedule)
         return fine_callable(spec, schedule, "a"), fine_callable(spec, schedule, "b")
     if kind == "homogenized":
         if hom is None:

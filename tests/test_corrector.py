@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from maxhom import fem, wave
 from maxhom import corrector as corr
@@ -334,14 +334,36 @@ def test_macro_bins_refuse_lattice_that_does_not_tile(eps):
         corr._macro_bins(xq, eps, mesh.extent)
 
 
-def test_macro_bins_tiling_lattice_gives_equal_areas():
-    # extent 1.125 with eps = 1/8: a 9 x 9 lattice, every bin of area eps^2
-    mesh = DomainMesh(2, 18, 1.125)
+@st.composite
+def tiling_lattices(draw):
+    """(d, eps, cells per axis L, fine cells per eps-cell p): extent = L eps tiles."""
+    d = draw(st.sampled_from([2, 3]))
+    q = draw(st.integers(2, 8))
+    L = draw(st.integers(1, 4 if d == 3 else 10))
+    p = draw(st.integers(1, 2 if d == 3 else 3))
+    return d, 1 / q, L, p
+
+
+@settings(max_examples=40, deadline=None)
+@given(tiling_lattices())
+@example((2, 1 / 8, 9, 2))   # extent 1.125: a 9 x 9 lattice
+def test_macro_bins_tiling_lattice_gives_equal_areas(case):
+    d, eps, L, p = case
+    mesh = DomainMesh(d, L * p, L * eps)
     xq, wq = corr._fine_quadrature(mesh, 2)
-    bins, nbins = corr._macro_bins(xq, 0.125, mesh.extent)
-    assert nbins == 81
-    assert np.allclose(np.bincount(bins, weights=wq, minlength=nbins), 0.125 ** 2,
-                       rtol=1e-13)
+    bins, nbins = corr._macro_bins(xq, eps, mesh.extent)
+    assert nbins == L ** d
+    assert np.allclose(np.bincount(bins, weights=wq, minlength=nbins), eps ** d,
+                       rtol=1e-12, atol=0)
+    # on the unit box the bins are the macro cells that fold reads: a field
+    # whose macro group holds the flat cell number folds to the bin index
+    s = ScaleSchedule(eps)
+    q = uf.lattice_cells(1.0, eps)
+    unit = DomainMesh(d, q * p)
+    xq = corr._fine_quadrature(unit, 2)[0]
+    numbered = np.arange(q ** d, dtype=float).reshape((q,) * d + (1,) * d)
+    folded = uf.fold(np.broadcast_to(numbered, uf.grid_shape(s, d, 1)), s, d, 1, xq)
+    assert np.array_equal(folded, corr._macro_bins(xq, eps, 1.0)[0])
 
 
 def test_ems_n2_smoke(n2_setup):
@@ -360,7 +382,9 @@ def folded_error_oracle(fine_traj, u0_traj, hom, schedule, g1):
     mesh = fine_traj.mesh
     d = mesh.d
     xq, wq = corr._fine_quadrature(mesh, 2)
-    cells, local = corr._gauss_cells(mesh, 2)
+    pts_ref, _ = fem.gauss_rule(d, 2)
+    cells = np.repeat(np.arange(mesh.n_cells), len(pts_ref))
+    local = np.tile(pts_ref, (mesh.n_cells, 1))
     g1_vals = g1(xq)
     mc, nmc = corr._macro_bins(xq, schedule.epsilon, mesh.extent)
 
@@ -509,30 +533,7 @@ def test_period_factors_keep_face_pick(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# boundary cutoff
-
-def test_cutoff_wide_layer_still_valid():
-    mesh = DomainMesh(2, 8)
-    tau = corr.cutoff_field(mesh, 0.5)
-    assert tau.max() <= 1.0 and tau.min() == 0.0
-    # plateau is the center point only
-    assert np.isclose(tau.max(), 1.0)
-
-
-def test_cutoff_gradient_bound():
-    mesh = DomainMesh(2, 16)
-    eps = 0.25
-    tau = corr.cutoff_field(mesh, eps)
-    xq, _ = fem.quad_points(mesh, 2)
-    flat = xq.reshape(-1, 2)
-    g = fem.eval_nodal_gradient(mesh, tau, flat)
-    assert np.abs(g).max() <= 2.0 / eps + 1e-9
-
-
-def test_cutoff_below_2h_rejected():
-    with pytest.raises(corr.CorrectorInputError):
-        corr.cutoff_field(DomainMesh(2, 8), 0.2)
-
+# boundary layer
 
 def test_boundary_layer_measure():
     # |D^eps| = 4 eps - 4 eps^2 = 1 - (1-2 eps)^2 for the mesh-aligned frame
@@ -542,26 +543,6 @@ def test_boundary_layer_measure():
     in_closed_layer = dist[mesh.cell_nodes] <= eps + 1e-12
     measure = np.all(in_closed_layer, axis=1).sum() * mesh.h ** 2
     assert measure == pytest.approx(4 * eps - 4 * eps ** 2, abs=1e-12)
-    # tau = 1 exactly on the inner plateau, 0 on the boundary
-    tau = corr.cutoff_field(mesh, eps)
-    assert np.all(tau[dist >= eps - 1e-12] == 1.0)
-    assert np.all(tau[dist == 0.0] == 0.0)
-
-
-def test_cutoff_corrector_diagnostic(layered_setup):
-    spec, hom, sched, fine_mesh, tf, th = layered_setup
-    plain = corr.reconstruct_corrector(th, hom, sched, g1=cavity11, fine_mesh=fine_mesh)
-    tapered = corr.reconstruct_corrector(th, hom, sched, g1=cavity11,
-                                         fine_mesh=fine_mesh, cutoff_eps=sched.epsilon)
-    tau = fem.eval_nodal_field(fine_mesh, corr.cutoff_field(fine_mesh, sched.epsilon),
-                               tapered.xq)
-    assert tau.min() >= 0.0 and tau.max() <= 1.0
-    v_p, q_p = plain.eval_stamp(1)
-    v_t, q_t = tapered.eval_stamp(1)
-    interior = tau > 1.0 - 1e-12
-    assert np.allclose(v_p[interior], v_t[interior], atol=1e-13)
-    assert np.allclose(q_p[interior], q_t[interior], atol=1e-13)
-    assert not np.allclose(v_p, v_t)
 
 
 def test_x_dependent_cell_field_sampler():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import maxhom
-from maxhom import harness
+from maxhom import corrector, harness
 from maxhom.harness import ConfigError, fit_slope, parse_config
 
 CONST_SIM = """
@@ -303,11 +303,24 @@ hom.cell_n = 8
                          "--out", str(tmp_path / "o")]) == 3
 
 
-def test_sweep_reports_failed_leg_and_continues(tmp_path):
-    # hom_n = 8 gives h0 = 0.125 > eps = 0.0625: the corrector refuses that leg
-    # (exit-3 class), the other two legs still make a report
+def refuse_corrector_at(monkeypatch, epsilons):
+    """Make the pointwise corrector refuse (exit-3 class) the sweep legs at epsilons."""
+    build = corrector.reconstruct_corrector
+
+    def refusing(u0_traj, hom, schedule, *args, **kwargs):
+        if schedule.epsilon in epsilons:
+            raise corrector.CorrectorInputError(f"refused at eps={schedule.epsilon:g}")
+        return build(u0_traj, hom, schedule, *args, **kwargs)
+
+    monkeypatch.setattr(corrector, "reconstruct_corrector", refusing)
+
+
+def test_sweep_reports_failed_leg_and_continues(tmp_path, monkeypatch):
+    # a numerical failure of one leg is recorded, the other two legs still
+    # make a report
+    refuse_corrector_at(monkeypatch, {0.0625})
     cfg_path = tmp_path / "s.cfg"
-    cfg_path.write_text(LAYERED_SWEEP.replace("sweep.hom_n = 32", "sweep.hom_n = 8"))
+    cfg_path.write_text(LAYERED_SWEEP)
     out = tmp_path / "o"
     assert harness.main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
     rows = open(out / "report.csv").read().splitlines()
@@ -316,19 +329,16 @@ def test_sweep_reports_failed_leg_and_continues(tmp_path):
     assert "failure eps=0.0625" in open(out / "manifest.txt").read()
 
 
-@pytest.mark.parametrize("edit,cause", [
-    # refused on every leg by the config itself
-    (("data.g1 = cavity11", "data.g1 = cavity11\ndata.g0 = cavity11"), "g0"),
-    # hom_n = 4 gives h0 = 0.25 > eps on two of the three legs
-    (("sweep.hom_n = 32", "sweep.hom_n = 4"), "eps"),
-])
-def test_sweep_without_two_legs_exits_with_cause(tmp_path, capsys, edit, cause):
+def test_sweep_without_two_legs_exits_with_cause(tmp_path, capsys, monkeypatch):
+    # two of three legs fail: no slope can be fitted, the sweep exits 3 with
+    # the first failure and writes no report
+    refuse_corrector_at(monkeypatch, {0.125, 0.0625})
     cfg_path = tmp_path / "s.cfg"
-    cfg_path.write_text(LAYERED_SWEEP.replace(*edit))
+    cfg_path.write_text(LAYERED_SWEEP)
     out = tmp_path / "o"
     assert harness.main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure:") and cause in err
+    assert err.startswith("numerical failure:") and "refused at eps=0.125" in err
     assert not (out / "report.csv").exists()
 
 
@@ -361,6 +371,13 @@ def test_multiscale_lattice_that_does_not_tile_exits_2_before_cell_solves(tmp_pa
     ("sweep", "data.g0", "bogus"),
     ("sweep", "sweep.t_final", "0.03"),     # one step is 0.0625 at eps 0.25
     ("sweep", "sim.quad", "5"),
+    # the pointwise corrector's hypotheses and the fine resolution: once refused
+    # per leg after its time loops (exit 3), or inside the first leg
+    ("sweep", "data.g0", "cavity11"),
+    ("sweep", "sweep.hom_n", "4"),          # h0 = 1/4 > eps at eps = 1/8, 1/16
+    ("sweep", "sweep.hom_n", "8"),          # h0 = 1/8 > eps only at eps = 1/16
+    ("sweep", "sweep.fine_ratio", "2"),     # h = eps/2 > eps/4
+    ("sweep", "sim.extent", "2.5"),         # h = 2.5 eps/8 > eps/4
 ])
 def test_cli_run_key_checked_before_cell_solves(tmp_path, capsys, monkeypatch, mode, key,
                                                 value):
