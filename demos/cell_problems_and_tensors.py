@@ -44,7 +44,7 @@ print(f"constant-flux identity: a (1 + curl_y N) has std {flux.std():.2e}")
 
 print("\n=== macroscopically modulated a(x, y): recursion with x sampling ===")
 fac = [{"offset": 2.0, "amplitude": 1.0, "axis": 0}]
-par = {"factors": fac, "x_offset": 1.0, "x_amplitude": 0.5}
+par = {"factors": fac, "x_amplitude": 0.5}
 spec = CoefficientSpec(2, 1, a=CoefficientPart("separable-product", dict(par)),
                        b=CoefficientPart("separable-product", dict(par)),
                        alpha=0.4, beta=4.6)

@@ -14,7 +14,19 @@ import numpy as np
 
 from .mesh import grid_points
 
-FAMILIES = ("constant", "layered", "trigonometric", "separable-product", "expression")
+# one sine factor offset + amplitude * sin(2 pi frequency y_axis + phase): its
+# required keys and its optional keys with their defaults
+_FACTOR_KEYS = ({"offset", "amplitude"}, {"axis", "frequency", "phase"})
+_FACTOR_DEFAULTS = {"axis": 0, "frequency": 1, "phase": 0.0}
+_UNIT_FACTOR = {"offset": 1.0, "amplitude": 0.0, **_FACTOR_DEFAULTS}
+# params of each family: (required, optional)
+_PARAMS = {
+    "constant": ({"value"}, set()),
+    "layered": (_FACTOR_KEYS[0], _FACTOR_KEYS[1] | {"scale", "base"}),
+    "separable-product": ({"factors"}, {"x_amplitude", "base"}),
+    "expression": ({"code"}, set()),
+}
+FAMILIES = tuple(_PARAMS)
 
 
 class CoefficientError(ValueError):
@@ -63,21 +75,41 @@ def _expression_names(code):
     return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
+def _check_keys(params, keys, what):
+    """Refuse params that miss a required key or hold one outside (required, optional)."""
+    required, optional = keys
+    missing = sorted(required - params.keys())
+    unknown = sorted(params.keys() - required - optional)
+    if missing:
+        raise CoefficientError(f"{what}: missing {', '.join(missing)}")
+    if unknown:
+        raise CoefficientError(f"{what}: unknown {', '.join(map(repr, unknown))} (accepted: "
+                               f"{', '.join(sorted(required | optional))})")
+
+
+def _is_int_in(v, lo, hi):
+    """Whether v is an integer (not a float or bool) with lo <= v < hi."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and lo <= v < hi
+
+
 @dataclass(frozen=True)
 class CoefficientPart:
     """One coefficient field (either `a` or `b`) of a CoefficientSpec.
 
-    params by family:
+    params by family (an unknown or a missing one raises CoefficientError):
       constant           value (scalar or d x d matrix)
-      layered            scale (1-based), axis, offset, amplitude, frequency,
-                         phase, base (matrix, default identity)
-      trigonometric      scale, offset, amplitude, frequency, axes (default all),
-                         phases, base -- profile offset + amp * prod_a sin(2 pi k y_a + phase_a)
-      separable-product  factors: one {offset, amplitude, axis, frequency, phase}
-                         per scale; x_offset/x_amplitude for an optional smooth
-                         macroscopic modulation x_off + x_amp * prod_a sin(pi x_a); base
+      layered            offset, amplitude; scale (1-based), axis, frequency, phase, base
+      separable-product  factors: one {offset, amplitude; axis, frequency, phase} per
+                         scale; x_amplitude, base
       expression         code: python expression over x, ys, np returning
                          (npts,) or (npts, d, d)
+
+    layered and separable-product share one profile: the product over the scales
+    of offset + amplitude * sin(2 pi frequency y_i[axis] + phase), times the
+    macroscopic modulation 1 + x_amplitude * prod_a sin(pi x_a), times base
+    (defaults: scale 1, axis 0, frequency 1, phase 0, x_amplitude 0, base identity).
+    layered is its own factor at `scale` and the unit factor (offset 1, amplitude 0)
+    at every other scale.
     """
 
     family: str
@@ -86,53 +118,59 @@ class CoefficientPart:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise CoefficientError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        _check_keys(self.params, _PARAMS[self.family], f"{self.family} params")
+        if self.family == "separable-product":
+            for i, f in enumerate(self.params["factors"]):
+                _check_keys(f, _FACTOR_KEYS, f"factor {i + 1}")
         if self.family == "expression":
-            if "code" not in self.params:
-                raise CoefficientError("the expression family needs params['code']")
             _expression_names(self.params["code"])
 
     def depends_on_x(self):
-        if self.family == "separable-product":
-            return self.params.get("x_amplitude", 0.0) != 0.0
         if self.family == "expression":
             return "x" in _expression_names(self.params["code"])
-        return False
+        return self.params.get("x_amplitude", 0.0) != 0.0
 
-    def _profile(self, x, ys, n_scales):
-        """Scalar profile (npts,) for the scalar-profile families."""
+    def _factors(self, n_scales):
+        """The sine factors of the profile, one per scale, defaults filled in."""
         p = self.params
         if self.family == "layered":
-            i = p.get("scale", 1) - 1
-            y = ys[i][:, p.get("axis", 0)]
-            k = p.get("frequency", 1)
-            return p["offset"] + p["amplitude"] * np.sin(2 * np.pi * k * y + p.get("phase", 0.0))
-        if self.family == "trigonometric":
-            i = p.get("scale", 1) - 1
-            axes = p.get("axes", list(range(ys[i].shape[1])))
-            phases = p.get("phases", [0.0] * len(axes))
-            k = p.get("frequency", 1)
-            prod = np.ones(ys[i].shape[0])
-            for a, ph in zip(axes, phases):
-                prod = prod * np.sin(2 * np.pi * k * ys[i][:, a] + ph)
-            return p["offset"] + p["amplitude"] * prod
-        if self.family == "separable-product":
-            factors = p["factors"]
-            if len(factors) != n_scales:
-                raise CoefficientError("separable-product needs one factor per scale")
-            prod = np.ones(x.shape[0])
-            for i, f in enumerate(factors):
-                y = ys[i][:, f.get("axis", 0)]
-                k = f.get("frequency", 1)
-                prod = prod * (f["offset"] + f["amplitude"]
-                               * np.sin(2 * np.pi * k * y + f.get("phase", 0.0)))
-            xo, xa = p.get("x_offset", 1.0), p.get("x_amplitude", 0.0)
-            if xa != 0.0:
-                xmod = np.ones(x.shape[0])
-                for a in range(x.shape[1]):
-                    xmod = xmod * np.sin(np.pi * x[:, a])
-                prod = prod * (xo + xa * xmod)
-            return prod
-        raise CoefficientError(f"{self.family} has no scalar profile")
+            out = [_UNIT_FACTOR] * n_scales
+            out[p.get("scale", 1) - 1] = {k: v for k, v in p.items() if k not in ("scale", "base")}
+        elif len(p["factors"]) != n_scales:
+            raise CoefficientError(f"separable-product has {len(p['factors'])} factors "
+                                   f"for {n_scales} scales; it needs one per scale")
+        else:
+            out = p["factors"]
+        return [{**_FACTOR_DEFAULTS, **f} for f in out]
+
+    def _check(self, d, n_scales):
+        """Refuse factors that do not fit d dimensions and n_scales scales."""
+        if self.family not in ("layered", "separable-product"):
+            return
+        scale = self.params.get("scale", 1)
+        if self.family == "layered" and not _is_int_in(scale, 1, n_scales + 1):
+            raise CoefficientError(f"layered scale {scale!r} is not an integer in [1, {n_scales}]")
+        for i, f in enumerate(self._factors(n_scales)):
+            axis, k = f["axis"], f["frequency"]
+            if not _is_int_in(axis, 0, d):
+                raise CoefficientError(f"factor {i + 1}: axis {axis!r} is not an integer "
+                                       f"in [0, {d})")
+            if not _is_int_in(k, 1, np.inf):
+                raise CoefficientError(f"factor {i + 1}: frequency {k!r} is not an integer >= 1")
+
+    def _profile(self, x, ys):
+        """Scalar profile (npts,): the product of the sine factors, then the x modulation."""
+        prod = np.ones(x.shape[0])
+        for y, f in zip(ys, self._factors(len(ys))):
+            prod = prod * (f["offset"] + f["amplitude"] * np.sin(
+                2 * np.pi * f["frequency"] * y[:, f["axis"]] + f["phase"]))
+        xa = self.params.get("x_amplitude", 0.0)
+        if xa != 0.0:
+            xmod = np.ones(x.shape[0])
+            for a in range(x.shape[1]):
+                xmod = xmod * np.sin(np.pi * x[:, a])
+            prod = prod * (1.0 + xa * xmod)
+        return prod
 
     def evaluate(self, x, ys, d, scalar=False):
         """Evaluate at points x: (npts, d), ys: list of n (npts, d) arrays.
@@ -156,7 +194,7 @@ class CoefficientPart:
             if out.ndim <= 1:
                 return np.broadcast_to(out, (npts,))[:, None, None] * np.eye(d)
             return np.broadcast_to(out, (npts, d, d)).copy()
-        prof = self._profile(x, ys, len(ys))
+        prof = self._profile(x, ys)
         if scalar:
             return prof
         base = _as_matrix(self.params.get("base", 1.0), d)
@@ -181,6 +219,11 @@ class CoefficientSpec:
             raise CoefficientError("need at least one microscopic scale")
         if not (0 < self.alpha <= self.beta):
             raise CoefficientError("bounds must satisfy 0 < alpha <= beta")
+        for which, part in (("a", self.a), ("b", self.b)):
+            try:
+                part._check(self.d, self.n_scales)
+            except CoefficientError as exc:
+                raise CoefficientError(f"coefficient {which}: {exc}") from None
 
     @property
     def a_is_scalar(self):

@@ -210,19 +210,18 @@ def reconstruct_corrector(u0_traj, hom, schedule, g1=None, g0=None, *, fine_mesh
     """Build the first-order corrector of a homogenized trajectory.
 
     Requires g0 = 0 (pass None or a zero field); refuses otherwise, matching
-    the hypothesis under which the corrector bound holds.
+    the hypothesis under which the corrector bound holds.  g0 is checked at
+    every fine quadrature point of the corrector.
     """
-    if g0 is not None:
-        probe = np.asarray(g0(np.full((1, hom.d), 0.5)), dtype=float)
-        if np.abs(probe).max() > 0:
-            raise CorrectorInputError(
-                "corrector reconstruction requires g0 = 0 (nonzero initial data "
-                "breaks the corrector hypothesis)")
     if u0_traj.mesh.h > schedule.epsilon + 1e-12:
         raise CorrectorInputError(
             f"homogenized mesh h0={u0_traj.mesh.h:g} coarser than eps={schedule.epsilon:g}; "
             "products with the cell fields would alias")
     xq, wq = _fine_quadrature(fine_mesh, _QUAD_RULE)
+    if g0 is not None and np.any(np.asarray(g0(xq), dtype=float) != 0):
+        raise CorrectorInputError(
+            "corrector reconstruction requires g0 = 0 (nonzero initial data "
+            "breaks the corrector hypothesis)")
     y = schedule.fast_variables(xq)[0]
     P, G = cell_factors(hom, y, slow=xq if hom.x_res > 1 else None)
     g1_vals = g1(xq) if g1 is not None else np.zeros_like(xq)

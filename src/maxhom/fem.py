@@ -8,8 +8,9 @@ tensors (polynomial basis products, integrated once with a high-order Gauss
 rule) contracted with a per-cell constant coefficient; the coefficient is
 reduced per cell by sampling at tensor-product Gauss points.  Periodic cell
 problems use the 1-point (midpoint) rule, which is superconvergent for
-smooth periodic coefficients; domain assembly defaults to 2 points per axis
-(3 for trigonometric-family coefficients).
+smooth periodic coefficients; domain assembly takes 2 points per axis unless
+the caller asks for another rule (the harness picks 3 for the oscillatory
+layered and separable-product families).
 
 Scalings for a cubic cell of size h (reference = unit cube):
   nodal gradient  = ref / h          edge basis = ref / h

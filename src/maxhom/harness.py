@@ -78,7 +78,6 @@ SCHEMA = {
     "coeff.beta": (float, _REQUIRED),
     "schedule.epsilon": (float, None),
     "schedule.ratios": (_parse_ints, ()),
-    "schedule.require_integer": (_parse_bool, True),
     "hom.cell_n": (int, 64),
     "hom.slow_x": (int, None),
     "hom.slow_y": (_parse_ints, None),
@@ -107,17 +106,10 @@ for _which in ("a", "b"):
     SCHEMA.update({
         f"coeff.{_which}.family": (str, _REQUIRED),
         f"coeff.{_which}.value": (_parse_floats, None),
-        f"coeff.{_which}.scale": (int, 1),
-        f"coeff.{_which}.axis": (int, 0),
         f"coeff.{_which}.offset": (float, None),
         f"coeff.{_which}.amplitude": (float, None),
-        f"coeff.{_which}.frequency": (int, 1),
         f"coeff.{_which}.phase": (float, 0.0),
-        f"coeff.{_which}.axes": (_parse_ints, None),
-        f"coeff.{_which}.phases": (_parse_floats, None),
-        f"coeff.{_which}.base": (_parse_floats, None),
         f"coeff.{_which}.factors": (_parse_factors, None),
-        f"coeff.{_which}.x_offset": (float, 1.0),
         f"coeff.{_which}.x_amplitude": (float, 0.0),
         f"coeff.{_which}.code": (str, None),
     })
@@ -189,9 +181,6 @@ def fingerprint(cfg):
 # builders
 
 def _matrix_param(vals, d):
-    if vals is None:
-        return None
-    vals = tuple(vals)
     if len(vals) == 1:
         return vals[0]
     if len(vals) != d * d:
@@ -199,44 +188,21 @@ def _matrix_param(vals, d):
     return np.array(vals).reshape(d, d)
 
 
+# the config keys of each family's CoefficientPart params
+_FAMILY_KEYS = {"constant": ("value",), "layered": ("offset", "amplitude", "phase"),
+                "separable-product": ("factors", "x_amplitude"), "expression": ("code",)}
+
+
 def build_part(cfg, which):
-    d = cfg["coeff.d"]
     fam = cfg[f"coeff.{which}.family"]
-    g = lambda k: cfg[f"coeff.{which}.{k}"]
-    if fam == "constant":
-        if g("value") is None:
-            raise ConfigError(f"coeff.{which}.value required for the constant family")
-        return CoefficientPart("constant", {"value": _matrix_param(g("value"), d)})
-    if fam in ("layered", "trigonometric"):
-        if g("offset") is None or g("amplitude") is None:
-            raise ConfigError(f"coeff.{which} needs offset and amplitude")
-        params = {"scale": g("scale"), "offset": g("offset"), "amplitude": g("amplitude"),
-                  "frequency": g("frequency")}
-        base = _matrix_param(g("base"), d)
-        if base is not None:
-            params["base"] = base
-        if fam == "layered":
-            params["axis"] = g("axis")
-            params["phase"] = g("phase")
-        else:
-            if g("axes") is not None:
-                params["axes"] = list(g("axes"))
-                params["phases"] = list(g("phases") or (0.0,) * len(g("axes")))
+    params = {k: cfg[f"coeff.{which}.{k}"] for k in _FAMILY_KEYS.get(fam, ())
+              if cfg[f"coeff.{which}.{k}"] is not None}
+    if "value" in params:
+        params["value"] = _matrix_param(params["value"], cfg["coeff.d"])
+    try:
         return CoefficientPart(fam, params)
-    if fam == "separable-product":
-        if g("factors") is None:
-            raise ConfigError(f"coeff.{which}.factors required")
-        params = {"factors": [dict(f) for f in g("factors")],
-                  "x_offset": g("x_offset"), "x_amplitude": g("x_amplitude")}
-        base = _matrix_param(g("base"), d)
-        if base is not None:
-            params["base"] = base
-        return CoefficientPart(fam, params)
-    if fam == "expression":
-        if g("code") is None:
-            raise ConfigError(f"coeff.{which}.code required")
-        return CoefficientPart("expression", {"code": g("code")})
-    raise ConfigError(f"unknown family {fam!r}")
+    except CoefficientError as exc:
+        raise ConfigError(f"coeff.{which}: {exc}") from None
 
 
 def build_spec(cfg):
@@ -252,7 +218,7 @@ def build_schedule(cfg, epsilon=None):
     ratios = cfg["schedule.ratios"]
     if 1 + len(ratios) != cfg["coeff.n"]:
         raise ConfigError("schedule.ratios must provide one ratio per extra scale")
-    return ScaleSchedule(eps, ratios, cfg["schedule.require_integer"])
+    return ScaleSchedule(eps, ratios)
 
 
 def _cavity(m, n):
@@ -295,8 +261,7 @@ def _quad_rule(cfg, spec):
     quad = cfg["sim.quad"]
     if quad is None:
         fams = (spec.a.family, spec.b.family)
-        return 3 if any(f in ("layered", "trigonometric", "separable-product")
-                        for f in fams) else 2
+        return 3 if any(f in ("layered", "separable-product") for f in fams) else 2
     if quad not in (1, 2, 3):
         raise ConfigError(f"sim.quad must be 1, 2 or 3, got {quad}")
     return quad

@@ -162,7 +162,8 @@ def setup_problem(kind, mesh, data, spec=None, schedule=None, hom=None, quad_rul
     """Assemble mass/stiffness for a fine or homogenized run.
 
     quad_rule is the per-axis Gauss order of the coefficient reduction on the
-    domain mesh (2 by default, 3 for trigonometric-family coefficients).
+    domain mesh (2 by default; the harness passes 3 for the oscillatory layered
+    and separable-product families).
     """
     a_fn, b_fn = _coefficient_callables(kind, mesh, spec, schedule, hom)
     K, _ = fem.assemble_curl_stiffness(mesh, a_fn, rule=quad_rule)

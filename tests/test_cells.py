@@ -342,7 +342,7 @@ def test_homogenize_x_dependent_sampling():
     # a(x, y) = (1 + 0.5 sin(pi x1) sin(pi x2)) (2 + sin 2 pi y1):
     # pointwise in x this is a layered problem, so a0(x) = sqrt3 * x-factor
     fac = [{"offset": 2.0, "amplitude": 1.0, "axis": 0}]
-    par = {"factors": fac, "x_offset": 1.0, "x_amplitude": 0.5}
+    par = {"factors": fac, "x_amplitude": 0.5}
     spec = CoefficientSpec(2, 1, a=CoefficientPart("separable-product", dict(par)),
                            b=CoefficientPart("separable-product", dict(par)),
                            alpha=0.4, beta=4.6)

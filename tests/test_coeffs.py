@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maxhom.coeffs import (CoefficientError, CoefficientPart, CoefficientSpec,
                            ScaleSchedule, eval_coefficient, eval_fine, validate_bounds)
@@ -133,7 +134,7 @@ def test_validate_bounds_warns_on_negative_region():
 
 @pytest.mark.parametrize("fam,par", [
     ("layered", LAYERED),
-    ("trigonometric", {"scale": 1, "offset": 2.0, "amplitude": 0.8}),
+    ("layered", {"axis": 1, "frequency": 2, "offset": 2.0, "amplitude": 0.8, "phase": 0.3}),
     ("separable-product", {"factors": [{"offset": 2.0, "amplitude": 1.0, "axis": 0}]}),
 ])
 def test_periodicity_exact(fam, par):
@@ -177,3 +178,67 @@ def test_schedule_invariants():
     with pytest.raises(CoefficientError):
         ScaleSchedule(0.25, (1,))  # ratio < 2
     ScaleSchedule(0.3, require_integer_inverse=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_layered_is_its_factor_at_its_scale_bitwise(data):
+    # layered runs through the product loop with the unit factor at every other
+    # scale; the profile stays offset + amplitude sin(2 pi k y_scale[axis] + phase)
+    d, n = data.draw(st.integers(2, 3)), data.draw(st.integers(1, 3))
+    scale, axis = data.draw(st.integers(1, n)), data.draw(st.integers(0, d - 1))
+    k = data.draw(st.integers(1, 3))
+    offset = data.draw(st.floats(1.0, 3.0))
+    amp, phase = data.draw(st.floats(-0.9, 0.9)), data.draw(st.floats(0.0, 2 * np.pi))
+    par = {"scale": scale, "axis": axis, "frequency": k, "offset": offset,
+           "amplitude": amp, "phase": phase}
+    if data.draw(st.booleans()):
+        par["base"] = 2.0 * np.eye(d)
+    spec = make_spec(a_par=par, b_par=par, d=d, n=n, alpha=0.01, beta=20.0)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    x = rng.random((30, d))
+    ys = [rng.random((30, d)) for _ in range(n)]
+    prof = offset + amp * np.sin(2 * np.pi * k * ys[scale - 1][:, axis] + phase)
+    mat = prof[:, None, None] * par.get("base", np.eye(d))
+    assert np.array_equal(spec.eval_a(x, ys), prof if d == 2 else mat)
+    assert np.array_equal(spec.eval_b(x, ys), mat)
+
+
+@pytest.mark.parametrize("fam,par,match", [
+    ("layered", {"offset": 2.0, "amplitude": 1.0, "phse": 3.0}, "unknown 'phse'"),
+    ("layered", {"offset": 2.0}, "missing amplitude"),
+    ("constant", {"value": 1.0, "base": 2.0}, "unknown 'base'"),
+    ("separable-product", {"factors": [{"offset": 2.0, "amplitude": 1.0}], "scale": 1},
+     "unknown 'scale'"),
+    ("separable-product", {"factors": [{"offset": 2.0, "amplitde": 1.0}]},
+     "factor 1: missing amplitude"),
+    ("separable-product", {"factors": [{"offset": 2.0, "amplitude": 1.0, "axes": [0]}]},
+     "unknown 'axes'"),
+    ("expression", {}, "missing code"),
+])
+def test_part_params_unknown_or_missing_rejected(fam, par, match):
+    with pytest.raises(CoefficientError, match=match):
+        CoefficientPart(fam, par)
+
+
+def _sep(*factors):
+    return {"factors": [dict(zip(("offset", "amplitude", "axis", "frequency"), f))
+                        for f in factors]}
+
+
+@pytest.mark.parametrize("part,n,match", [
+    (("separable-product", _sep((2.0, 1.0, 5))), 1, "axis 5"),
+    (("separable-product", _sep((2.0, 1.0, -1))), 1, "axis -1"),
+    (("separable-product", _sep((2.0, 1.0, 0.0))), 1, "axis 0.0"),
+    (("separable-product", _sep((2.0, 1.0, 0, 0))), 1, "frequency 0"),
+    (("separable-product", _sep((2.0, 1.0, 0, 1.5))), 1, "frequency 1.5"),
+    (("separable-product", _sep((2.0, 1.0, 0), (2.0, 1.0, 0))), 1, "2 factors for 1 scales"),
+    (("separable-product", _sep((2.0, 1.0, 0))), 2, "1 factors for 2 scales"),
+    (("layered", dict(LAYERED, scale=2)), 1, "scale 2"),
+    (("layered", dict(LAYERED, scale=0)), 2, "scale 0"),
+    (("layered", dict(LAYERED, axis=2)), 1, "axis 2"),
+])
+def test_spec_refuses_factors_that_do_not_fit(part, n, match):
+    # checked when the spec is built, not at the first evaluation
+    with pytest.raises(CoefficientError, match=f"coefficient b: .*{match}"):
+        make_spec(b_fam=part[0], b_par=part[1], n=n, alpha=0.5, beta=9.0)

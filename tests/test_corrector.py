@@ -151,6 +151,23 @@ def test_g0_nonzero_refused(layered_setup):
                                    fine_mesh=fine_mesh)
 
 
+def test_g0_vanishing_at_the_centre_refused(layered_setup):
+    # g0 is zero at the centre of the box (the one point once probed), not elsewhere
+    spec, hom, sched, fine_mesh, tf, th = layered_setup
+
+    def g0(x):
+        s = (x[:, 0] - 0.5) * x[:, 1] * (1.0 - x[:, 1])
+        return np.stack([s, s], axis=1)
+
+    assert np.abs(g0(np.full((1, 2), 0.5))).max() == 0.0
+    with pytest.raises(corr.CorrectorInputError, match="g0"):
+        corr.reconstruct_corrector(th, hom, sched, g1=cavity11, g0=g0, fine_mesh=fine_mesh)
+    zero = lambda x: np.zeros_like(x)
+    field = corr.reconstruct_corrector(th, hom, sched, g1=cavity11, g0=zero,
+                                       fine_mesh=fine_mesh)
+    assert field.xq.shape[1] == 2
+
+
 def test_coarse_homogenized_mesh_refused():
     spec = layered_spec()
     hom = homogenize(spec, cell_N=16)
@@ -552,7 +569,7 @@ def test_x_dependent_cell_field_sampler():
     from maxhom.cells import homogenize as hmg
 
     fac = [{"offset": 2.0, "amplitude": 1.0, "axis": 0}]
-    par = {"factors": fac, "x_offset": 1.0, "x_amplitude": 0.5}
+    par = {"factors": fac, "x_amplitude": 0.5}
     spec = CoefficientSpec(2, 1, a=CoefficientPart("separable-product", dict(par)),
                            b=CoefficientPart("separable-product", dict(par)),
                            alpha=0.4, beta=4.6)
@@ -576,7 +593,7 @@ def test_x_dependent_cell_field_sampler():
 
 def x_dependent_spec():
     par = {"factors": [{"offset": 2.0, "amplitude": 1.0, "axis": 1, "phase": 0.4}],
-           "x_offset": 1.0, "x_amplitude": 0.5}
+           "x_amplitude": 0.5}
     return CoefficientSpec(2, 1, a=CoefficientPart("separable-product", dict(par)),
                            b=CoefficientPart("separable-product", dict(par)),
                            alpha=0.4, beta=4.6)

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -60,10 +61,26 @@ def test_parse_defaults_and_values():
 
 
 def test_unknown_key_rejected():
+    # an unknown key is named even when required keys are missing
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("mode = simulate\nbogus = 1")
-    with pytest.raises(ConfigError, match="unknown key 'workers'"):
-        parse_config(CONST_SIM + "\nworkers = 2")
+    # the keys of deleted options are unknown like any other
+    deleted = ["schedule.require_integer"] + [
+        f"coeff.{w}.{k}" for w in "ab"
+        for k in ("scale", "axis", "frequency", "axes", "phases", "base", "x_offset")]
+    for key in ["bogus", "workers"] + deleted:
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(CONST_SIM + f"\n{key} = 1")
+
+
+def test_readme_config_table_names_every_schema_key():
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+    table = readme.split("All keys and defaults:", 1)[1].split("\n\n", 2)[1]
+    keys = set()
+    for row in table.splitlines()[2:]:
+        for name in re.findall(r"`([^`]+)`", row.split("|")[1]):
+            keys |= {name.replace("{a,b}", w) for w in "ab"}
+    assert keys == set(harness.SCHEMA)
 
 
 def test_duplicate_key_rejected():
@@ -393,6 +410,51 @@ def test_cli_run_key_checked_before_cell_solves(tmp_path, capsys, monkeypatch, m
     assert err.startswith("error: ") and key in err
     assert not (out / "tensors.txt").exists()
     assert solves == []
+
+
+@pytest.mark.parametrize("factors,fragment", [
+    ("2:1:5", "axis 5"),              # once an IndexError traceback (exit 1)
+    ("2:1:-1", "axis -1"),            # once read silently as the last axis
+    ("2:1:0:0", "frequency 0"),
+    ("2:1:0;2:1:0", "2 factors for 1 scales"),  # once found inside homogenize
+])
+def test_cli_factor_list_checked_before_cell_solves(tmp_path, capsys, monkeypatch, factors,
+                                                    fragment):
+    solves = []
+    monkeypatch.setattr(harness, "homogenize", lambda *a, **k: solves.append(a))
+    cfg_path = tmp_path / "h.cfg"
+    cfg_path.write_text(XDEP_HOM.replace("coeff.a.factors = 2:1:1",
+                                         f"coeff.a.factors = {factors}"))
+    out = tmp_path / "o"
+    assert harness.main(["homogenize", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: coefficient a: ") and fragment in err
+    assert not (out / "tensors.txt").exists()
+    assert solves == []
+
+
+EXPRESSION_HOM = CONST_SIM.replace("mode = simulate", "mode = homogenize").replace(
+    "coeff.a.family = constant\ncoeff.a.value = 1.0",
+    "coeff.a.family = expression\ncoeff.a.code = {code}") + "hom.cell_n = 8\n"
+
+
+def test_cli_expression_outside_sandbox_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "h.cfg"
+    cfg_path.write_text(EXPRESSION_HOM.format(code='__import__("os")'))
+    out = tmp_path / "o"
+    assert harness.main(["homogenize", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "coefficient expression may not use '__import__'" in capsys.readouterr().err
+    assert not (out / "tensors.txt").exists()
+
+
+def test_cli_whitelisted_expression_runs(tmp_path):
+    cfg_path = tmp_path / "h.cfg"
+    cfg_path.write_text(EXPRESSION_HOM.format(code="2.0 + np.sin(2*pi*ys[0][:, 0])")
+                        .replace("coeff.beta = 2.0", "coeff.beta = 3.0"))
+    out = tmp_path / "o"
+    assert harness.main(["homogenize", "--config", str(cfg_path), "--out", str(out)]) == 0
+    arow = next(l for l in open(out / "tensors.txt") if l.startswith("a level=0"))
+    assert float(arow.split()[3]) == pytest.approx(np.sqrt(3.0), abs=1e-2)
 
 
 def test_simulate_probes_at_the_ends_of_the_interior_edges(tmp_path):
