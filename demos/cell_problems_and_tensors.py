@@ -33,13 +33,14 @@ print("dw1/dy1 vs closed form (first cells):")
 for g, b in zip(grads[:4, 0], bvals[:4]):
     print(f"  computed {g:+.6f}   closed form {SQRT3/b - 1.0:+.6f}")
 
-print("\n=== 2D curl cell problem, scalar coefficient a(y) = 2 + sin 2 pi y1 ===")
-scal = lambda y: 2.0 + np.sin(2 * np.pi * y[:, 0])
+print("\n=== 2D curl cell problem, one-component coefficient a(y) = 2 + sin 2 pi y1 ===")
+# the 2D curl has m = 1 component: a, abar and a0 are (..., 1, 1) arrays
+scal = lambda y: (2.0 + np.sin(2 * np.pi * y[:, 0]))[:, None, None]
 Nc, abar = solve_curl_cell(scal, mesh)
-a0 = curl_level_tensor(mesh, abar, Nc)
+a0 = curl_level_tensor(mesh, abar, Nc)[0, 0]
 print(f"a0 = {a0:.12f} (harmonic mean, error {abs(a0-SQRT3):.2e})")
 s = fem.edge_ref(2)["CVEC"][0]
-flux = abar * (1.0 + (Nc[0][mesh.cell_edges] @ s) / mesh.h ** 2)
+flux = abar[:, 0, 0] * (1.0 + (Nc[0][mesh.cell_edges] @ s) / mesh.h ** 2)
 print(f"constant-flux identity: a (1 + curl_y N) has std {flux.std():.2e}")
 
 print("\n=== macroscopically modulated a(x, y): recursion with x sampling ===")
@@ -52,5 +53,5 @@ res = homogenize(spec, cell_N=32, slow_x=4)
 print("a0(x) at the x sample grid (rows: sample, value, closed form):")
 for i, x in enumerate(res.x_points[:6]):
     factor = 1.0 + 0.5 * np.sin(np.pi * x[0]) * np.sin(np.pi * x[1])
-    print(f"  x = ({x[0]:.3f}, {x[1]:.3f})  a0 = {float(res.a0[i]):.8f}  "
+    print(f"  x = ({x[0]:.3f}, {x[1]:.3f})  a0 = {res.a0[i, 0, 0]:.8f}  "
           f"sqrt3 * m(x) = {SQRT3 * factor:.8f}")

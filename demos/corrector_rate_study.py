@@ -34,7 +34,7 @@ lay = {"scale": 1, "axis": 0, "offset": 2.0, "amplitude": 1.0}
 spec = CoefficientSpec(2, 1, a=CoefficientPart("layered", dict(lay)),
                        b=CoefficientPart("layered", dict(lay)), alpha=1.0, beta=3.0)
 hom = homogenize(spec, cell_N=64)
-print(f"homogenized tensors: a0 = {float(hom.a0[0]):.6f}, "
+print(f"homogenized tensors: a0 = {hom.a0[0, 0, 0]:.6f}, "
       f"b0 = diag({hom.b0[0][0, 0]:.6f}, {hom.b0[0][1, 1]:.6f})")
 
 pairs = []

@@ -29,7 +29,7 @@ print("level-1 tensor b1(y1) vs closed form (2 + sin 2 pi y11) diag(sqrt3, 2):")
 print(f"  max error in b1_11: {np.abs(b1[:, 0, 0] - np.sqrt(3) * f).max():.2e}")
 print(f"  max error in b1_22: {np.abs(b1[:, 1, 1] - 2.0 * f).max():.2e}")
 print(f"final tensors: b0 = diag({hom.b0[0][0, 0]:.4f}, {hom.b0[0][1, 1]:.4f}) "
-      f"(limit diag(3, 4)), a0 = {float(hom.a0[0]):.4f} (limit 3)")
+      f"(limit diag(3, 4)), a0 = {hom.a0[0, 0, 0]:.4f} (limit 3)")
 
 
 def g1(x):

@@ -24,27 +24,27 @@ class HomogenizationError(RuntimeError):
 # ---------------------------------------------------------------------------
 # multilinear interpolation on one d-dimensional sample grid
 
-def multilinear_corners(z, m, periodic):
-    """Corner (flat index, weight) pairs of multilinear interpolation on the (m,)*d grid.
+def multilinear_corners(z, res, periodic):
+    """Corner (flat index, weight) pairs of multilinear interpolation on the (res,)*d grid.
 
     z: (npts, d) coordinates in grid units (sample j sits at z = j).  Periodic
-    grids wrap the corner indices modulo m; clamped grids keep the lower corner
-    in [0, m - 2], so z = m - 1 falls on the far face of the last cell.  A
-    one-sample grid (m == 1) has a single corner of weight 1.
+    grids wrap the corner indices modulo res; clamped grids keep the lower corner
+    in [0, res - 2], so z = res - 1 falls on the far face of the last cell.  A
+    one-sample grid (res == 1) has a single corner of weight 1.
     """
     npts, d = z.shape
-    if m == 1:
+    if res == 1:
         return [(np.zeros(npts, dtype=np.int64), np.ones(npts))]
     base = np.floor(z).astype(np.int64)
     if not periodic:
-        base = np.minimum(base, m - 2)
+        base = np.minimum(base, res - 2)
     frac = z - base
     out = []
     for corner in itertools.product((0, 1), repeat=d):
         idx = base + np.array(corner)
         if periodic:
-            idx = np.mod(idx, m)
-        flat = np.ravel_multi_index(idx.T, (m,) * d)
+            idx = np.mod(idx, res)
+        flat = np.ravel_multi_index(idx.T, (res,) * d)
         w = np.ones(npts)
         for a, c in enumerate(corner):
             w = w * (frac[:, a] if c else 1.0 - frac[:, a])
@@ -84,7 +84,7 @@ def periodic_grid_points(d, m):
 
 
 def box_grid_points(d, m):
-    """Flattened (m^d, d) sample points j/(m-1) of the unit box (its center when m == 1)."""
+    """Flattened (m^d, d) sample points j/(m-1) of the unit box (its center for one sample)."""
     return grid_points(*[np.linspace(0.0, 1.0, m) if m > 1 else np.array([0.5])] * d)
 
 
@@ -108,9 +108,10 @@ def solve_scalar_cell(coef_fn, mesh, tol=1e-12):
 def solve_curl_cell(coef_fn, mesh, tol=1e-12):
     """Solve the curl cell problems curl_y(A (e^l + curl N^l)) = 0 on Y.
 
-    Returns (Nc, abar): Nc is (1, n_edges) in 2D (scalar curl index) or
-    (3, n_edges) in 3D.  The gradient kernel of the periodic curl-curl
-    operator is left in place; only curls of N are used downstream.
+    Returns (Nc, abar): Nc is (m, n_edges) and abar (ncells, m, m), with
+    m = 1 curl component in 2D and 3 in 3D.  The gradient kernel of the
+    periodic curl-curl operator is left in place; only curls of N are used
+    downstream.
     """
     system, abar = fem.assemble_curl_stiffness(mesh, coef_fn, rule=1)
     rhs = fem.curl_cell_rhs(mesh, abar)
@@ -150,12 +151,9 @@ def scalar_level_tensor(mesh, cbar, W):
 
 
 def curl_level_tensor(mesh, abar, Nc):
-    """Energy-form curl level tensor; scalar in 2D (one component), 3x3 in 3D."""
+    """Energy-form curl level tensor: (m, m), 1 x 1 in 2D (one curl component), 3 x 3 in 3D."""
     ref = fem.edge_ref(mesh.d)
-    m = len(ref["CVEC"])
-    T = _energy_tensor(mesh, abar.reshape(-1, m, m), Nc[:, mesh.cell_edges], ref["CVEC"],
-                       ref["CURL"], 2)
-    return float(T[0, 0]) if m == 1 else T
+    return _energy_tensor(mesh, abar, Nc[:, mesh.cell_edges], ref["CVEC"], ref["CURL"], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +163,11 @@ def curl_level_tensor(mesh, abar, Nc):
 class HomogenizationResult:
     """Level tensors on their sample grids plus the cached cell solutions.
 
-    tensors[("b", i)] has shape (nx, ny_1, ..., ny_i) + (d, d); the 2D curl
-    tensors a^i are scalar fields with trailing shape ().  b0/a0 are the
-    level-0 fields over the x sample grid.  cells[("b", level, sample)] is
-    the mean-zero W (d, n_nodes) of that cell solve and cells[("a", level,
-    sample)] its Nc, (1, n_edges) in 2D / (3, n_edges) in 3D.
+    tensors[("b", i)] has shape (nx, ny_1, ..., ny_i) + (d, d) and
+    tensors[("a", i)] the same sample shape + (m, m), m = d(d-1)/2 curl
+    components (1 in 2D, 3 in 3D).  b0/a0 are the level-0 fields over the x
+    sample grid.  cells[("b", level, sample)] is the mean-zero W (d, n_nodes)
+    of that cell solve and cells[("a", level, sample)] its Nc (m, n_edges).
     """
 
     spec: object
@@ -211,7 +209,7 @@ class HomogenizationResult:
 
     @property
     def a0(self):
-        """a^0 at the x sample points: (nx,) in 2D, (nx, 3, 3) in 3D."""
+        """a^0 at the x sample points: (nx, m, m), (nx, 1, 1) in 2D."""
         return self._level0("a")
 
     def cell_solution(self, which, level, sample_index):
@@ -223,18 +221,15 @@ class HomogenizationResult:
                  f"cell_N={self.cell_N} x_res={self.x_res} y_res={list(self.y_res)}"]
         for (which, level) in sorted(self.tensors, key=lambda k: (k[0], -k[1])):
             vals = self.tensors[(which, level)]
-            tdim = (self.d * self.d) if (which == "b" or self.d == 3) else 1
-            flat = vals.reshape(-1, tdim)
-            for si, row in enumerate(flat):
+            for si, row in enumerate(vals.reshape(-1, vals.shape[-1] ** 2)):
                 entries = " ".join(f"{v:.17g}" for v in row)
                 lines.append(f"{which} level={level} sample={si} {entries}")
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
 
-def _require_bounds(T, spec, which, level, sample, d):
-    vals = np.atleast_1d(np.asarray(T))
-    eigs = vals if vals.ndim == 1 else np.linalg.eigvalsh(vals)
+def _require_bounds(T, spec, which, level, sample):
+    eigs = np.linalg.eigvalsh(T)
     slack = 1e-7 * max(1.0, spec.beta)
     if eigs.min() < spec.alpha - slack or eigs.max() > spec.beta + slack:
         raise HomogenizationError(
@@ -265,13 +260,13 @@ def homogenize(spec, cell_N, slow_x=None, slow_y=None, tol=1e-12):
     result = HomogenizationResult(spec, cell_N, slow_x, tuple(y_res), x_pts, {})
     mesh = result.mesh
 
-    for which in ("b", "a"):
-        scalar_tensor = which == "a" and d == 2
+    # b acts on d-vectors, a on curls of d(d-1)/2 components
+    for which, k in (("b", d), ("a", d * (d - 1) // 2)):
+        tshape = (k, k)
         upper = None  # tensor samples of level i over (x, y_1..y_i)
         for level in range(n, 0, -1):
             slow_grids = [x_pts] + y_pts[: level - 1]
             shapes = [len(g) for g in slow_grids]
-            tshape = () if scalar_tensor else (d, d)
             T = np.empty(tuple(shapes) + tshape)
             if level < n:
                 m = y_res[level - 1]
@@ -296,7 +291,7 @@ def homogenize(spec, cell_N, slow_x=None, slow_y=None, tol=1e-12):
                     Nc, abar = solve_curl_cell(coef_fn, mesh, tol)
                     Ti = curl_level_tensor(mesh, abar, Nc)
                     result.cells[key] = Nc
-                _require_bounds(Ti, spec, which, level - 1, si, d)
+                _require_bounds(Ti, spec, which, level - 1, si)
                 T[multi] = Ti
             result.tensors[(which, level - 1)] = T
             upper = T

@@ -1,10 +1,10 @@
 """Multiscale coefficient fields a(x, y_1..y_n), b(x, y_1..y_n) and scale schedules.
 
-Coefficients are symmetric d x d matrix fields (the curl coefficient `a` is a
-scalar field when d=2, since the 2D curl is scalar).  Every builtin family is
-smooth and 1-periodic in each microscopic variable.  Evaluation is vectorized:
-points are passed as (npts, d) arrays and a stack of matrices (npts, d, d)
-(or (npts,) scalars) comes back.
+Coefficients are symmetric m x m matrix fields: b acts on vectors (m = d) and
+the curl coefficient a on curls, which have m = d(d-1)/2 components (one in
+2D, three in 3D).  Every builtin family is smooth and 1-periodic in each
+microscopic variable.  Evaluation is vectorized: points are passed as
+(npts, d) arrays and a stack of matrices (npts, m, m) comes back.
 """
 
 import ast
@@ -33,15 +33,19 @@ class CoefficientError(ValueError):
     """Inconsistent coefficient specification or out-of-bounds evaluation."""
 
 
-def _as_matrix(value, d):
-    m = np.asarray(value, dtype=float)
-    if m.ndim == 0:
-        m = m * np.eye(d)
-    if m.shape != (d, d):
-        raise CoefficientError(f"expected a {d}x{d} matrix, got shape {m.shape}")
-    if not np.allclose(m, m.T, atol=1e-14):
+def _as_matrix(value, m):
+    """A scalar (c I) or m * m entries (row-major) as a symmetric m x m matrix."""
+    v = np.asarray(value, dtype=float)
+    if v.size == 1:
+        v = v.reshape(()) * np.eye(m)
+    elif v.size == m * m:
+        v = v.reshape(m, m)
+    else:
+        raise CoefficientError(f"expected a scalar or {m * m} entries (a {m}x{m} matrix, "
+                               f"row-major), got {v.size}")
+    if not np.allclose(v, v.T, atol=1e-14):
         raise CoefficientError("coefficient matrix must be symmetric")
-    return 0.5 * (m + m.T)
+    return 0.5 * (v + v.T)
 
 
 _EXPRESSION_NAMES = ("x", "ys", "np", "pi")
@@ -97,17 +101,18 @@ class CoefficientPart:
     """One coefficient field (either `a` or `b`) of a CoefficientSpec.
 
     params by family (an unknown or a missing one raises CoefficientError):
-      constant           value (scalar or d x d matrix)
+      constant           value (scalar, or m x m matrix as m * m row-major entries)
       layered            offset, amplitude; scale (1-based), axis, frequency, phase, base
       separable-product  factors: one {offset, amplitude; axis, frequency, phase} per
                          scale; x_amplitude, base
       expression         code: python expression over x, ys, np returning
-                         (npts,) or (npts, d, d)
+                         (npts,) scalars (times I) or (npts, m, m)
 
     layered and separable-product share one profile: the product over the scales
     of offset + amplitude * sin(2 pi frequency y_i[axis] + phase), times the
-    macroscopic modulation 1 + x_amplitude * prod_a sin(pi x_a), times base
-    (defaults: scale 1, axis 0, frequency 1, phase 0, x_amplitude 0, base identity).
+    macroscopic modulation 1 + x_amplitude * prod_a sin(pi x_a), times base (a
+    scalar or m x m matrix; defaults: scale 1, axis 0, frequency 1, phase 0,
+    x_amplitude 0, base identity).
     layered is its own factor at `scale` and the unit factor (offset 1, amplitude 0)
     at every other scale.
     """
@@ -172,33 +177,21 @@ class CoefficientPart:
             prod = prod * (1.0 + xa * xmod)
         return prod
 
-    def evaluate(self, x, ys, d, scalar=False):
-        """Evaluate at points x: (npts, d), ys: list of n (npts, d) arrays.
-
-        Returns (npts,) when scalar (the 2D curl coefficient), else (npts, d, d).
-        """
+    def evaluate(self, x, ys, m):
+        """Evaluate at points x: (npts, d), ys: list of n (npts, d) arrays: (npts, m, m)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         ys = [np.atleast_2d(np.asarray(y, dtype=float)) for y in ys]
         npts = x.shape[0]
         if self.family == "constant":
-            if scalar:
-                v = np.asarray(self.params["value"], dtype=float)
-                return np.full(npts, float(v))
-            m = _as_matrix(self.params["value"], d)
-            return np.broadcast_to(m, (npts, d, d)).copy()
+            return np.broadcast_to(_as_matrix(self.params["value"], m), (npts, m, m)).copy()
         if self.family == "expression":
             env = {"np": np, "x": x, "ys": ys, "pi": np.pi}
             out = np.asarray(eval(self.params["code"], {"__builtins__": {}}, env), dtype=float)
-            if scalar:
-                return np.broadcast_to(out, (npts,)).astype(float)
             if out.ndim <= 1:
-                return np.broadcast_to(out, (npts,))[:, None, None] * np.eye(d)
-            return np.broadcast_to(out, (npts, d, d)).copy()
-        prof = self._profile(x, ys)
-        if scalar:
-            return prof
-        base = _as_matrix(self.params.get("base", 1.0), d)
-        return prof[:, None, None] * base
+                return np.broadcast_to(out, (npts,))[:, None, None] * np.eye(m)
+            return np.broadcast_to(out, (npts, m, m)).copy()
+        base = _as_matrix(self.params.get("base", 1.0), m)
+        return self._profile(x, ys)[:, None, None] * base
 
 
 @dataclass(frozen=True)
@@ -219,23 +212,25 @@ class CoefficientSpec:
             raise CoefficientError("need at least one microscopic scale")
         if not (0 < self.alpha <= self.beta):
             raise CoefficientError("bounds must satisfy 0 < alpha <= beta")
-        for which, part in (("a", self.a), ("b", self.b)):
+        for which, part, m in (("a", self.a, self.d * (self.d - 1) // 2), ("b", self.b, self.d)):
             try:
                 part._check(self.d, self.n_scales)
             except CoefficientError as exc:
                 raise CoefficientError(f"coefficient {which}: {exc}") from None
-
-    @property
-    def a_is_scalar(self):
-        return self.d == 2
+            for key in set(part.params) & {"value", "base"}:
+                try:
+                    _as_matrix(part.params[key], m)
+                except CoefficientError as exc:
+                    # named as the config key of the param
+                    raise CoefficientError(f"coeff.{which}.{key}: {exc}") from None
 
     def eval_a(self, x, ys):
-        """Fast path: (npts,) scalars in 2D, (npts, 3, 3) in 3D. No bounds check."""
-        return self.a.evaluate(x, ys, self.d, scalar=self.a_is_scalar)
+        """Fast path: (npts, m, m) with m = d(d-1)/2 curl components. No bounds check."""
+        return self.a.evaluate(x, ys, self.d * (self.d - 1) // 2)
 
     def eval_b(self, x, ys):
         """Fast path: (npts, d, d). No bounds check."""
-        return self.b.evaluate(x, ys, self.d, scalar=False)
+        return self.b.evaluate(x, ys, self.d)
 
     def depends_on_x(self):
         return self.a.depends_on_x() or self.b.depends_on_x()
@@ -290,10 +285,10 @@ class ScaleSchedule:
 
 
 def eval_coefficient(spec, x, ys, which):
-    """Evaluate a or b at (x, y_1..y_n); returns symmetric matrices (npts, d, d).
+    """Evaluate a or b at (x, y_1..y_n); returns symmetric matrices (npts, m, m).
 
-    The 2D curl coefficient comes back as (npts, 1, 1).  Raises CoefficientError
-    when an evaluated matrix violates the declared bounds (inconsistent spec).
+    Raises CoefficientError when an evaluated matrix violates the declared
+    bounds (inconsistent spec).
     """
     if which not in ("a", "b"):
         raise CoefficientError("which must be 'a' or 'b'")
@@ -304,11 +299,8 @@ def eval_coefficient(spec, x, ys, which):
     if len(ys) != spec.n_scales:
         raise CoefficientError(f"expected {spec.n_scales} fast variables, got {len(ys)}")
     ys = [y - np.floor(y) for y in ys]
-    if which == "a" and spec.a_is_scalar:
-        vals = spec.eval_a(x, ys)[:, None, None]
-    else:
-        vals = spec.eval_a(x, ys) if which == "a" else spec.eval_b(x, ys)
-    eigs = np.linalg.eigvalsh(vals).reshape(vals.shape[0], -1)
+    vals = spec.eval_a(x, ys) if which == "a" else spec.eval_b(x, ys)
+    eigs = np.linalg.eigvalsh(vals)
     tol = 1e-10 * max(1.0, spec.beta)
     if eigs.min() < spec.alpha - tol or eigs.max() > spec.beta + tol:
         raise CoefficientError(
@@ -318,7 +310,7 @@ def eval_coefficient(spec, x, ys, which):
 
 
 def eval_fine(spec, schedule, x, which):
-    """a^eps(x) = a(x, x/eps_1, ..., x/eps_n); returns (npts, d, d) ((npts,1,1) for 2D a)."""
+    """a^eps(x) = a(x, x/eps_1, ..., x/eps_n); returns (npts, m, m)."""
     if schedule.n_scales != spec.n_scales:
         raise CoefficientError("schedule and spec disagree on the number of scales")
     return eval_coefficient(spec, x, schedule.fast_variables(x), which)
@@ -349,13 +341,12 @@ def validate_bounds(spec, samples_per_axis):
     lo, hi = np.inf, -np.inf
     rng = np.random.default_rng(20240811)
     for which in ("a", "b"):
-        scalar = which == "a" and spec.a_is_scalar
         for _ in range(max(1, spec.n_scales)):
             x = pts
             ys = [pts[rng.permutation(len(pts))] for _ in range(spec.n_scales)]
             ys[0] = pts  # always include the aligned diagonal sweep
             vals = spec.eval_a(x, ys) if which == "a" else spec.eval_b(x, ys)
-            eigs = vals if scalar else np.linalg.eigvalsh(vals)
+            eigs = np.linalg.eigvalsh(vals)
             lo = min(lo, float(np.min(eigs)))
             hi = max(hi, float(np.max(eigs)))
     if lo < spec.alpha - 1e-12 or hi > spec.beta + 1e-12:

@@ -192,23 +192,26 @@ def quad_points(mesh, rule):
 def cell_coefficient(mesh, coef_fn, rule):
     """Reduce a coefficient to one constant per cell (Gauss-weighted average).
 
-    coef_fn maps (npts, d) points to (npts,) scalars or (npts, d, d) matrices.
+    coef_fn maps (npts, d) points to (npts, m, m) matrices; returns (ncells, m, m).
     """
     pts, wts = gauss_rule(mesh.d, rule)
     (nq, d), ncells = pts.shape, mesh.n_cells
     cbar = None
     for blk in point_blocks(ncells, nq):
         vals = coef_fn(_cell_points(mesh, pts, blk).reshape(-1, d))
-        if vals.ndim == 1:
+        m = vals.shape[-1]
+        # BLAS rounds a row of a matrix-vector product by its position in the
+        # matrix: one-component values stay per point and are reduced in one
+        # product over every cell below, which keeps the bits of every 2D
+        # curl coefficient (einsum sums them in another order)
+        if m == 1:
             vals = vals.reshape(-1, nq)
         else:
-            vals = np.einsum("cqab,q->cab", vals.reshape(-1, nq, d, d), wts)
+            vals = np.einsum("cqab,q->cab", vals.reshape(-1, nq, m, m), wts)
         if cbar is None:
             cbar = np.empty((ncells,) + vals.shape[1:])
         cbar[blk] = vals
-    # BLAS rounds a row of a matrix-vector product by its position in the
-    # matrix, so scalar values are reduced in one product over every cell
-    return cbar @ wts if cbar.ndim == 2 else cbar
+    return (cbar @ wts)[:, None, None] if cbar.ndim == 2 else cbar
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +277,6 @@ def element_matrices(coef, ref_mat):
             ).reshape((ncells,) + ref_mat.shape[2:])
 
 
-def _coef_matrix(cbar, m):
-    """Per-cell coefficient as (ncells, m, m); a scalar coefficient acts as c*I."""
-    return cbar[:, None, None] * np.eye(m) if cbar.ndim == 1 else cbar
-
-
 def _assemble(mesh, coef, ref_mat, order, dof_map, n, index_map=None):
     """Symmetric CSR matrix of h^(d - 2 order) E[c]; D phi scales as h^-order."""
     eloc = mesh.h ** (mesh.d - 2 * order) * element_matrices(coef, ref_mat)
@@ -305,7 +303,7 @@ def assemble_scalar_stiffness(mesh, coef_fn, rule=1):
     """Periodic bilinear form int_Y (C grad phi_i) . grad phi_j on a CellMesh."""
     if not mesh.periodic:
         raise AssemblyError("scalar stiffness is assembled on periodic cell meshes")
-    cbar = _coef_matrix(cell_coefficient(mesh, coef_fn, rule), mesh.d)
+    cbar = cell_coefficient(mesh, coef_fn, rule)
     A = _assemble(mesh, cbar, nodal_ref(mesh.d)["GRAD"], 1, mesh.cell_nodes, mesh.n_nodes)
     return SparseSymSystem(mesh.n_nodes, A, nullspace="constants"), cbar
 
@@ -318,36 +316,33 @@ def scalar_cell_rhs(mesh, cbar):
 def assemble_curl_stiffness(mesh, coef_fn, rule=1):
     """Bilinear form int (A curl phi_i) . curl phi_j with edge elements.
 
-    The curl has one component in 2D (abar is returned as (ncells,)) and three
-    in 3D.  CellMesh: periodic, nullspace = discrete gradients (recorded only).
-    DomainMesh: boundary edges eliminated (u x nu = 0); returns the system on
-    interior DOFs.
+    The curl has m = 1 component in 2D and 3 in 3D; abar is returned as
+    (ncells, m, m).  CellMesh: periodic, nullspace = discrete gradients
+    (recorded only).  DomainMesh: boundary edges eliminated (u x nu = 0);
+    returns the system on interior DOFs.
     """
     abar = cell_coefficient(mesh, coef_fn, rule)
-    ref = edge_ref(mesh.d)["CURL"]
-    coef = _coef_matrix(abar, ref.shape[0])
     if mesh.periodic:
         n, index_map = mesh.n_edges, None
     else:
         n, index_map = mesh.n_interior_edges, mesh.interior_index
-    A = _assemble(mesh, coef, ref, 2, mesh.cell_edges, n, index_map)
-    return SparseSymSystem(n, A, nullspace="gradients"), abar if len(ref) == 1 else coef
+    A = _assemble(mesh, abar, edge_ref(mesh.d)["CURL"], 2, mesh.cell_edges, n, index_map)
+    return SparseSymSystem(n, A, nullspace="gradients"), abar
 
 
 def curl_cell_rhs(mesh, abar):
-    """Right-hand sides -int (A e^l) . curl phi_i for the curl cell problems.
+    """Right-hand sides -int (A e^l) . curl phi_i for the curl cell problems: (m, n_edges).
 
-    2D: (1, n_edges) (single scalar index); 3D: (3, n_edges).
+    abar: (ncells, m, m) as assemble_curl_stiffness returns it.
     """
-    cvec = edge_ref(mesh.d)["CVEC"]
-    return _cell_rhs(mesh, _coef_matrix(abar, len(cvec)), cvec, 2, mesh.cell_edges, mesh.n_edges)
+    return _cell_rhs(mesh, abar, edge_ref(mesh.d)["CVEC"], 2, mesh.cell_edges, mesh.n_edges)
 
 
 def assemble_vector_mass(mesh, coef_fn, rule=2):
     """Positive definite form int_D (B phi_i) . phi_j on interior edge DOFs."""
     if mesh.periodic:
         raise AssemblyError("the vector mass matrix lives on a DomainMesh")
-    bbar = _coef_matrix(cell_coefficient(mesh, coef_fn, rule), mesh.d)
+    bbar = cell_coefficient(mesh, coef_fn, rule)
     n = mesh.n_interior_edges
     A = _assemble(mesh, bbar, edge_ref(mesh.d)["MASS"], 1, mesh.cell_edges, n,
                   mesh.interior_index)

@@ -180,29 +180,26 @@ def fingerprint(cfg):
 # ---------------------------------------------------------------------------
 # builders
 
-def _matrix_param(vals, d):
-    if len(vals) == 1:
-        return vals[0]
-    if len(vals) != d * d:
-        raise ConfigError(f"matrix parameter needs 1 or {d * d} entries")
-    return np.array(vals).reshape(d, d)
-
-
 # the config keys of each family's CoefficientPart params
 _FAMILY_KEYS = {"constant": ("value",), "layered": ("offset", "amplitude", "phase"),
                 "separable-product": ("factors", "x_amplitude"), "expression": ("code",)}
 
 
 def build_part(cfg, which):
-    fam = cfg[f"coeff.{which}.family"]
-    params = {k: cfg[f"coeff.{which}.{k}"] for k in _FAMILY_KEYS.get(fam, ())
-              if cfg[f"coeff.{which}.{k}"] is not None}
-    if "value" in params:
-        params["value"] = _matrix_param(params["value"], cfg["coeff.d"])
+    """The CoefficientPart of coeff.<which>; keys its family does not read keep their defaults."""
+    prefix = f"coeff.{which}."
+    fam = cfg[prefix + "family"]
+    params = {k: cfg[prefix + k] for k in _FAMILY_KEYS.get(fam, ()) if cfg[prefix + k] is not None}
     try:
-        return CoefficientPart(fam, params)
+        part = CoefficientPart(fam, params)
     except CoefficientError as exc:
         raise ConfigError(f"coeff.{which}: {exc}") from None
+    stray = [key for key, (_, default) in SCHEMA.items() if key.startswith(prefix)
+             and key[len(prefix):] not in ("family",) + _FAMILY_KEYS[fam] and cfg[key] != default]
+    if stray:
+        raise ConfigError(f"{', '.join(stray)}: not read by family {fam!r} "
+                          f"(it reads {', '.join(_FAMILY_KEYS[fam])})")
+    return part
 
 
 def build_spec(cfg):
@@ -249,11 +246,17 @@ FORCING_REGISTRY = {
 
 
 def _field(cfg, key, registry):
-    name = cfg[key]
+    """The registry entry cfg[key], refused unless it has coeff.d components."""
+    name, d = cfg[key], cfg["coeff.d"]
     if name not in registry:
         raise ConfigError(f"{key} = {name!r} is not in the builtin registry "
                           f"({', '.join(sorted(registry))})")
-    return registry[name]
+    fn = registry[name]
+    # the components are counted at one point
+    k = None if fn is None else np.shape(getattr(fn, "space_fn", fn)(np.full((1, d), 0.5)))[-1]
+    if k not in (None, d):
+        raise ConfigError(f"{key} = {name!r} has {k} components; coeff.d = {d} needs {d}")
+    return fn
 
 
 def _quad_rule(cfg, spec):

@@ -100,8 +100,8 @@ def test_criterion_01_curl_homogenization_closed_form():
     t0 = time.perf_counter()
     for N in (128, 256):
         mesh = CellMesh(2, N)
-        Nc, abar = solve_curl_cell(layered_scalar, mesh, tol=1e-12)
-        errs[N] = abs(curl_level_tensor(mesh, abar, Nc) - SQRT3)
+        Nc, abar = solve_curl_cell(lambda y: layered_scalar(y)[:, None, None], mesh, tol=1e-12)
+        errs[N] = abs(curl_level_tensor(mesh, abar, Nc)[0, 0] - SQRT3)
     elapsed = time.perf_counter() - t0
     ok = errs[128] <= 1e-4 and errs[256] <= 1e-5 and elapsed < 10.0
     report(1, ok, f"|a0-sqrt3| = {errs[128]:.2e} @128, {errs[256]:.2e} @256 "
@@ -127,7 +127,7 @@ def test_criterion_03_trivial_collapse():
     s = fem.edge_ref(2)["CVEC"][0]
     q_max = max(np.abs((Nc[0][mesh.cell_edges] @ s) / mesh.h ** 2).max()
                 for k, Nc in res.cells.items() if k[0] == "a")
-    ea = abs(float(res.a0[0]) - a_val)
+    ea = abs(res.a0[0, 0, 0] - a_val)
     eb = np.abs(res.b0[0] - b_val).max()
     ok = w_max <= 1e-10 and q_max <= 1e-10 and ea <= 1e-10 and eb <= 1e-10
     report(3, ok, f"|w| = {w_max:.1e}, |curl N| = {q_max:.1e}, "
@@ -145,7 +145,7 @@ def test_criterion_04_recursion_degeneracy():
     r2 = homogenize(spec2, cell_N=32, slow_y=4, tol=1e-12)
     r1 = homogenize(spec1, cell_N=32, tol=1e-12)
     db = np.abs(r2.b0[0] - r1.b0[0]).max()
-    da = abs(float(r2.a0[0]) - float(r1.a0[0]))
+    da = abs(r2.a0[0, 0, 0] - r1.a0[0, 0, 0])
     ok = db <= 1e-10 and da <= 1e-10
     report(4, ok, f"two-level vs one-level paths: |db| = {db:.1e}, |da| = {da:.1e} "
                   f"(gates 1e-10)")

@@ -22,7 +22,8 @@ def layered_matrix(x):
 
 
 def layered_scalar(x):
-    return 2.0 + np.sin(2 * np.pi * x[:, 0])
+    """The 2D curl coefficient 2 + sin(2 pi x1): one component, (npts, 1, 1)."""
+    return (2.0 + np.sin(2 * np.pi * x[:, 0]))[:, None, None]
 
 
 def layered_spec(n=1, d=2):
@@ -51,19 +52,15 @@ def scalar_level_tensor_flux(mesh, cbar, W):
 
 
 def curl_level_tensor_flux(mesh, abar, Nc):
-    """Flux-form curl tensor; scalar in 2D, 3x3 in 3D."""
+    """Flux-form curl tensor: (m, m), 1 x 1 in 2D, 3 x 3 in 3D."""
     d, h = mesh.d, mesh.h
-    if d == 2:
-        s = fem.edge_ref(2)["CVEC"][0]
-        q = (Nc[0][mesh.cell_edges] @ s) / h ** 2
-        return float(np.sum(h ** d * abar * (1.0 + q)) / (h ** d * mesh.n_cells))
-    ref = fem.edge_ref(3)
-    Ncl = Nc[:, mesh.cell_edges]
-    CV = np.einsum("ai,lci->lca", ref["CVEC"], Ncl)
+    ref = fem.edge_ref(d)
+    m = len(ref["CVEC"])
+    CV = np.einsum("ai,lci->lca", ref["CVEC"], Nc[:, mesh.cell_edges])
     vol = h ** d * mesh.n_cells
-    T = np.empty((3, 3))
-    for p in range(3):
-        for q in range(3):
+    T = np.empty((m, m))
+    for p in range(m):
+        for q in range(m):
             t = h ** d * abar[:, p, q] + h ** (d - 2) * np.einsum(
                 "ca,ca->c", abar[:, p, :], CV[q])
             T[p, q] = t.sum() / vol
@@ -91,11 +88,11 @@ def energy_tensor_oracle(mesh, coef, local, ref_vec, ref_mat, order):
 
 
 def curl_level_tensor_2d_oracle(mesh, abar, Nc):
-    """Closed form of the 2D scalar curl tensor: mean of abar (1 + curl_y N)^2."""
+    """Closed form of the 2D one-component curl tensor: mean of abar (1 + curl_y N)^2."""
     s = fem.edge_ref(2)["CVEC"][0]
     q = (Nc[0][mesh.cell_edges] @ s) / mesh.h ** 2
     w = mesh.h ** mesh.d
-    return float(np.sum(w * abar * (1.0 + q) ** 2) / (w * mesh.n_cells))
+    return float(np.sum(w * abar[:, 0, 0] * (1.0 + q) ** 2) / (w * mesh.n_cells))
 
 
 @st.composite
@@ -115,10 +112,10 @@ def test_energy_tensor_matches_einsum_oracle(case):
     d, nc = mesh.d, mesh.n_cells
     scale = 10.0 ** rng.uniform(-2, 2)
     if kind == "edge" and d == 2:
-        abar = scale * rng.uniform(0.1, 10.0, nc)
+        abar = scale * rng.uniform(0.1, 10.0, (nc, 1, 1))
         Nc = rng.standard_normal((1, mesh.n_edges)) * 10.0 ** rng.uniform(-3, 0)
         ref = curl_level_tensor_2d_oracle(mesh, abar, Nc)
-        assert abs(curl_level_tensor(mesh, abar, Nc) - ref) <= 1e-13 * abs(ref)
+        assert abs(curl_level_tensor(mesh, abar, Nc)[0, 0] - ref) <= 1e-13 * abs(ref)
         return
     A = rng.standard_normal((nc, d, d))
     coef = scale * (A @ A.transpose(0, 2, 1) + 0.1 * np.eye(d))   # SPD per cell
@@ -277,11 +274,11 @@ def test_smooth_coefficient_self_convergence():
 
 def test_constant_curl_cell_collapses():
     mesh = CellMesh(2, 8)
-    Nc, abar = solve_curl_cell(lambda x: 1.5 * np.ones(len(x)), mesh)
+    Nc, abar = solve_curl_cell(lambda x: 1.5 * np.ones((len(x), 1, 1)), mesh)
     s = fem.edge_ref(2)["CVEC"][0]
     q = (Nc[0][mesh.cell_edges] @ s) / mesh.h ** 2
     assert np.abs(q).max() < 1e-12
-    assert abs(curl_level_tensor(mesh, abar, Nc) - 1.5) < 1e-14
+    assert abs(curl_level_tensor(mesh, abar, Nc)[0, 0] - 1.5) < 1e-14
 
 
 def test_2d_constant_flux_identity():
@@ -290,7 +287,7 @@ def test_2d_constant_flux_identity():
     Nc, abar = solve_curl_cell(layered_scalar, mesh)
     s = fem.edge_ref(2)["CVEC"][0]
     q = (Nc[0][mesh.cell_edges] @ s) / mesh.h ** 2
-    flux = abar * (1.0 + q)
+    flux = abar[:, 0, 0] * (1.0 + q)
     assert flux.std() < 1e-10
     assert abs(flux.mean() - SQRT3) < 1e-12
     # curl_y N matches sqrt3 / a(y1) - 1 at the midpoint-sampled coefficient
@@ -302,11 +299,11 @@ def test_2d_constant_flux_identity():
 def test_2d_harmonic_mean_and_homogeneity():
     mesh = CellMesh(2, 128)
     Nc, abar = solve_curl_cell(layered_scalar, mesh)
-    a0 = curl_level_tensor(mesh, abar, Nc)
+    a0 = curl_level_tensor(mesh, abar, Nc)[0, 0]
     assert abs(a0 - SQRT3) < 1e-12
     Nc2, abar2 = solve_curl_cell(lambda x: 2.0 * layered_scalar(x), mesh)
-    assert abs(curl_level_tensor(mesh, abar2, Nc2) - 2.0 * a0) < 1e-11
-    assert abs(curl_level_tensor_flux(mesh, abar, Nc) - a0) < 1e-10
+    assert abs(curl_level_tensor(mesh, abar2, Nc2)[0, 0] - 2.0 * a0) < 1e-11
+    assert abs(curl_level_tensor_flux(mesh, abar, Nc)[0, 0] - a0) < 1e-10
 
 
 def test_3d_layered_closed_forms():
@@ -335,7 +332,7 @@ def test_homogenize_constant_is_exact():
         alpha=0.5, beta=3.0)
     res = homogenize(spec, cell_N=8)
     assert np.abs(res.b0[0] - [[2.0, 0.3], [0.3, 1.0]]).max() < 1e-12
-    assert abs(float(res.a0[0]) - 1.5) < 1e-12
+    assert abs(res.a0[0, 0, 0] - 1.5) < 1e-12
 
 
 def test_homogenize_x_dependent_sampling():
@@ -349,7 +346,7 @@ def test_homogenize_x_dependent_sampling():
     res = homogenize(spec, cell_N=32, slow_x=4)
     xs = res.x_points
     factor = 1.0 + 0.5 * np.sin(np.pi * xs[:, 0]) * np.sin(np.pi * xs[:, 1])
-    assert np.abs(res.a0 - SQRT3 * factor).max() < 1e-10
+    assert np.abs(res.a0[:, 0, 0] - SQRT3 * factor).max() < 1e-10
     assert np.abs(res.b0[:, 0, 0] - SQRT3 * factor).max() < 1e-10
     assert np.abs(res.b0[:, 1, 1] - 2.0 * factor).max() < 1e-10
     # interpolation between samples stays within the sampled range
@@ -368,7 +365,7 @@ def test_two_level_degenerate_scale_matches_single_level():
     r2 = homogenize(spec2, cell_N=32, slow_y=4)
     r1 = homogenize(spec1, cell_N=32)
     assert np.abs(r2.b0[0] - r1.b0[0]).max() < 1e-10
-    assert abs(float(r2.a0[0]) - float(r1.a0[0])) < 1e-10
+    assert abs(r2.a0[0, 0, 0] - r1.a0[0, 0, 0]) < 1e-10
 
 
 def test_two_level_separable_against_brute_force():
@@ -385,15 +382,15 @@ def test_two_level_separable_against_brute_force():
     f = 2.0 + np.sin(2 * np.pi * pts[:, 0])
     assert np.abs(b1[:, 0, 0] - SQRT3 * f).max() < 1e-8
     assert np.abs(b1[:, 1, 1] - 2.0 * f).max() < 1e-8
-    a1 = res.tensors[("a", 1)][0]
+    a1 = res.tensors[("a", 1)][0, :, 0, 0]
     assert np.abs(a1 - SQRT3 * f).max() < 1e-8
 
     # brute-force reference: collapse the two scales onto one lattice with an
     # integer ratio r; the fine-grid single-scale solve is the oracle
     r = 8
     mesh = CellMesh(2, 256)
-    coll_m = lambda y: (layered_scalar(y) * (2.0 + np.sin(2 * np.pi * r * y[:, 0])))[:, None, None] * np.eye(2)
-    coll_s = lambda y: layered_scalar(y) * (2.0 + np.sin(2 * np.pi * r * y[:, 0]))
+    coll_s = lambda y: layered_scalar(y) * (2.0 + np.sin(2 * np.pi * r * y[:, 0]))[:, None, None]
+    coll_m = lambda y: coll_s(y) * np.eye(2)
     Wb, cb = solve_scalar_cell(coll_m, mesh)
     b0_bf = scalar_level_tensor(mesh, cb, Wb)
     Nc, ab = solve_curl_cell(coll_s, mesh)
@@ -401,7 +398,7 @@ def test_two_level_separable_against_brute_force():
     # the residual gap is the multilinear interpolation error of the slow grid
     # (~(1/12)^2 relative) plus the r-ratio decorrelation (~1e-3)
     assert np.abs(res.b0[0] - b0_bf).max() < 5e-2
-    assert abs(float(res.a0[0]) - a0_bf) < 5e-2
+    assert abs(res.a0[0, 0, 0] - a0_bf[0, 0]) < 5e-2
     assert np.abs(b0_bf - np.diag([3.0, 4.0])).max() < 2e-3
 
 
@@ -410,7 +407,7 @@ def test_tensor_bounds_symmetry_and_mean_zero():
     res = homogenize(spec, cell_N=32)
     rng = np.random.default_rng(7)
     for (which, level), vals in res.tensors.items():
-        mats = vals.reshape(-1, 2, 2) if vals.ndim >= 2 else vals.reshape(-1, 1, 1)
+        mats = vals.reshape((-1,) + vals.shape[-2:])
         for T in mats:
             assert np.abs(T - T.T).max() <= 1e-12
             for _ in range(100):
@@ -457,17 +454,17 @@ def layered_parts(draw):
 @settings(max_examples=40, deadline=None)
 @given(layered_parts(), layered_parts())
 def test_homogenized_tensors_within_mean_bounds(a_par, b_par):
-    # Voigt-Reuss: the eigenvalues of b^0 (and the 2D scalar a^0) lie between
+    # Voigt-Reuss: the eigenvalues of b^0 (and the 2D one-component a^0) lie between
     # the harmonic and arithmetic means of the reduced cell coefficient cbar
     alpha = min(p["offset"] - p["amplitude"] for p in (a_par, b_par))
     beta = max(p["offset"] + p["amplitude"] for p in (a_par, b_par))
     spec = CoefficientSpec(2, 1, a=CoefficientPart("layered", a_par),
                            b=CoefficientPart("layered", b_par), alpha=alpha, beta=beta)
     res = homogenize(spec, cell_N=16)
-    b0, a0 = res.b0[0], float(res.a0[0])
+    b0, a0 = res.b0[0], res.a0[0, 0, 0]
     assert np.array_equal(b0, b0.T)
     cbar_b = fem.cell_coefficient(res.mesh, lambda y: spec.eval_b(0 * y, [y]), 1)[:, 0, 0]
-    cbar_a = fem.cell_coefficient(res.mesh, lambda y: spec.eval_a(0 * y, [y]), 1)
+    cbar_a = fem.cell_coefficient(res.mesh, lambda y: spec.eval_a(0 * y, [y]), 1)[:, 0, 0]
     for eigs, cbar in ((np.linalg.eigvalsh(b0), cbar_b), (np.array([a0]), cbar_a)):
         slack = 1e-9 * cbar.mean()
         assert eigs.min() >= 1.0 / np.mean(1.0 / cbar) - slack

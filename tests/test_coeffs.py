@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maxhom.coeffs import (CoefficientError, CoefficientPart, CoefficientSpec,
+from maxhom.coeffs import (FAMILIES, CoefficientError, CoefficientPart, CoefficientSpec,
                            ScaleSchedule, eval_coefficient, eval_fine, validate_bounds)
 
 LAYERED = {"scale": 1, "axis": 0, "offset": 2.0, "amplitude": 1.0}
@@ -192,16 +192,56 @@ def test_layered_is_its_factor_at_its_scale_bitwise(data):
     amp, phase = data.draw(st.floats(-0.9, 0.9)), data.draw(st.floats(0.0, 2 * np.pi))
     par = {"scale": scale, "axis": axis, "frequency": k, "offset": offset,
            "amplitude": amp, "phase": phase}
+    m = d * (d - 1) // 2  # a is (npts, m, m): (npts, 1, 1) in 2D
+    a_par, b_par = dict(par), dict(par)
     if data.draw(st.booleans()):
-        par["base"] = 2.0 * np.eye(d)
-    spec = make_spec(a_par=par, b_par=par, d=d, n=n, alpha=0.01, beta=20.0)
+        a_par["base"], b_par["base"] = 2.0 * np.eye(m), 2.0 * np.eye(d)
+    spec = make_spec(a_par=a_par, b_par=b_par, d=d, n=n, alpha=0.01, beta=20.0)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
     x = rng.random((30, d))
     ys = [rng.random((30, d)) for _ in range(n)]
     prof = offset + amp * np.sin(2 * np.pi * k * ys[scale - 1][:, axis] + phase)
-    mat = prof[:, None, None] * par.get("base", np.eye(d))
-    assert np.array_equal(spec.eval_a(x, ys), prof if d == 2 else mat)
-    assert np.array_equal(spec.eval_b(x, ys), mat)
+    assert np.array_equal(spec.eval_a(x, ys), prof[:, None, None] * a_par.get("base", np.eye(m)))
+    assert np.array_equal(spec.eval_b(x, ys), prof[:, None, None] * b_par.get("base", np.eye(d)))
+
+
+def _family_params(fam, k, n, data):
+    """Params of a family for a k x k coefficient over n scales, drawn from data."""
+    fac = {"offset": 2.0, "amplitude": data.draw(st.floats(-0.9, 0.9)), "axis": 0}
+    return {"constant": {"value": tuple((2.0 * np.eye(k) + 0.1).ravel())},
+            "layered": dict(fac, scale=n),
+            "separable-product": {"factors": [fac] * n, "x_amplitude": 0.5},
+            "expression": {"code": "2.0 + x[:, 0] * np.sin(2*pi*ys[-1][:, 0])"}}[fam]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_every_family_evaluates_to_symmetric_m_by_m_stacks(data):
+    # a acts on curls (m = d(d-1)/2 components), b on vectors (m = d)
+    d, n = data.draw(st.integers(2, 3)), data.draw(st.integers(1, 2))
+    m = d * (d - 1) // 2
+    a_fam, b_fam = data.draw(st.sampled_from(FAMILIES)), data.draw(st.sampled_from(FAMILIES))
+    spec = make_spec(a_fam, _family_params(a_fam, m, n, data),
+                     b_fam, _family_params(b_fam, d, n, data), d=d, n=n, alpha=0.01, beta=20.0)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    x, ys = rng.random((17, d)), [rng.random((17, d)) for _ in range(n)]
+    for vals, k in ((spec.eval_a(x, ys), m), (spec.eval_b(x, ys), d)):
+        assert vals.shape == (17, k, k)
+        assert np.array_equal(vals, vals.transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("d,which,value,match", [
+    (2, "a", (2.0, 0.0, 0.0, 2.0), "coeff.a.value: expected a scalar or 1 entries .*got 4"),
+    (3, "a", (2.0, 0.0, 0.0, 2.0), "coeff.a.value: expected a scalar or 9 entries .*got 4"),
+    (2, "b", (2.0, 1.0, 0.0, 2.0), "coeff.b.value: coefficient matrix must be symmetric"),
+])
+def test_spec_refuses_constant_values_that_do_not_fit(d, which, value, match):
+    # checked when the spec is built: 1 or m * m row-major entries, symmetric
+    parts = {"a_fam": "constant", "a_par": {"value": 2.0},
+             "b_fam": "constant", "b_par": {"value": 2.0}}
+    parts[f"{which}_par"] = {"value": value}
+    with pytest.raises(CoefficientError, match=match):
+        make_spec(d=d, alpha=0.5, beta=9.0, **parts)
 
 
 @pytest.mark.parametrize("fam,par,match", [

@@ -7,7 +7,8 @@ from maxhom.mesh import CellMesh, DomainMesh
 
 
 def ones(x):
-    return np.ones(len(x))
+    """The unit 2D curl coefficient: one component, (npts, 1, 1)."""
+    return np.ones((len(x), 1, 1))
 
 
 def eye_fn(d):
@@ -56,15 +57,16 @@ def test_coefficient_reduction_gauss_exactness():
     mesh = DomainMesh(2, 3)
     h = mesh.h
     for rule, deg in ((1, 1), (2, 3), (3, 5)):
-        fn = lambda x: x[:, 0] ** deg
+        fn = lambda x: (x[:, 0] ** deg)[:, None, None]
         avg = fem.cell_coefficient(mesh, fn, rule)
         lo = mesh.cell_centers[:, 0] - h / 2
         exact = ((lo + h) ** (deg + 1) - lo ** (deg + 1)) / ((deg + 1) * h)
-        assert np.allclose(avg, exact, atol=1e-13)
+        assert np.allclose(avg[:, 0, 0], exact, atol=1e-13)
 
 
 def wavy_scalar(x):
-    return 2.0 + np.sin(7.0 * x[:, 0]) * np.cos(5.0 * x[:, -1])
+    """A one-component coefficient, (npts, 1, 1)."""
+    return (2.0 + np.sin(7.0 * x[:, 0]) * np.cos(5.0 * x[:, -1]))[:, None, None]
 
 
 def wavy_tensor(x):
@@ -88,6 +90,16 @@ def test_cell_coefficient_blocks_bitwise(monkeypatch, mesh, coef_fn):
     assert np.array_equal(blocked, whole)
 
 
+def test_cell_coefficient_one_component_is_one_blas_product():
+    # one-component values are reduced in one matrix-vector product over every
+    # cell; the einsum of the m x m path rounds 100 of these 256 cells otherwise
+    mesh = DomainMesh(2, 16)
+    _, wts = fem.gauss_rule(2, 3)
+    vals = wavy_scalar(fem.quad_points(mesh, 3)[0].reshape(-1, 2))
+    expect = (vals.reshape(-1, 9) @ wts)[:, None, None]
+    assert np.array_equal(fem.cell_coefficient(mesh, wavy_scalar, 3), expect)
+
+
 def test_cell_coefficient_forms_only_the_points_of_a_block(peak_bytes):
     # each block maps its own cells' Gauss points: no (ncells, nq, d) array of
     # every point (the whole-mesh layout took 224 and 191 B a cell at 256^2)
@@ -95,10 +107,10 @@ def test_cell_coefficient_forms_only_the_points_of_a_block(peak_bytes):
     mesh.cell_centers
 
     def scalar(x):
-        return 2.0 + np.sin(2 * np.pi * x[:, 0]) * np.cos(2 * np.pi * x[:, 1])
+        return (2.0 + np.sin(2 * np.pi * x[:, 0]) * np.cos(2 * np.pi * x[:, 1]))[:, None, None]
 
     def tensor(x):
-        return scalar(x)[:, None, None] * np.array([[1.0, 0.1], [0.1, 2.0]])
+        return scalar(x) * np.array([[1.0, 0.1], [0.1, 2.0]])
 
     for coef_fn in (scalar, tensor):
         _, peak = peak_bytes(lambda: fem.cell_coefficient(mesh, coef_fn, 3))
@@ -195,7 +207,7 @@ def test_curl_stiffness_domain_empty_and_scaling():
     assert sys1.n == 0
     mesh = DomainMesh(2, 3)
     a1, _ = fem.assemble_curl_stiffness(mesh, ones)
-    a2, _ = fem.assemble_curl_stiffness(mesh, lambda x: 2 * np.ones(len(x)))
+    a2, _ = fem.assemble_curl_stiffness(mesh, lambda x: 2 * ones(x))
     assert abs(a2.A - 2 * a1.A).max() < 1e-13
 
 

@@ -395,6 +395,13 @@ def test_multiscale_lattice_that_does_not_tile_exits_2_before_cell_solves(tmp_pa
     ("sweep", "sweep.hom_n", "8"),          # h0 = 1/8 > eps only at eps = 1/16
     ("sweep", "sweep.fine_ratio", "2"),     # h = eps/2 > eps/4
     ("sweep", "sim.extent", "2.5"),         # h = 2.5 eps/8 > eps/4
+    # checked when the spec is built: once a TypeError traceback (exit 1), and
+    # once refused only inside the first cell solve
+    ("simulate", "coeff.a.value", "2,0,0,2"),   # 4 entries for the 1x1 2D curl coefficient
+    ("simulate", "coeff.b.value", "2,1,0,2"),   # not symmetric
+    # keys the family does not read: once silently ignored
+    ("sweep", "coeff.a.factors", "2:1:1"),
+    ("simulate", "coeff.b.phase", "1.0"),
 ])
 def test_cli_run_key_checked_before_cell_solves(tmp_path, capsys, monkeypatch, mode, key,
                                                 value):
@@ -408,6 +415,25 @@ def test_cli_run_key_checked_before_cell_solves(tmp_path, capsys, monkeypatch, m
     assert harness.main([mode, "--config", str(cfg_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
+    assert not (out / "tensors.txt").exists()
+    assert solves == []
+
+
+@pytest.mark.parametrize("key,value", [("data.g0", "cavity11"), ("data.g1", "bubble"),
+                                       ("data.f", "bubble")])
+def test_cli_field_of_another_dimension_exits_2_before_cell_solves(tmp_path, capsys, monkeypatch,
+                                                                    key, value):
+    # every builtin field but zero has two components: in 3D once an IndexError
+    # or a ValueError after the cell solves (exit 1), with tensors.txt written
+    solves = []
+    monkeypatch.setattr(harness, "homogenize", lambda *a, **k: solves.append(a))
+    cfg_path = tmp_path / "c.cfg"
+    text = CONST_SIM.replace("coeff.d = 2", "coeff.d = 3").replace("sim.n = 8", "sim.n = 4")
+    cfg_path.write_text(text + f"{key} = {value}\n")
+    out = tmp_path / "o"
+    assert harness.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} = {value!r} has 2 components; coeff.d = 3 needs 3")
     assert not (out / "tensors.txt").exists()
     assert solves == []
 
