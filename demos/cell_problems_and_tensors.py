@@ -51,7 +51,7 @@ spec = CoefficientSpec(2, 1, a=CoefficientPart("separable-product", dict(par)),
                        alpha=0.4, beta=4.6)
 res = homogenize(spec, cell_N=32, slow_x=4)
 print("a0(x) at the x sample grid (rows: sample, value, closed form):")
-for i, x in enumerate(res.x_points[:6]):
+for i, x in enumerate(res.x_grid.points[:6]):
     factor = 1.0 + 0.5 * np.sin(np.pi * x[0]) * np.sin(np.pi * x[1])
     print(f"  x = ({x[0]:.3f}, {x[1]:.3f})  a0 = {res.a0[i, 0, 0]:.8f}  "
           f"sqrt3 * m(x) = {SQRT3 * factor:.8f}")

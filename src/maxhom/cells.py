@@ -4,11 +4,13 @@ The recursion peels scales from the innermost (level n) outwards: at level i
 the cell problems run over y_i with the slower variables (x, y_1..y_{i-1})
 frozen at tensor-product sample points, and the resulting level tensor is
 stored on that sample grid and interpolated multilinearly when it becomes the
-coefficient of level i-1.  Tensors are computed in the symmetrized energy
+coefficient of level i-1 (one SampleGrid per slow variable; the x samples
+cover the unit box [0, 1]^d).  Tensors are computed in the symmetrized energy
 form, which is Galerkin-identical to the flux form and exactly symmetric.
 """
 
 from dataclasses import dataclass, field
+import functools
 import itertools
 
 import numpy as np
@@ -22,70 +24,72 @@ class HomogenizationError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# multilinear interpolation on one d-dimensional sample grid
+# the slow-variable sample grids
 
-def multilinear_corners(z, res, periodic):
-    """Corner (flat index, weight) pairs of multilinear interpolation on the (res,)*d grid.
+@dataclass(frozen=True)
+class SampleGrid:
+    """The (res,)*d grid of slow-variable samples, with multilinear interpolation.
 
-    z: (npts, d) coordinates in grid units (sample j sits at z = j).  Periodic
-    grids wrap the corner indices modulo res; clamped grids keep the lower corner
-    in [0, res - 2], so z = res - 1 falls on the far face of the last cell.  A
-    one-sample grid (res == 1) has a single corner of weight 1.
-    """
-    npts, d = z.shape
-    if res == 1:
-        return [(np.zeros(npts, dtype=np.int64), np.ones(npts))]
-    base = np.floor(z).astype(np.int64)
-    if not periodic:
-        base = np.minimum(base, res - 2)
-    frac = z - base
-    out = []
-    for corner in itertools.product((0, 1), repeat=d):
-        idx = base + np.array(corner)
-        if periodic:
-            idx = np.mod(idx, res)
-        flat = np.ravel_multi_index(idx.T, (res,) * d)
-        w = np.ones(npts)
-        for a, c in enumerate(corner):
-            w = w * (frac[:, a] if c else 1.0 - frac[:, a])
-        out.append((flat, w))
-    return out
-
-
-class GridInterp:
-    """Multilinear interpolation of samples on the (m,)*d grid.
-
-    periodic: samples at j/m on the unit cell, wrapped; otherwise samples at
-    j L/(m-1) on [0, L]^d (L = extent), with points clamped to the box.
+    periodic (a y_i grid): samples at j/res on the unit cell, corners wrapped
+    modulo res.  Otherwise (the x grid): samples at j/(res - 1) on the unit box
+    [0, 1]^d (one sample: its centre), the lower corner kept in [0, res - 2],
+    and a point outside the box refused.  A one-sample grid has a single
+    corner of weight 1 at any point.
     """
 
-    def __init__(self, d, m, values, periodic, extent=1.0):
-        self.d, self.m, self.periodic, self.extent = d, m, periodic, extent
-        self.values = np.asarray(values)
-        if self.values.shape[0] != m ** d:
-            raise HomogenizationError("sample count does not match grid resolution")
+    d: int
+    res: int
+    periodic: bool
 
-    def __call__(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    @property
+    def size(self):
+        return self.res ** self.d
+
+    @property
+    def points(self):
+        """The (size, d) sample points, C-ordered as the flat sample index."""
         if self.periodic:
-            z = pts * self.m
+            axis = np.arange(self.res) / self.res
         else:
-            z = np.clip(pts / self.extent, 0.0, 1.0) * (self.m - 1)
-        out = None
-        for flat, w in multilinear_corners(z, self.m, self.periodic):
-            contrib = self.values[flat] * w.reshape((-1,) + (1,) * (self.values.ndim - 1))
-            out = contrib if out is None else out + contrib
+            axis = np.linspace(0.0, 1.0, self.res) if self.res > 1 else np.array([0.5])
+        return grid_points(*[axis] * self.d)
+
+    def corners(self, pts):
+        """Corner (flat index, weight) pairs of multilinear interpolation at pts (npts, d)."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        npts, d, res = len(pts), self.d, self.res
+        if res == 1:
+            return [(np.zeros(npts, dtype=np.int64), np.ones(npts))]
+        if self.periodic:
+            z = pts * res
+            base = np.floor(z).astype(np.int64)
+        else:
+            if np.any(pts < -1e-12) or np.any(pts > 1.0 + 1e-12):
+                raise HomogenizationError(f"a point in [{pts.min():g}, {pts.max():g}] lies "
+                                          f"outside the unit box of the x samples")
+            z = np.clip(pts, 0.0, 1.0) * (res - 1)
+            base = np.minimum(np.floor(z).astype(np.int64), res - 2)
+        frac = z - base
+        out = []
+        for corner in itertools.product((0, 1), repeat=d):
+            flat = np.ravel_multi_index((base + np.array(corner)).T, (res,) * d,
+                                        mode="wrap" if self.periodic else "raise")
+            w = np.ones(npts)
+            for a, c in enumerate(corner):
+                w = w * (frac[:, a] if c else 1.0 - frac[:, a])
+            out.append((flat, w))
         return out
 
-
-def periodic_grid_points(d, m):
-    """Flattened (m^d, d) sample points j/m of the periodic grid."""
-    return grid_points(*[np.arange(m) / m] * d)
-
-
-def box_grid_points(d, m):
-    """Flattened (m^d, d) sample points j/(m-1) of the unit box (its center for one sample)."""
-    return grid_points(*[np.linspace(0.0, 1.0, m) if m > 1 else np.array([0.5])] * d)
+    def interpolate(self, values, pts):
+        """Multilinear interpolation at pts (npts, d) of values (size, ...) at the samples."""
+        values = np.asarray(values)
+        if len(values) != self.size:
+            raise HomogenizationError("sample count does not match grid resolution")
+        out = None
+        for flat, w in self.corners(pts):
+            contrib = values[flat] * w.reshape((-1,) + (1,) * (values.ndim - 1))
+            out = contrib if out is None else out + contrib
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -163,18 +167,19 @@ def curl_level_tensor(mesh, abar, Nc):
 class HomogenizationResult:
     """Level tensors on their sample grids plus the cached cell solutions.
 
-    tensors[("b", i)] has shape (nx, ny_1, ..., ny_i) + (d, d) and
-    tensors[("a", i)] the same sample shape + (m, m), m = d(d-1)/2 curl
-    components (1 in 2D, 3 in 3D).  b0/a0 are the level-0 fields over the x
-    sample grid.  cells[("b", level, sample)] is the mean-zero W (d, n_nodes)
-    of that cell solve and cells[("a", level, sample)] its Nc (m, n_edges).
+    x_grid samples x on the unit box and y_grids[j - 1] samples y_j.
+    tensors[("b", i)] has shape (nx, ny_1, ..., ny_i) + (d, d), the sizes of
+    those grids, and tensors[("a", i)] the same sample shape + (m, m), m =
+    d(d-1)/2 curl components (1 in 2D, 3 in 3D).  b0/a0 are the level-0 fields
+    at the x samples and coefficient(which) their interpolant.  cells[("b",
+    level, sample)] is the mean-zero W (d, n_nodes) of that cell solve and
+    cells[("a", level, sample)] its Nc (m, n_edges).
     """
 
     spec: object
     cell_N: int
-    x_res: int
-    y_res: tuple
-    x_points: np.ndarray
+    x_grid: SampleGrid
+    y_grids: tuple
     tensors: dict
     cells: dict = field(default_factory=dict)
 
@@ -192,15 +197,11 @@ class HomogenizationResult:
 
     def _level0(self, which):
         vals = self.tensors[(which, 0)]
-        return vals.reshape((self.x_res ** self.d,) + vals.shape[1:])
+        return vals.reshape((self.x_grid.size,) + vals.shape[1:])
 
-    def b0_interp(self, extent=1.0):
-        return GridInterp(self.d, self.x_res, self._level0("b"), periodic=False,
-                          extent=extent)
-
-    def a0_interp(self, extent=1.0):
-        return GridInterp(self.d, self.x_res, self._level0("a"), periodic=False,
-                          extent=extent)
+    def coefficient(self, which):
+        """b^0 (which = "b") or a^0 ("a") as a function of x (npts, d) in the unit box."""
+        return functools.partial(self.x_grid.interpolate, self._level0(which))
 
     @property
     def b0(self):
@@ -218,7 +219,8 @@ class HomogenizationResult:
     def export_text(self, path):
         """Full-precision structured text dump for regression snapshots."""
         lines = [f"# homogenized tensors: d={self.d} n={self.spec.n_scales} "
-                 f"cell_N={self.cell_N} x_res={self.x_res} y_res={list(self.y_res)}"]
+                 f"cell_N={self.cell_N} x_res={self.x_grid.res} "
+                 f"y_res={[g.res for g in self.y_grids]}"]
         for (which, level) in sorted(self.tensors, key=lambda k: (k[0], -k[1])):
             vals = self.tensors[(which, level)]
             for si, row in enumerate(vals.reshape(-1, vals.shape[-1] ** 2)):
@@ -255,9 +257,9 @@ def homogenize(spec, cell_N, slow_x=None, slow_y=None, tol=1e-12):
     if len(y_res) != n - 1:
         raise HomogenizationError(f"need {n - 1} slow-y resolutions, got {len(y_res)}")
 
-    x_pts = box_grid_points(d, slow_x)
-    y_pts = [periodic_grid_points(d, m) for m in y_res]
-    result = HomogenizationResult(spec, cell_N, slow_x, tuple(y_res), x_pts, {})
+    x_grid = SampleGrid(d, slow_x, periodic=False)
+    y_grids = tuple(SampleGrid(d, m, periodic=True) for m in y_res)
+    result = HomogenizationResult(spec, cell_N, x_grid, y_grids, {})
     mesh = result.mesh
 
     # b acts on d-vectors, a on curls of d(d-1)/2 components
@@ -265,15 +267,14 @@ def homogenize(spec, cell_N, slow_x=None, slow_y=None, tol=1e-12):
         tshape = (k, k)
         upper = None  # tensor samples of level i over (x, y_1..y_i)
         for level in range(n, 0, -1):
-            slow_grids = [x_pts] + y_pts[: level - 1]
-            shapes = [len(g) for g in slow_grids]
+            slow_pts = [g.points for g in (x_grid,) + y_grids[: level - 1]]
+            shapes = [len(p) for p in slow_pts]
             T = np.empty(tuple(shapes) + tshape)
             if level < n:
-                m = y_res[level - 1]
-                flatu = upper.reshape((-1, m ** d) + tshape)
+                y_grid = y_grids[level - 1]
+                flatu = upper.reshape((-1, y_grid.size) + tshape)
             for si, multi in enumerate(itertools.product(*[range(s) for s in shapes])):
-                anchor_x = slow_grids[0][multi[0]]
-                anchor_ys = [slow_grids[j][multi[j]] for j in range(1, level)]
+                anchor_x, *anchor_ys = [p[j] for p, j in zip(slow_pts, multi)]
                 if level == n:
                     def coef_fn(y, ax=anchor_x, ays=anchor_ys):
                         npts = len(y)
@@ -281,7 +282,7 @@ def homogenize(spec, cell_N, slow_x=None, slow_y=None, tol=1e-12):
                         ys = [np.broadcast_to(v, (npts, d)) for v in ays] + [y]
                         return spec.eval_a(x, ys) if which == "a" else spec.eval_b(x, ys)
                 else:
-                    coef_fn = GridInterp(d, y_res[level - 1], flatu[si], periodic=True)
+                    coef_fn = functools.partial(y_grid.interpolate, flatu[si])
                 key = (which, level, si)
                 if which == "b":
                     W, cbar = solve_scalar_cell(coef_fn, mesh, tol)

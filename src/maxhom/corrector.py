@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem
-from .cells import multilinear_corners
 from .mesh import DomainMesh, grid_points
 from .unfolding import lattice_cells, lattice_index
 
@@ -60,9 +59,10 @@ def cell_factors(hom, y, slow=None):
 
     P[:, j, r] = d w^r / d y_j (npts, d, d) and G = I + columns curl_y N^r
     (npts, m, m).  The fields may depend on x (x-dependent specs): the <= 2^d
-    x-grid corner solutions are combined multilinearly at the x values `slow`.
+    x-grid corner solutions are combined multilinearly at the x values `slow`,
+    which lie in the unit box of hom.x_grid.
     """
-    d, res = hom.d, hom.x_res
+    d = hom.d
     y = np.atleast_2d(np.asarray(y, dtype=float))
     slow = None if slow is None else np.asarray(slow, dtype=float)
     npts, m = len(y), len(fem.edge_ref(d)["CVEC"])
@@ -72,7 +72,7 @@ def cell_factors(hom, y, slow=None):
         cells, local = hom.mesh.locate(y[blk])
         z = np.zeros((len(cells), d)) if slow is None else slow[blk]
         Pb, Gb = P[blk], G[blk]
-        for flat, wgt in multilinear_corners(z * (res - 1), res, periodic=False):
+        for flat, wgt in hom.x_grid.corners(z):
             for si in np.unique(flat):
                 sel = flat == si
                 dw, cn = _cell_fields(hom, 1, int(si), cells[sel], local[sel])
@@ -223,7 +223,7 @@ def reconstruct_corrector(u0_traj, hom, schedule, g1=None, g0=None, *, fine_mesh
             "corrector reconstruction requires g0 = 0 (nonzero initial data "
             "breaks the corrector hypothesis)")
     y = schedule.fast_variables(xq)[0]
-    P, G = cell_factors(hom, y, slow=xq if hom.x_res > 1 else None)
+    P, G = cell_factors(hom, y, slow=xq)
     g1_vals = g1(xq) if g1 is not None else np.zeros_like(xq)
     return CorrectorField(times=u0_traj.snap_times, fine_mesh=fine_mesh,
                           u0_traj=u0_traj, xq=xq, wq=wq, P=P, G=G, g1_vals=g1_vals)
@@ -290,7 +290,7 @@ def _fold_factors(hom, schedule, xq):
     if schedule.n_scales == 1:
         return cell_factors(hom, y1)
     r2 = schedule.ratios[0]
-    T, S = _subcell_tables(hom, r2, hom.y_res[0])
+    T, S = _subcell_tables(hom, r2)
     k2 = lattice_index(y1 * r2, r2)
     cells2, local2 = hom.mesh.locate(y2[0])
     P = (T.sum(axis=1) - np.eye(d))[k2]   # subcell average of P1
@@ -343,7 +343,7 @@ def multiscale_corrector_error(fine_traj, u0_traj, hom, schedule, g1=None):
     E_ms(t) = ||du^eps/dt - U(du0/dt + sum grad_y du_i/dt)||_{L^2}
             + ||curl u^eps - U(curl u0 + sum curl_y u_i)||_{L^2}.
     """
-    if hom.x_res != 1:
+    if hom.x_grid.res != 1:
         raise CorrectorInputError("the folded corrector supports x-independent specs only")
     if schedule.n_scales > 2:
         raise CorrectorInputError("folded correctors implemented for n <= 2")
@@ -365,14 +365,14 @@ def multiscale_corrector_error(fine_traj, u0_traj, hom, schedule, g1=None):
                        np.zeros_like(e_vel), e_vel + e_curl)
 
 
-def _subcell_tables(hom, r2, m1):
+def _subcell_tables(hom, r2):
     """Subcell-averaged slow-factor tables for the n=2 folded corrector.
 
     T[k, nu] = avg over y1-subcell k of lambda_nu(y1) (I + P1(y1))  (d x d)
     S[k, nu] = avg over y1-subcell k of lambda_nu(y1) G1(y1)        (m x m)
 
-    where lambda_nu are the multilinear hat weights of the level-2 slow
-    sample grid (resolution m1 per axis).
+    where lambda_nu are the multilinear hat weights of the y1 sample grid
+    hom.y_grids[0], whose level-2 cell solutions nu are.
     """
     d = hom.d
     Q = hom.cell_N
@@ -383,10 +383,10 @@ def _subcell_tables(hom, r2, m1):
     k_flat = lattice_index(pts * r2, r2)
     nsub = r2 ** d
     count = np.bincount(k_flat, minlength=nsub).astype(float)
-    T = np.zeros((nsub, m1 ** d, d, d))
-    S = np.zeros((nsub, m1 ** d) + G1.shape[1:])
+    T = np.zeros((nsub, hom.y_grids[0].size, d, d))
+    S = np.zeros((nsub, hom.y_grids[0].size) + G1.shape[1:])
     eye = np.eye(d)
-    for nu, lam in multilinear_corners(pts * m1, m1, periodic=True):
+    for nu, lam in hom.y_grids[0].corners(pts):
         contrib = lam[:, None, None] * (eye + P1)
         np.add.at(T, (k_flat, nu), contrib / count[k_flat, None, None])
         np.add.at(S, (k_flat, nu), lam[:, None, None] * G1 / count[k_flat, None, None])

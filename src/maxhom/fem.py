@@ -284,11 +284,15 @@ def _assemble(mesh, coef, ref_mat, order, dof_map, n, index_map=None):
     return _scatter(dof_map, eloc, n, index_map)
 
 
-def _cell_rhs(mesh, coef, ref_vec, order, dof_map, n):
+def _cell_rhs(mesh, coef, ref_vec, order, dof_map, n, zero_floor=False):
     """Right-hand sides -int (C e^k) . D phi_i for every k: (m, n).
 
     Per cell they are the element matrices of the form (C e^k) . D phi_i,
     whose reference tensor is delta_bk ref_vec[a, i] (D phi scales as h^-order).
+    zero_floor: a right-hand side at the rounding floor of its own sum (norm
+    at most 64 eps times the norm of the summed |per-cell terms|) vanishes in
+    exact arithmetic, e.g. for a coefficient constant up to rounding, and is
+    set to 0.
     """
     m = len(ref_vec)
     per_cell = -mesh.h ** (mesh.d - order) * element_matrices(
@@ -296,6 +300,11 @@ def _cell_rhs(mesh, coef, ref_vec, order, dof_map, n):
     rhs = np.zeros((m, n))
     for k in range(m):
         np.add.at(rhs[k], dof_map.ravel(), per_cell[:, k].ravel())
+        if zero_floor:
+            scale = np.zeros(n)
+            np.add.at(scale, dof_map.ravel(), np.abs(per_cell[:, k]).ravel())
+            if np.linalg.norm(rhs[k]) <= 64 * np.finfo(float).eps * np.linalg.norm(scale):
+                rhs[k] = 0.0
     return rhs
 
 
@@ -333,9 +342,13 @@ def assemble_curl_stiffness(mesh, coef_fn, rule=1):
 def curl_cell_rhs(mesh, abar):
     """Right-hand sides -int (A e^l) . curl phi_i for the curl cell problems: (m, n_edges).
 
-    abar: (ncells, m, m) as assemble_curl_stiffness returns it.
+    abar: (ncells, m, m) as assemble_curl_stiffness returns it.  A right-hand
+    side at the rounding floor of its own sum is set to 0, so N^l = 0: CG on
+    the curl-curl operator, singular on gradients, breaks down on such
+    rounding noise.  The scalar problems project their constant kernel out.
     """
-    return _cell_rhs(mesh, abar, edge_ref(mesh.d)["CVEC"], 2, mesh.cell_edges, mesh.n_edges)
+    return _cell_rhs(mesh, abar, edge_ref(mesh.d)["CVEC"], 2, mesh.cell_edges, mesh.n_edges,
+                     zero_floor=True)
 
 
 def assemble_vector_mass(mesh, coef_fn, rule=2):

@@ -311,9 +311,24 @@ def _homogenize(cfg, spec):
     return homogenize(spec, cfg["hom.cell_n"], slow_x=slow_x, slow_y=slow_y, tol=cfg["tol"])
 
 
+def _x_keys(spec):
+    """The coeff.* keys that make spec depend on x, comma-separated."""
+    return ", ".join(f"coeff.{w}." + ("code" if part.family == "expression" else "x_amplitude")
+                     for w, part in (("a", spec.a), ("b", spec.b)) if part.depends_on_x())
+
+
+def _check_x_samples(cfg, spec):
+    """Refuse an x-dependent spec on a box other than the unit box of its x samples."""
+    if spec.depends_on_x() and cfg["sim.extent"] != 1:
+        raise ConfigError(f"sim.extent = {cfg['sim.extent']:g} with an x-dependent "
+                          f"{_x_keys(spec)}: b^0, a^0 are sampled in x on the unit box, "
+                          "so sim.extent must be 1")
+
+
 def run_homogenize(cfg, outdir):
     spec = build_spec(cfg)
     hom = _homogenize(cfg, spec)
+    os.makedirs(outdir, exist_ok=True)
     hom.export_text(os.path.join(outdir, "tensors.txt"))
     _write_manifest(outdir, cfg)
     return hom
@@ -346,7 +361,10 @@ def run_simulate(cfg, outdir):
     if cfg["sim.kind"] == "fine":
         schedule = build_schedule(cfg)
     else:
+        _check_x_samples(cfg, spec)
         hom = _homogenize(cfg, spec)
+    os.makedirs(outdir, exist_ok=True)
+    if hom is not None:
         hom.export_text(os.path.join(outdir, "tensors.txt"))
     prob = wave.setup_problem(cfg["sim.kind"], mesh, data, spec=spec,
                               schedule=schedule, hom=hom, quad_rule=quad)
@@ -491,16 +509,28 @@ def run_sweep(cfg, outdir):
         if cfg[key] < 1:
             raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
     if cfg["sweep.multiscale"]:
-        # the folded corrector averages over eps macro-cells, which must tile the box
+        # the hypotheses of the folded corrector (multiscale_corrector_error)
+        if cfg["coeff.n"] > 2:
+            raise ConfigError(f"sweep.multiscale: the folded corrector is implemented for "
+                              f"coeff.n <= 2, got coeff.n = {cfg['coeff.n']}")
+        if cfg["coeff.d"] != 2:
+            raise ConfigError(f"sweep.multiscale: the folded corrector is 2D, got "
+                              f"coeff.d = {cfg['coeff.d']}")
+        # it averages over eps macro-cells, which must tile the box
         for e in eps_list:
             if lattice_cells(cfg["sim.extent"], e) is None:
                 raise ConfigError(f"sweep.multiscale needs eps-lattices that tile the box: "
                                   f"sim.extent {cfg['sim.extent']:g} is not a multiple of "
                                   f"eps {e:g}")
     spec = build_spec(cfg)
+    _check_x_samples(cfg, spec)
+    if cfg["sweep.multiscale"] and spec.depends_on_x():
+        raise ConfigError(f"sweep.multiscale: the folded corrector needs an x-independent "
+                          f"coefficient, got an x-dependent {_x_keys(spec)}")
     # every leg's keys are checked before the cell solves
     legs = [_sweep_leg(cfg, spec, e) for e in eps_list]
     hom = _homogenize(cfg, spec)
+    os.makedirs(outdir, exist_ok=True)
     hom.export_text(os.path.join(outdir, "tensors.txt"))
     report = ConvergenceReport(cfg)
     series = []
@@ -540,8 +570,7 @@ def run(cfg, outdir=None):
     """Dispatch a parsed config; returns the mode's primary result object."""
     if not 0 < cfg["tol"] < 1:
         raise ConfigError(f"tol must lie in (0, 1), got {cfg['tol']:g}")
-    outdir = outdir or cfg["out"]
-    os.makedirs(outdir, exist_ok=True)
+    outdir = outdir or cfg["out"]   # each mode makes it once its keys are checked
     mode = cfg["mode"]
     if mode == "homogenize":
         return run_homogenize(cfg, outdir)

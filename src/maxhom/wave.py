@@ -152,9 +152,7 @@ def _coefficient_callables(kind, mesh, spec=None, schedule=None, hom=None):
     if kind == "homogenized":
         if hom is None:
             raise WaveSetupError("homogenized runs need a HomogenizationResult")
-        a0 = hom.a0_interp(mesh.extent)
-        b0 = hom.b0_interp(mesh.extent)
-        return a0, b0
+        return hom.coefficient("a"), hom.coefficient("b")
     raise WaveSetupError(f"unknown problem kind {kind!r}")
 
 

@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from maxhom import fem
-from maxhom.cells import (HomogenizationError, _energy_tensor, curl_level_tensor, homogenize,
-                          multilinear_corners, scalar_level_tensor, solve_curl_cell,
-                          solve_scalar_cell)
+from maxhom.cells import (HomogenizationError, SampleGrid, _energy_tensor, curl_level_tensor,
+                          homogenize, scalar_level_tensor, solve_curl_cell, solve_scalar_cell)
 from maxhom.coeffs import CoefficientPart, CoefficientSpec
 from maxhom.mesh import CellMesh
 
@@ -134,7 +133,7 @@ def test_energy_tensor_matches_einsum_oracle(case):
 
 
 # ---------------------------------------------------------------------------
-# multilinear corner weights
+# the slow-variable sample grid: multilinear corner weights
 
 @st.composite
 def grid_points(draw, min_m=1):
@@ -146,11 +145,11 @@ def grid_points(draw, min_m=1):
     return d, m, pts
 
 
-def dense_weights(z, m, periodic):
-    """Corner weights scattered into an (npts, m^d) matrix."""
-    out = np.zeros((len(z), m ** z.shape[1]))
-    for flat, w in multilinear_corners(z, m, periodic):
-        np.add.at(out, (np.arange(len(z)), flat), w)
+def dense_weights(pts, m, periodic):
+    """Corner weights at pts scattered into an (npts, m^d) matrix."""
+    out = np.zeros((len(pts), m ** pts.shape[1]))
+    for flat, w in SampleGrid(pts.shape[1], m, periodic).corners(pts):
+        np.add.at(out, (np.arange(len(pts)), flat), w)
     return out
 
 
@@ -158,7 +157,7 @@ def dense_weights(z, m, periodic):
 @given(grid_points(), st.booleans())
 def test_corner_weights_nonnegative_partition_of_unity(case, periodic):
     d, m, pts = case
-    corners = multilinear_corners(pts * (m if periodic else m - 1), m, periodic)
+    corners = SampleGrid(d, m, periodic).corners(pts)
     assert len(corners) == (1 if m == 1 else 2 ** d)
     for flat, w in corners:
         assert w.min() >= 0.0
@@ -173,7 +172,7 @@ def test_clamped_corner_weights_reproduce_affine_functions(case, coef):
     c0, c = coef[0], coef[1:d + 1]
     z = pts * (m - 1)
     got = np.zeros(len(z))
-    for flat, w in multilinear_corners(z, m, periodic=False):
+    for flat, w in SampleGrid(d, m, periodic=False).corners(pts):
         j = np.stack(np.unravel_index(flat, (m,) * d), axis=1)
         got += w * (c0 + j @ c)
     assert np.abs(got - (c0 + z @ c)).max() <= 1e-12 * (1.0 + 10.0 * (d + 1) * m)
@@ -183,9 +182,33 @@ def test_clamped_corner_weights_reproduce_affine_functions(case, coef):
 @given(grid_points(), hnp.arrays(np.int64, 3, elements=st.integers(-4, 4)))
 def test_periodic_corner_weights_invariant_under_integer_shift(case, shift):
     d, m, pts = case
-    shifted = (pts + shift[:d]) * m
-    assert np.abs(dense_weights(pts * m, m, True)
+    shifted = pts + shift[:d]
+    assert np.abs(dense_weights(pts, m, True)
                   - dense_weights(shifted, m, True)).max() <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_points(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_interpolation_at_the_samples_returns_them(case, periodic, seed):
+    d, m, _ = case
+    grid = SampleGrid(d, m, periodic)
+    values = np.random.default_rng(seed).uniform(-10.0, 10.0, (grid.size, 2, 2))
+    assert grid.points.shape == (grid.size, d)
+    assert np.abs(grid.interpolate(values, grid.points) - values).max() <= 1e-12
+
+
+def test_x_grid_refuses_a_point_outside_the_unit_box():
+    grid = SampleGrid(2, 3, periodic=False)
+    values = np.arange(9.0)
+    assert grid.interpolate(values, [[1.0 + 1e-13, 0.0]])[0] == values[6]
+    with pytest.raises(HomogenizationError, match="outside the unit box"):
+        grid.interpolate(values, [[0.5, 0.5], [1.8, 1.8]])
+    with pytest.raises(HomogenizationError, match="outside the unit box"):
+        grid.corners([[-0.01, 0.5]])
+    # one sample covers any point; a periodic grid wraps
+    assert SampleGrid(2, 1, periodic=False).interpolate([7.0], [[1.8, -3.0]])[0] == 7.0
+    assert np.array_equal(SampleGrid(2, 3, periodic=True).interpolate(values, [[1.0, 2.0]]),
+                          values[[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -344,16 +367,29 @@ def test_homogenize_x_dependent_sampling():
                            b=CoefficientPart("separable-product", dict(par)),
                            alpha=0.4, beta=4.6)
     res = homogenize(spec, cell_N=32, slow_x=4)
-    xs = res.x_points
+    xs = res.x_grid.points
     factor = 1.0 + 0.5 * np.sin(np.pi * xs[:, 0]) * np.sin(np.pi * xs[:, 1])
     assert np.abs(res.a0[:, 0, 0] - SQRT3 * factor).max() < 1e-10
     assert np.abs(res.b0[:, 0, 0] - SQRT3 * factor).max() < 1e-10
     assert np.abs(res.b0[:, 1, 1] - 2.0 * factor).max() < 1e-10
     # interpolation between samples stays within the sampled range
-    interp = res.a0_interp()
-    probe = interp(np.array([[0.4, 0.6], [0.21, 0.77]]))
+    probe = res.coefficient("a")(np.array([[0.4, 0.6], [0.21, 0.77]]))
     assert probe.min() >= res.a0.min() - 1e-12
     assert probe.max() <= res.a0.max() + 1e-12
+
+
+def test_3d_two_level_curl_rhs_at_the_rounding_floor_gives_zero_corrector():
+    # the y_1 samples 0 and 1/2 of the level-1 factor 2 + sin(2 pi y_11) are
+    # both 2, so a^1 is constant up to the rounding of its interpolation and
+    # the level-1 curl right-hand sides sit at their rounding floor (norms
+    # ~1e-15 against ~28 of the summed |per-cell terms|): once a CG breakdown
+    fac = [{"offset": 2.0, "amplitude": 1.0, "axis": 0}] * 2
+    part = lambda: CoefficientPart("separable-product", {"factors": [dict(f) for f in fac]})
+    spec = CoefficientSpec(3, 2, a=part(), b=part(), alpha=1.0, beta=9.0)
+    res = homogenize(spec, cell_N=16, slow_y=2)
+    assert np.abs(res.a0[0] - np.diag([4.0, 2 * SQRT3, 2 * SQRT3])).max() < 1e-8
+    assert np.abs(res.b0[0] - np.diag([2 * SQRT3, 4.0, 4.0])).max() < 1e-8
+    assert all(np.abs(res.cell_solution("a", 1, 0)[l]).max() == 0.0 for l in range(3))
 
 
 def test_two_level_degenerate_scale_matches_single_level():

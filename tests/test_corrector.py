@@ -421,7 +421,7 @@ def folded_error_oracle(fine_traj, u0_traj, hom, schedule, g1):
         P1, G1 = corr.cell_factors(hom, y1)
     else:
         r2 = schedule.ratios[0]
-        T, S = corr._subcell_tables(hom, r2, hom.y_res[0])
+        T, S = corr._subcell_tables(hom, r2)
         sub = np.minimum((y1 * r2).astype(np.int64), r2 - 1)
         k2 = np.ravel_multi_index(sub.T, (r2,) * d)
         y2 = xq / eps[1]

@@ -9,6 +9,7 @@ import pytest
 
 import maxhom
 from maxhom import corrector, harness
+from maxhom.cells import HomogenizationError
 from maxhom.harness import ConfigError, fit_slope, parse_config
 
 CONST_SIM = """
@@ -220,7 +221,7 @@ def test_cli_zero_sweep_key_exits_2(tmp_path, capsys, key):
     assert harness.main(["sweep", "--config", str(cfg_path),
                          "--out", str(tmp_path / "o")]) == 2
     assert key in capsys.readouterr().err
-    assert not (tmp_path / "o" / "tensors.txt").exists()
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("route", ["config", "flag"])
@@ -272,7 +273,7 @@ def test_cli_slow_grid_key_outside_spec_exits_2(tmp_path, capsys, config, line, 
     out = tmp_path / "o"
     assert harness.main([mode, "--config", str(cfg_path), "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
-    assert not (out / "tensors.txt").exists()
+    assert not out.exists()
 
 
 def test_cli_slow_grid_keys_that_fit_run(tmp_path):
@@ -372,10 +373,23 @@ def test_multiscale_lattice_that_does_not_tile_exits_2_before_cell_solves(tmp_pa
     err = capsys.readouterr().err
     assert err.startswith("error: sweep.multiscale") and "sim.extent 1.125" in err
     assert "eps 0.5" in err
-    assert not (out / "tensors.txt").exists()
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("mode,key,value", [
+XDEP_SWEEP = (XDEP_HOM.replace("mode = homogenize", "mode = sweep") + "hom.slow_x = 3\n"
+              + LAYERED_SWEEP.split("hom.cell_n = 32\n")[1])
+FOLDED_SWEEP = (LAYERED_SWEEP.replace("layered", "separable-product")
+                .replace("coeff.a.offset = 2.0\ncoeff.a.amplitude = 1.0", "coeff.a.factors = 2:1:0")
+                .replace("coeff.b.offset = 2.0\ncoeff.b.amplitude = 1.0", "coeff.b.factors = 2:1:0")
+                .replace("sweep.epsilons = 0.25,0.125,0.0625",
+                         "sweep.epsilons = 0.5,0.25,0.125\nsweep.multiscale = true"))
+RUN_KEY_CONFIGS = {"simulate": ("simulate", CONST_SIM), "sweep": ("sweep", LAYERED_SWEEP),
+                   "xdep-simulate": ("simulate", XDEP_HOM.replace("homogenize", "simulate")
+                                     + "sim.n = 8\nsim.t_final = 0.2\nsim.dt = 0.05\n"),
+                   "xdep-sweep": ("sweep", XDEP_SWEEP), "folded-sweep": ("sweep", FOLDED_SWEEP)}
+
+
+@pytest.mark.parametrize("config,key,value", [
     ("simulate", "sim.n", None),
     ("simulate", "sim.kind", "bogus"),
     ("simulate", "sim.store_every", "0"),
@@ -402,12 +416,21 @@ def test_multiscale_lattice_that_does_not_tile_exits_2_before_cell_solves(tmp_pa
     # keys the family does not read: once silently ignored
     ("sweep", "coeff.a.factors", "2:1:1"),
     ("simulate", "coeff.b.phase", "1.0"),
+    # x samples cover the unit box: an x-dependent b^0, a^0 was once rescaled
+    # to sim.extent while the fine coefficient and the corrector read x as it is
+    ("xdep-sweep", "sim.extent", "2"),
+    ("xdep-simulate", "sim.extent", "2"),
+    # the folded corrector's hypotheses: once refused (exit 3) after the cell
+    # solves and every leg's time loops, with tensors.txt written
+    ("folded-sweep", "coeff.a.x_amplitude", "0.5"),
+    ("folded-sweep", "coeff.n", "3"),
+    ("folded-sweep", "coeff.d", "3"),
 ])
-def test_cli_run_key_checked_before_cell_solves(tmp_path, capsys, monkeypatch, mode, key,
+def test_cli_run_key_checked_before_cell_solves(tmp_path, capsys, monkeypatch, config, key,
                                                 value):
     solves = []
     monkeypatch.setattr(harness, "homogenize", lambda *a, **k: solves.append(a))
-    text = CONST_SIM if mode == "simulate" else LAYERED_SWEEP
+    mode, text = RUN_KEY_CONFIGS[config]
     lines = [l for l in text.splitlines() if not l.startswith(key + " ")]
     cfg_path = tmp_path / "c.cfg"
     cfg_path.write_text("\n".join(lines + ([f"{key} = {value}"] if value else [])) + "\n")
@@ -415,8 +438,25 @@ def test_cli_run_key_checked_before_cell_solves(tmp_path, capsys, monkeypatch, m
     assert harness.main([mode, "--config", str(cfg_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
-    assert not (out / "tensors.txt").exists()
+    assert not out.exists()
     assert solves == []
+
+
+@pytest.mark.parametrize("config", ["xdep-sweep", "xdep-simulate", "folded-sweep"])
+def test_run_key_base_configs_reach_the_cell_solves(tmp_path, monkeypatch, config):
+    # the bases of the cases above pass every check, so each case is refused for its key
+    solves = []
+
+    def stop(*args, **kwargs):
+        solves.append(args)
+        raise HomogenizationError("stopped at the cell solves")
+
+    monkeypatch.setattr(harness, "homogenize", stop)
+    mode, text = RUN_KEY_CONFIGS[config]
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(text)
+    assert harness.main([mode, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
+    assert len(solves) == 1
 
 
 @pytest.mark.parametrize("key,value", [("data.g0", "cavity11"), ("data.g1", "bubble"),
@@ -434,7 +474,7 @@ def test_cli_field_of_another_dimension_exits_2_before_cell_solves(tmp_path, cap
     assert harness.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key} = {value!r} has 2 components; coeff.d = 3 needs 3")
-    assert not (out / "tensors.txt").exists()
+    assert not out.exists()
     assert solves == []
 
 
@@ -455,7 +495,7 @@ def test_cli_factor_list_checked_before_cell_solves(tmp_path, capsys, monkeypatc
     assert harness.main(["homogenize", "--config", str(cfg_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: coefficient a: ") and fragment in err
-    assert not (out / "tensors.txt").exists()
+    assert not out.exists()
     assert solves == []
 
 
@@ -470,7 +510,7 @@ def test_cli_expression_outside_sandbox_exits_2(tmp_path, capsys):
     out = tmp_path / "o"
     assert harness.main(["homogenize", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert "coefficient expression may not use '__import__'" in capsys.readouterr().err
-    assert not (out / "tensors.txt").exists()
+    assert not out.exists()
 
 
 def test_cli_whitelisted_expression_runs(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxhom import fem, wave
-from maxhom.cells import homogenize
+from maxhom.cells import HomogenizationError, homogenize
 from maxhom.coeffs import CoefficientPart, CoefficientSpec, ScaleSchedule
 from maxhom.mesh import DomainMesh
 
@@ -50,6 +50,22 @@ def test_setup_dimensions_match_interior_count(unit_hom):
     prob = wave.setup_problem("homogenized", mesh, data, hom=unit_hom)
     assert prob.M.n == mesh.n_interior_edges
     assert prob.K.n == mesh.n_interior_edges
+
+
+def test_homogenized_x_dependent_coefficient_only_on_the_unit_box(unit_hom):
+    # the x samples cover [0, 1]^d: an x-dependent b^0, a^0 refuses a box of
+    # extent 2 (it was once rescaled to it), an x-independent one runs there
+    par = {"factors": [{"offset": 2.0, "amplitude": 1.0, "axis": 1}], "x_amplitude": 0.5}
+    spec = CoefficientSpec(2, 1, a=CoefficientPart("separable-product", dict(par)),
+                           b=CoefficientPart("separable-product", dict(par)),
+                           alpha=0.4, beta=4.6)
+    xdep = homogenize(spec, cell_N=8, slow_x=3)
+    data = wave.WaveData(T=0.1, dt=0.05)
+    with pytest.raises(HomogenizationError, match="outside the unit box"):
+        wave.setup_problem("homogenized", DomainMesh(2, 8, 2.0), data, hom=xdep)
+    prob = wave.setup_problem("homogenized", DomainMesh(2, 8, 2.0), data, hom=unit_hom)
+    assert np.all(np.isfinite(wave.integrate(prob).energies))
+    wave.setup_problem("homogenized", DomainMesh(2, 8), data, hom=xdep)
 
 
 def test_forcing_must_be_a_forcing():
