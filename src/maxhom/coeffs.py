@@ -18,15 +18,23 @@ from .mesh import grid_points
 # required keys and its optional keys with their defaults
 _FACTOR_KEYS = ({"offset", "amplitude"}, {"axis", "frequency", "phase"})
 _FACTOR_DEFAULTS = {"axis": 0, "frequency": 1, "phase": 0.0}
-_UNIT_FACTOR = {"offset": 1.0, "amplitude": 0.0, **_FACTOR_DEFAULTS}
 # params of each family: (required, optional)
-_PARAMS = {
+PARAMS = {
     "constant": ({"value"}, set()),
     "layered": (_FACTOR_KEYS[0], _FACTOR_KEYS[1] | {"scale", "base"}),
     "separable-product": ({"factors"}, {"x_amplitude", "base"}),
     "expression": ({"code"}, set()),
 }
-FAMILIES = tuple(_PARAMS)
+FAMILIES = tuple(PARAMS)
+# the sine factors of each family's profile as (scale, factor) pairs, scales
+# 1-based: layered is its own factor at `scale`, separable-product has one
+# factor per scale, constant has none (and expression no profile)
+_SINE_FACTORS = {
+    "constant": lambda p: [],
+    "layered": lambda p: [(p.get("scale", 1), p)],
+    "separable-product": lambda p: list(enumerate(p["factors"], 1)),
+    "expression": lambda p: [],
+}
 
 
 class CoefficientError(ValueError):
@@ -108,13 +116,13 @@ class CoefficientPart:
       expression         code: python expression over x, ys, np returning
                          (npts,) scalars (times I) or (npts, m, m)
 
-    layered and separable-product share one profile: the product over the scales
-    of offset + amplitude * sin(2 pi frequency y_i[axis] + phase), times the
-    macroscopic modulation 1 + x_amplitude * prod_a sin(pi x_a), times base (a
-    scalar or m x m matrix; defaults: scale 1, axis 0, frequency 1, phase 0,
-    x_amplitude 0, base identity).
-    layered is its own factor at `scale` and the unit factor (offset 1, amplitude 0)
-    at every other scale.
+    constant, layered and separable-product are one profile: the product over
+    the sine factors of offset + amplitude * sin(2 pi frequency y_scale[axis] +
+    phase), times the macroscopic modulation 1 + x_amplitude * prod_a sin(pi x_a),
+    times base (a scalar or m x m matrix; defaults: scale 1, axis 0, frequency 1,
+    phase 0, x_amplitude 0, base identity).  constant has no factor and its base
+    is value; layered is its one factor at `scale`; separable-product has one
+    factor per scale.
     """
 
     family: str
@@ -123,10 +131,9 @@ class CoefficientPart:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise CoefficientError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        _check_keys(self.params, _PARAMS[self.family], f"{self.family} params")
-        if self.family == "separable-product":
-            for i, f in enumerate(self.params["factors"]):
-                _check_keys(f, _FACTOR_KEYS, f"factor {i + 1}")
+        _check_keys(self.params, PARAMS[self.family], f"{self.family} params")
+        for i, f in enumerate(self.params.get("factors", ())):
+            _check_keys(f, _FACTOR_KEYS, f"factor {i + 1}")
         if self.family == "expression":
             _expression_names(self.params["code"])
 
@@ -135,40 +142,34 @@ class CoefficientPart:
             return "x" in _expression_names(self.params["code"])
         return self.params.get("x_amplitude", 0.0) != 0.0
 
-    def _factors(self, n_scales):
-        """The sine factors of the profile, one per scale, defaults filled in."""
-        p = self.params
-        if self.family == "layered":
-            out = [_UNIT_FACTOR] * n_scales
-            out[p.get("scale", 1) - 1] = {k: v for k, v in p.items() if k not in ("scale", "base")}
-        elif len(p["factors"]) != n_scales:
-            raise CoefficientError(f"separable-product has {len(p['factors'])} factors "
-                                   f"for {n_scales} scales; it needs one per scale")
-        else:
-            out = p["factors"]
-        return [{**_FACTOR_DEFAULTS, **f} for f in out]
+    def sine_factors(self):
+        """The sine factors of the profile as (scale, factor) pairs, defaults filled in."""
+        return [(scale, {**_FACTOR_DEFAULTS, **f})
+                for scale, f in _SINE_FACTORS[self.family](self.params)]
 
     def _check(self, d, n_scales):
-        """Refuse factors that do not fit d dimensions and n_scales scales."""
-        if self.family not in ("layered", "separable-product"):
-            return
-        scale = self.params.get("scale", 1)
-        if self.family == "layered" and not _is_int_in(scale, 1, n_scales + 1):
-            raise CoefficientError(f"layered scale {scale!r} is not an integer in [1, {n_scales}]")
-        for i, f in enumerate(self._factors(n_scales)):
+        """Refuse sine factors that do not fit d dimensions and n_scales scales."""
+        factors = self.params.get("factors")
+        if factors is not None and len(factors) != n_scales:
+            raise CoefficientError(f"{self.family} has {len(factors)} factors for {n_scales} "
+                                   "scales; it needs one per scale")
+        for scale, f in self.sine_factors():
+            if not _is_int_in(scale, 1, n_scales + 1):
+                raise CoefficientError(f"{self.family} scale {scale!r} is not an integer "
+                                       f"in [1, {n_scales}]")
             axis, k = f["axis"], f["frequency"]
             if not _is_int_in(axis, 0, d):
-                raise CoefficientError(f"factor {i + 1}: axis {axis!r} is not an integer "
+                raise CoefficientError(f"factor {scale}: axis {axis!r} is not an integer "
                                        f"in [0, {d})")
             if not _is_int_in(k, 1, np.inf):
-                raise CoefficientError(f"factor {i + 1}: frequency {k!r} is not an integer >= 1")
+                raise CoefficientError(f"factor {scale}: frequency {k!r} is not an integer >= 1")
 
     def _profile(self, x, ys):
         """Scalar profile (npts,): the product of the sine factors, then the x modulation."""
         prod = np.ones(x.shape[0])
-        for y, f in zip(ys, self._factors(len(ys))):
+        for scale, f in self.sine_factors():
             prod = prod * (f["offset"] + f["amplitude"] * np.sin(
-                2 * np.pi * f["frequency"] * y[:, f["axis"]] + f["phase"]))
+                2 * np.pi * f["frequency"] * ys[scale - 1][:, f["axis"]] + f["phase"]))
         xa = self.params.get("x_amplitude", 0.0)
         if xa != 0.0:
             xmod = np.ones(x.shape[0])
@@ -181,16 +182,14 @@ class CoefficientPart:
         """Evaluate at points x: (npts, d), ys: list of n (npts, d) arrays: (npts, m, m)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         ys = [np.atleast_2d(np.asarray(y, dtype=float)) for y in ys]
-        npts = x.shape[0]
-        if self.family == "constant":
-            return np.broadcast_to(_as_matrix(self.params["value"], m), (npts, m, m)).copy()
         if self.family == "expression":
+            npts = x.shape[0]
             env = {"np": np, "x": x, "ys": ys, "pi": np.pi}
             out = np.asarray(eval(self.params["code"], {"__builtins__": {}}, env), dtype=float)
             if out.ndim <= 1:
                 return np.broadcast_to(out, (npts,))[:, None, None] * np.eye(m)
             return np.broadcast_to(out, (npts, m, m)).copy()
-        base = _as_matrix(self.params.get("base", 1.0), m)
+        base = _as_matrix(self.params.get("base", self.params.get("value", 1.0)), m)
         return self._profile(x, ys)[:, None, None] * base
 
 
@@ -241,15 +240,13 @@ class ScaleSchedule:
     """Microscopic scales eps_i = eps / (r_2 ... r_i), with integer ratios.
 
     epsilon: base scale eps_1; ratios: (r_2, ..., r_n), each an integer >= 2.
-    require_integer_inverse demands 1/eps integral, i.e. an eps-lattice that
-    tiles the unit box.  The lattice users check their own tiling with
-    unfolding.lattice_cells: the unfolding operators on the unit box, the
-    folded corrector on the domain [0, extent]^d.
+    1/eps need not be an integer: the eps-lattice users check their own tiling
+    with unfolding.lattice_cells, the unfolding operators on the unit box and
+    the folded corrector on the domain [0, extent]^d.
     """
 
     epsilon: float
     ratios: tuple = ()
-    require_integer_inverse: bool = True
 
     def __post_init__(self):
         if not (0 < self.epsilon < 1):
@@ -258,10 +255,6 @@ class ScaleSchedule:
             if int(r) != r or r < 2:
                 raise CoefficientError("scale ratios must be integers >= 2")
         object.__setattr__(self, "ratios", tuple(int(r) for r in self.ratios))
-        if self.require_integer_inverse:
-            inv = 1.0 / self.epsilon
-            if abs(inv - round(inv)) > 1e-12:
-                raise CoefficientError(f"1/epsilon = {inv} is not an integer")
 
     @property
     def n_scales(self):

@@ -343,7 +343,7 @@ def multiscale_corrector_error(fine_traj, u0_traj, hom, schedule, g1=None):
     E_ms(t) = ||du^eps/dt - U(du0/dt + sum grad_y du_i/dt)||_{L^2}
             + ||curl u^eps - U(curl u0 + sum curl_y u_i)||_{L^2}.
     """
-    if hom.x_grid.res != 1:
+    if hom.spec.depends_on_x():
         raise CorrectorInputError("the folded corrector supports x-independent specs only")
     if schedule.n_scales > 2:
         raise CorrectorInputError("folded correctors implemented for n <= 2")

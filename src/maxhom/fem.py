@@ -9,8 +9,8 @@ rule) contracted with a per-cell constant coefficient; the coefficient is
 reduced per cell by sampling at tensor-product Gauss points.  Periodic cell
 problems use the 1-point (midpoint) rule, which is superconvergent for
 smooth periodic coefficients; domain assembly takes 2 points per axis unless
-the caller asks for another rule (the harness picks 3 for the oscillatory
-layered and separable-product families).
+the caller asks for another rule (the harness picks 3 when a coefficient
+part has a sine factor: the layered and separable-product families).
 
 Scalings for a cubic cell of size h (reference = unit cube):
   nodal gradient  = ref / h          edge basis = ref / h

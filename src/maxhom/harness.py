@@ -22,7 +22,7 @@ import numpy as np
 
 from . import corrector, fem, wave
 from .cells import HomogenizationError, homogenize
-from .coeffs import CoefficientError, CoefficientPart, CoefficientSpec, ScaleSchedule
+from .coeffs import PARAMS, CoefficientError, CoefficientPart, CoefficientSpec, ScaleSchedule
 from .mesh import DomainMesh, MeshError
 from .unfolding import lattice_cells
 
@@ -50,19 +50,18 @@ def _parse_ints(s):
     return tuple(int(v) for v in s.split(",") if v.strip())
 
 
+_FACTOR_FIELDS = (("offset", float), ("amplitude", float), ("axis", int), ("frequency", int),
+                  ("phase", float))
+
+
 def _parse_factors(s):
-    """Per-scale layered factors 'offset:amplitude:axis[:frequency[:phase]];...'."""
+    """Per-scale factors 'offset:amplitude:axis[:frequency[:phase]];...'."""
     out = []
     for part in s.split(";"):
         bits = part.split(":")
-        if len(bits) < 3:
-            raise ConfigError(f"factor {part!r} needs offset:amplitude:axis")
-        fac = {"offset": float(bits[0]), "amplitude": float(bits[1]), "axis": int(bits[2])}
-        if len(bits) > 3:
-            fac["frequency"] = int(bits[3])
-        if len(bits) > 4:
-            fac["phase"] = float(bits[4])
-        out.append(fac)
+        if not 3 <= len(bits) <= 5:
+            raise ConfigError(f"factor {part!r} needs offset:amplitude:axis[:frequency[:phase]]")
+        out.append({k: parse(b) for (k, parse), b in zip(_FACTOR_FIELDS, bits)})
     return tuple(out)
 
 
@@ -155,50 +154,52 @@ def load_config(path):
 
 
 def _fmt_value(v):
+    """v as its parser reads it back (floats at 17 significant digits)."""
     if isinstance(v, float):
         return f"{v:.17g}"
+    if isinstance(v, tuple) and v and isinstance(v[0], dict):
+        return ";".join(":".join(_fmt_value(f[k]) for k, _ in _FACTOR_FIELDS if k in f) for f in v)
     if isinstance(v, tuple):
-        return ";".join(_fmt_value(x) if not isinstance(x, dict)
-                        else ":".join(f"{x[k]:g}" for k in sorted(x)) for x in v)
+        return ",".join(map(_fmt_value, v))
     return str(v)
 
 
-# execution-environment keys: recorded in the manifest, excluded from the
-# fingerprint so that output paths cannot change report bytes
+# execution-environment keys: left out of the canonical config, so that output
+# paths change neither the fingerprint nor the size of the manifest
 _NON_SEMANTIC = ("out",)
 
 
-def canonical_config(cfg, semantic_only=False):
-    keys = sorted(k for k in cfg if not (semantic_only and k in _NON_SEMANTIC))
-    return "\n".join(f"{k} = {_fmt_value(cfg[k])}" for k in keys)
+def canonical_config(cfg):
+    """cfg without its execution keys, as text that parse_config reads back: one
+    key a line in key order, an unset key as a comment line."""
+    keys = sorted(k for k in cfg if k not in _NON_SEMANTIC)
+    return "\n".join(f"# {k} unset" if cfg[k] is None else f"{k} = {_fmt_value(cfg[k])}"
+                     for k in keys)
 
 
 def fingerprint(cfg):
-    return hashlib.sha256(canonical_config(cfg, semantic_only=True).encode()).hexdigest()[:16]
+    return hashlib.sha256(canonical_config(cfg).encode()).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
 # builders
 
-# the config keys of each family's CoefficientPart params
-_FAMILY_KEYS = {"constant": ("value",), "layered": ("offset", "amplitude", "phase"),
-                "separable-product": ("factors", "x_amplitude"), "expression": ("code",)}
-
-
 def build_part(cfg, which):
     """The CoefficientPart of coeff.<which>; keys its family does not read keep their defaults."""
     prefix = f"coeff.{which}."
     fam = cfg[prefix + "family"]
-    params = {k: cfg[prefix + k] for k in _FAMILY_KEYS.get(fam, ()) if cfg[prefix + k] is not None}
+    keys = [key[len(prefix):] for key in SCHEMA if key.startswith(prefix)]
+    reads = [k for k in keys if k in set().union(*PARAMS.get(fam, ()))]  # its params' keys
+    params = {k: cfg[prefix + k] for k in reads if cfg[prefix + k] is not None}
     try:
         part = CoefficientPart(fam, params)
     except CoefficientError as exc:
         raise ConfigError(f"coeff.{which}: {exc}") from None
-    stray = [key for key, (_, default) in SCHEMA.items() if key.startswith(prefix)
-             and key[len(prefix):] not in ("family",) + _FAMILY_KEYS[fam] and cfg[key] != default]
+    stray = [prefix + k for k in keys
+             if k not in ["family"] + reads and cfg[prefix + k] != SCHEMA[prefix + k][1]]
     if stray:
         raise ConfigError(f"{', '.join(stray)}: not read by family {fam!r} "
-                          f"(it reads {', '.join(_FAMILY_KEYS[fam])})")
+                          f"(it reads {', '.join(reads)})")
     return part
 
 
@@ -260,11 +261,10 @@ def _field(cfg, key, registry):
 
 
 def _quad_rule(cfg, spec):
-    """sim.quad, checked, or by default 3 for oscillatory coefficient families, else 2."""
+    """sim.quad, checked, or by default 3 when a part has a sine factor, else 2."""
     quad = cfg["sim.quad"]
     if quad is None:
-        fams = (spec.a.family, spec.b.family)
-        return 3 if any(f in ("layered", "separable-product") for f in fams) else 2
+        return 3 if spec.a.sine_factors() or spec.b.sine_factors() else 2
     if quad not in (1, 2, 3):
         raise ConfigError(f"sim.quad must be 1, 2 or 3, got {quad}")
     return quad
@@ -288,11 +288,11 @@ def _write_manifest(outdir, cfg, extra_lines=()):
     path = os.path.join(outdir, "manifest.txt")
     with open(path, "w") as fh:
         fh.write("# maxhom run manifest\n")
-        fh.write(f"fingerprint = {fingerprint(cfg)}\n")
-        fh.write(f"versions = python {sys.version.split()[0]}, numpy {np.__version__}, "
+        fh.write(f"# fingerprint = {fingerprint(cfg)}\n")
+        fh.write(f"# versions = python {sys.version.split()[0]}, numpy {np.__version__}, "
                  f"scipy {scipy.__version__}\n")
         for line in extra_lines:
-            fh.write(line + "\n")
+            fh.write(f"# {line}\n")
         fh.write("# resolved configuration\n")
         fh.write(canonical_config(cfg) + "\n")
 
@@ -304,10 +304,11 @@ def _homogenize(cfg, spec):
     if slow_y is not None and (len(slow_y) != n - 1 or any(m < 1 for m in slow_y)):
         raise ConfigError(f"hom.slow_y needs {n - 1} entries (coeff.n - 1), each at least 1, "
                           f"got {','.join(map(str, slow_y)) or 'none'}")
-    if slow_x is not None and slow_x < 1:
-        raise ConfigError(f"hom.slow_x must be at least 1, got {slow_x}")
     if slow_x is not None and slow_x < 2 and spec.depends_on_x():
         raise ConfigError(f"hom.slow_x must be at least 2 for an x-dependent spec, got {slow_x}")
+    if slow_x is not None and slow_x != 1 and not spec.depends_on_x():
+        raise ConfigError(f"hom.slow_x must be 1 for an x-independent spec (b^0, a^0 do "
+                          f"not depend on x), got {slow_x}")
     return homogenize(spec, cfg["hom.cell_n"], slow_x=slow_x, slow_y=slow_y, tol=cfg["tol"])
 
 

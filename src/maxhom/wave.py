@@ -77,7 +77,6 @@ class WaveData:
 
 @dataclass
 class WaveProblem:
-    kind: str
     mesh: DomainMesh
     M: fem.SparseSymSystem
     K: fem.SparseSymSystem
@@ -126,7 +125,6 @@ class WaveTrajectory:
     snap_steps: np.ndarray
     U: np.ndarray          # (n_snaps, n_interior), or None if a sink took them
     V: np.ndarray
-    kind: str = "fine"
 
     @property
     def n_snaps(self):
@@ -160,13 +158,13 @@ def setup_problem(kind, mesh, data, spec=None, schedule=None, hom=None, quad_rul
     """Assemble mass/stiffness for a fine or homogenized run.
 
     quad_rule is the per-axis Gauss order of the coefficient reduction on the
-    domain mesh (2 by default; the harness passes 3 for the oscillatory layered
-    and separable-product families).
+    domain mesh (2 by default; the harness passes 3 when a coefficient part has
+    a sine factor: the layered and separable-product families).
     """
     a_fn, b_fn = _coefficient_callables(kind, mesh, spec, schedule, hom)
     K, _ = fem.assemble_curl_stiffness(mesh, a_fn, rule=quad_rule)
     M, _ = fem.assemble_vector_mass(mesh, b_fn, rule=quad_rule)
-    return WaveProblem(kind, mesh, M, K, data, quad_rule)
+    return WaveProblem(mesh, M, K, data, quad_rule)
 
 
 def energy(problem, u, v):
@@ -229,7 +227,7 @@ def integrate(problem, u0=None, v0=None, sink=None):
     return WaveTrajectory(
         mesh=mesh, dt=dt, step_times=step_times, energies=energies,
         probe_values=probe_values, snap_times=data.snap_times, snap_steps=snap_steps,
-        U=U, V=V, kind=problem.kind)
+        U=U, V=V)
 
 
 # ---------------------------------------------------------------------------

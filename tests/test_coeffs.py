@@ -174,17 +174,17 @@ def test_schedule_invariants():
     s = ScaleSchedule(0.25, (4, 2))
     assert s.epsilons == (0.25, 0.0625, 0.03125)
     with pytest.raises(CoefficientError):
-        ScaleSchedule(0.3)  # 1/eps not integral
-    with pytest.raises(CoefficientError):
         ScaleSchedule(0.25, (1,))  # ratio < 2
-    ScaleSchedule(0.3, require_integer_inverse=False)
+    ScaleSchedule(0.3)  # 1/eps need not be an integer
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_layered_is_its_factor_at_its_scale_bitwise(data):
-    # layered runs through the product loop with the unit factor at every other
-    # scale; the profile stays offset + amplitude sin(2 pi k y_scale[axis] + phase)
+    # layered runs through the product loop with its one factor at its scale;
+    # the profile stays offset + amplitude sin(2 pi k y_scale[axis] + phase).
+    # constant is the factor-free profile, bitwise equal to its value
+    fam = data.draw(st.sampled_from(["layered", "constant"]))
     d, n = data.draw(st.integers(2, 3)), data.draw(st.integers(1, 3))
     scale, axis = data.draw(st.integers(1, n)), data.draw(st.integers(0, d - 1))
     k = data.draw(st.integers(1, 3))
@@ -193,16 +193,22 @@ def test_layered_is_its_factor_at_its_scale_bitwise(data):
     par = {"scale": scale, "axis": axis, "frequency": k, "offset": offset,
            "amplitude": amp, "phase": phase}
     m = d * (d - 1) // 2  # a is (npts, m, m): (npts, 1, 1) in 2D
+    a_base, b_base = np.eye(m), np.eye(d)
     a_par, b_par = dict(par), dict(par)
     if data.draw(st.booleans()):
-        a_par["base"], b_par["base"] = 2.0 * np.eye(m), 2.0 * np.eye(d)
-    spec = make_spec(a_par=a_par, b_par=b_par, d=d, n=n, alpha=0.01, beta=20.0)
+        a_base, b_base = 2.0 * np.eye(m), 2.0 * np.eye(d)
+        a_par["base"], b_par["base"] = a_base, b_base
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
     x = rng.random((30, d))
     ys = [rng.random((30, d)) for _ in range(n)]
     prof = offset + amp * np.sin(2 * np.pi * k * ys[scale - 1][:, axis] + phase)
-    assert np.array_equal(spec.eval_a(x, ys), prof[:, None, None] * a_par.get("base", np.eye(m)))
-    assert np.array_equal(spec.eval_b(x, ys), prof[:, None, None] * b_par.get("base", np.eye(d)))
+    if fam == "constant":
+        a_base, b_base = offset * a_base, offset * b_base
+        a_par, b_par = {"value": a_base.ravel()}, {"value": b_base.ravel()}
+        prof = np.ones(30)
+    spec = make_spec(fam, a_par, fam, b_par, d=d, n=n, alpha=0.01, beta=20.0)
+    assert np.array_equal(spec.eval_a(x, ys), prof[:, None, None] * a_base)
+    assert np.array_equal(spec.eval_b(x, ys), prof[:, None, None] * b_base)
 
 
 def _family_params(fam, k, n, data):

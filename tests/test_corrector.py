@@ -290,7 +290,7 @@ def test_fold_integral_equals_field_mean(case):
 
 
 def test_unfold_requires_integer_lattice():
-    s = ScaleSchedule(0.3, require_integer_inverse=False)
+    s = ScaleSchedule(0.3)
     with pytest.raises(uf.UnfoldingError):
         uf.unfold(lambda p: np.ones(len(p)), s, 2, 2)
 

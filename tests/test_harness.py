@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import re
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 import maxhom
 from maxhom import corrector, harness
 from maxhom.cells import HomogenizationError
+from maxhom.coeffs import PARAMS
 from maxhom.harness import ConfigError, fit_slope, parse_config
 
 CONST_SIM = """
@@ -82,6 +84,15 @@ def test_readme_config_table_names_every_schema_key():
         for name in re.findall(r"`([^`]+)`", row.split("|")[1]):
             keys |= {name.replace("{a,b}", w) for w in "ab"}
     assert keys == set(harness.SCHEMA)
+
+
+def test_every_coefficient_part_key_is_a_family_param():
+    # build_part reads a family's keys from its params: a coeff.<w>.* key that
+    # is no family's param could never be read
+    params = set().union(*(required | optional for required, optional in PARAMS.values()))
+    for w in "ab":
+        keys = {k.split(".", 2)[2] for k in harness.SCHEMA if k.startswith(f"coeff.{w}.")}
+        assert keys - {"family"} <= params, keys - {"family"} - params
 
 
 def test_duplicate_key_rejected():
@@ -165,7 +176,7 @@ hom.cell_n = 8
     assert np.allclose(vals, [2.0, 0.25, 0.25, 1.0], atol=1e-12)
     arow = next(l for l in lines if l.startswith("a level=0"))
     assert float(arow.split()[3]) == pytest.approx(1.5, abs=1e-12)
-    assert (tmp_path / "manifest.txt").exists()
+    assert harness.load_config(tmp_path / "manifest.txt") == cfg
 
 
 def test_simulate_zero_data_zero_energy(tmp_path):
@@ -425,6 +436,9 @@ RUN_KEY_CONFIGS = {"simulate": ("simulate", CONST_SIM), "sweep": ("sweep", LAYER
     ("folded-sweep", "coeff.a.x_amplitude", "0.5"),
     ("folded-sweep", "coeff.n", "3"),
     ("folded-sweep", "coeff.d", "3"),
+    # once 18 cell solves instead of 2 for an x-independent spec, then exit 3
+    # from the folded corrector after every leg's time loops
+    ("folded-sweep", "hom.slow_x", "3"),
 ])
 def test_cli_run_key_checked_before_cell_solves(tmp_path, capsys, monkeypatch, config, key,
                                                 value):
@@ -497,6 +511,12 @@ def test_cli_factor_list_checked_before_cell_solves(tmp_path, capsys, monkeypatc
     assert err.startswith("error: coefficient a: ") and fragment in err
     assert not out.exists()
     assert solves == []
+
+
+@pytest.mark.parametrize("factors", ["2:1", "2:1:1:1:0.5:7"])  # the 6th field was once dropped
+def test_factor_needs_three_to_five_fields(factors):
+    with pytest.raises(ConfigError, match=re.escape("needs offset:amplitude:axis[:frequency")):
+        parse_config(XDEP_HOM.replace("factors = 2:1:1", f"factors = {factors}"))
 
 
 EXPRESSION_HOM = CONST_SIM.replace("mode = simulate", "mode = homogenize").replace(
@@ -656,3 +676,38 @@ def test_simulate_without_snapshots_stores_none(tmp_path, monkeypatch, peak_byte
         assert not (tmp_path / str(every) / "snapshots.bin").exists()
     row = 8 * traj.mesh.n_interior_edges
     assert peaks[2] - peaks[1] <= 2 * row, (peaks[2] - peaks[1]) / row
+
+
+def _config_texts():
+    """Every config of these tests, the acceptance tests and the benchmark workloads (seed 1)."""
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    mods = [sys.modules[__name__]]
+    for name, path in (("acceptance", "tests/test_acceptance.py"),
+                       ("workloads", "perfbench/workloads.py")):
+        spec = importlib.util.spec_from_file_location(name, os.path.join(root, path))
+        mods.append(importlib.util.module_from_spec(spec))
+        spec.loader.exec_module(mods[-1])
+    texts = {f"{mod.__name__}.{name}": text for mod in mods[:2]
+             for name, text in vars(mod).items() if name.isupper() and isinstance(text, str)
+             and "mode = " in text}
+    texts["test_harness.EXPRESSION_HOM"] = EXPRESSION_HOM.format(code="2.0 + x[:, 0]")
+    texts.update({name: wl.config(1) for name, wl in mods[2].WORKLOADS.items()})
+    return texts
+
+
+def test_manifest_round_trips_through_parse_config(tmp_path):
+    # factors were once written in alphabetical field order at 6 digits, number
+    # tuples joined by ';', unset keys as None, and out as the config default;
+    # the manifest sits in the output directory and does not name it
+    texts = _config_texts()
+    assert len(texts) >= 13
+    for name, text in texts.items():
+        cfg = parse_config(text)
+        harness._write_manifest(str(tmp_path), cfg, ["runtime eps=0.5 = 1.000s"])
+        back = harness.load_config(tmp_path / "manifest.txt")
+        assert back == cfg, name
+        assert harness.fingerprint(back) == harness.fingerprint(cfg), name
+    # phases that differ in the 8th digit once shared a fingerprint
+    cfgs = [parse_config(XDEP_HOM.replace("factors = 2:1:1", f"factors = 2:1:1:1:{phase}"))
+            for phase in ("1.23456789", "1.23456712")]
+    assert harness.fingerprint(cfgs[0]) != harness.fingerprint(cfgs[1])
