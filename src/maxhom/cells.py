@@ -242,15 +242,16 @@ def _require_bounds(T, spec, which, level, sample):
 def homogenize(spec, cell_N, slow_x=None, slow_y=None, tol=1e-12):
     """Run the full recursion; returns a HomogenizationResult.
 
-    slow_x: per-axis x sample resolution (defaults to 1 when the spec is
-    x-independent, else 5).  slow_y: per-axis resolutions of the slow y_i
+    slow_x: per-axis x sample resolution, 1 for an x-independent spec and at
+    least 2 (default 5) otherwise.  slow_y: per-axis resolutions of the slow y_i
     grids for levels 1..n-1 (int or list; default 8).
     """
     d, n = spec.d, spec.n_scales
     if slow_x is None:
         slow_x = 5 if spec.depends_on_x() else 1
-    if spec.depends_on_x() and slow_x < 2:
-        raise HomogenizationError("x-dependent spec needs slow_x >= 2")
+    if (slow_x < 2 if spec.depends_on_x() else slow_x != 1):
+        raise HomogenizationError(f"slow_x = {slow_x}: an x-dependent spec needs at least 2 "
+                                  "x samples, an x-independent one exactly 1")
     if slow_y is None:
         slow_y = 8
     y_res = list(slow_y) if np.iterable(slow_y) else [int(slow_y)] * (n - 1)

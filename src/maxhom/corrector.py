@@ -11,18 +11,19 @@ enters only through the -g1 shift of the velocity.  This pointwise corrector
 and the folded one (the summed corrector averaged with U^n_eps) both read
 v = A(du0/dt) + P A(du0/dt - g1), q = G A(curl u0), where A is the identity or
 the average over eps macro-cells.  The factors P, G do not depend on time and
-are built once per run (folded, n = 2: subcell averages of the slow factors
-and exact samples of the innermost cell fields, on the quadrature points of
-one eps-period of fine cells); one stamp loop serves both.  The eps
-macro-cells of A and the y_1-subcells of the n = 2 tables are cells of the
-one eps-lattice of maxhom.unfolding (lattice_cells, lattice_index), the
-cells that unfolding.fold reads.
+are built once per run (folded, n >= 2: the slow levels' factors multiplied
+level by level and averaged over the nested subcells, times exact samples of
+the innermost cell fields, on the quadrature points of one eps-period of fine
+cells); one stamp loop serves both.  The eps macro-cells of A and the nested
+subcells of the tables are cells of the one eps-lattice of maxhom.unfolding
+(lattice_cells, lattice_index), the cells that unfolding.fold reads.
 
 Error norms are L^2(D) per stored stamp, via the fine mesh's Gauss grid; the
 reported L^infty(0,T) value is the maximum over stored stamps.
 """
 
 from dataclasses import dataclass, field
+import itertools
 
 import numpy as np
 
@@ -54,6 +55,18 @@ def _cell_fields(hom, level, sample, cells, local):
     return dw, cn
 
 
+def _blend(hom, level, corners, cells, local):
+    """sum_c w_c F_(level, s_c) at located points, for corners (s_c, w_c) of a slow
+    grid: the blended grad_y w (npts, d, d) and curl_y N (npts, m, m)."""
+    out = np.zeros((len(cells),) + hom.b0.shape[1:]), np.zeros((len(cells),) + hom.a0.shape[1:])
+    for flat, wgt in corners:
+        for si in np.unique(flat):
+            sel = flat == si
+            for o, F in zip(out, _cell_fields(hom, level, int(si), cells[sel], local[sel])):
+                o[sel] += wgt[sel, None, None] * F
+    return out
+
+
 def cell_factors(hom, y, slow=None):
     """Factors (P, G) of the level-1 cell fields at fast points y (npts, d).
 
@@ -62,23 +75,13 @@ def cell_factors(hom, y, slow=None):
     x-grid corner solutions are combined multilinearly at the x values `slow`,
     which lie in the unit box of hom.x_grid.
     """
-    d = hom.d
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    slow = None if slow is None else np.asarray(slow, dtype=float)
-    npts, m = len(y), len(fem.edge_ref(d)["CVEC"])
-    P = np.zeros((npts, d, d))
-    G = np.zeros((npts, m, m))
-    for blk in fem.point_blocks(npts):
+    P, G = np.empty((len(y),) + hom.b0.shape[1:]), np.empty((len(y),) + hom.a0.shape[1:])
+    for blk in fem.point_blocks(len(y)):
         cells, local = hom.mesh.locate(y[blk])
-        z = np.zeros((len(cells), d)) if slow is None else slow[blk]
-        Pb, Gb = P[blk], G[blk]
-        for flat, wgt in hom.x_grid.corners(z):
-            for si in np.unique(flat):
-                sel = flat == si
-                dw, cn = _cell_fields(hom, 1, int(si), cells[sel], local[sel])
-                Pb[sel] += wgt[sel, None, None] * dw
-                Gb[sel] += wgt[sel, None, None] * cn
-    G += np.eye(m)
+        z = np.zeros((len(cells), hom.d)) if slow is None else slow[blk]
+        P[blk], G[blk] = _blend(hom, 1, hom.x_grid.corners(z), cells, local)
+    G += np.eye(G.shape[-1])
     return P, G
 
 
@@ -278,30 +281,65 @@ def _macro_bins(xq, eps, extent):
 
 
 def _fold_factors(hom, schedule, xq):
-    """Factors (P, G) of the folded corrector at the points xq (2D).
+    """Factors (P, G) of the folded corrector at the points xq, n >= 2 (2D).
 
-    n = 1: P1, G1 at y1.  n = 2, with T, S the subcell tables of the y1-subcell
-    k2 of each point and P2_nu, N2_nu the level-2 cell fields of sample nu:
-    P = sum_nu T[k2, nu] - I + sum_nu P2_nu(y2) T[k2, nu] and
-    G = sum_nu (I + curl_y N2_nu(y2)) S[k2, nu], summed over S[k2, nu] != 0.
+    The slow levels run on the nested grid of cell centres y_1..y_{n-1}: level
+    i < n multiplies a running product by sum_mu Lam_mu(y_<i) (I + F_(i,mu)(y_i)),
+    F = grad_y w (for the table A) or curl_y N (for C) and Lam the joint hat
+    weights of y_grids[:i - 1].  A[k, nu] and C[k, nu] average Lam_nu(y_<n) times
+    the product over the nested subcell k = (floor(r_2 y_1), .., floor(r_n y_{n-1})).
+    The products are built in point blocks and added corner by corner in point
+    order, so no table depends on the block size.  With P_nu, N_nu the level-n
+    cell fields of sample nu at y_n: P = sum_nu A[k, nu] - I + sum_nu P_nu A[k, nu]
+    and G = sum_nu (I + curl_y N_nu) C[k, nu], summed over C[k, nu] != 0.
     """
-    d = hom.d
-    y1, *y2 = schedule.fast_variables(xq)
-    if schedule.n_scales == 1:
-        return cell_factors(hom, y1)
-    r2 = schedule.ratios[0]
-    T, S = _subcell_tables(hom, r2)
-    k2 = lattice_index(y1 * r2, r2)
-    cells2, local2 = hom.mesh.locate(y2[0])
-    P = (T.sum(axis=1) - np.eye(d))[k2]   # subcell average of P1
-    m = S.shape[-1]
-    G = np.zeros((len(xq), m, m))
-    support = (np.abs(S) > 1e-14).any(axis=(2, 3))
+    d, Q, n, ratios = hom.d, hom.cell_N, schedule.n_scales, schedule.ratios
+    if any(Q % r for r in ratios):
+        raise CorrectorInputError("cell resolution must be divisible by every scale ratio")
+    centres, grids = hom.mesh.cell_centers, hom.y_grids
+    shape = (len(centres),) * (n - 1)
+    idx = np.unravel_index(np.arange(np.prod(shape)), shape)   # the cell centre of each y_j
+
+    def subcell(ys):
+        return np.ravel_multi_index([lattice_index(y * r, r) for y, r in zip(ys, ratios)],
+                                    tuple(r ** d for r in ratios))
+
+    def corners(levels, at):
+        """Corners (flat sample, weight) of the joint hat weights of grids[:levels] at `at`."""
+        tabs = [g.corners(centres[j]) for g, j in zip(grids, at[:levels])]
+        for combo in itertools.product(*tabs):
+            flat, w = np.zeros(len(at[0]), dtype=np.int64), np.ones(len(at[0]))
+            for g, (fg, wg) in zip(grids, combo):
+                flat, w = flat * g.size + fg, w * wg
+            yield flat, w
+
+    prods = np.empty((len(idx[0]), d, d)), np.empty((len(idx[0]),) + hom.a0.shape[1:])
+    for blk in fem.point_blocks(len(idx[0])):
+        ib = [j[blk] for j in idx]
+        for level, j in enumerate(ib, 1):
+            cells, local = hom.mesh.locate(centres[j])
+            for p, f in zip(prods, _blend(hom, level, corners(level - 1, ib), cells, local)):
+                f += np.eye(f.shape[-1])
+                p[blk] = f if level == 1 else np.matmul(f, p[blk])
+    k = subcell([centres[j] for j in idx])
+    count = float(np.prod([(Q // r) ** d for r in ratios]))   # points per subcell
+    size = (int(np.prod(ratios)) ** d, int(np.prod([g.size for g in grids])))
+    A, C = [np.zeros(size + p.shape[1:]) for p in prods]
+    for nu, lam in corners(n - 1, idx):
+        for table, p in zip((A, C), prods):
+            np.add.at(table, (k, nu), lam[:, None, None] * p / count)
+
+    *ys, yn = schedule.fast_variables(xq)
+    k = subcell(ys)
+    cells, local = hom.mesh.locate(yn)
+    P = (A.sum(axis=1) - np.eye(d))[k]   # subcell average of the slow product, minus I
+    G = np.zeros((len(xq),) + C.shape[2:])
+    support = (np.abs(C) > 1e-14).any(axis=(2, 3))
     for nu in np.flatnonzero(support.any(axis=0)):
-        sel = support[k2, nu]
-        P2, C2 = _cell_fields(hom, 2, int(nu), cells2[sel], local2[sel])
-        G[sel] += np.matmul(np.eye(m) + C2, S[k2[sel], nu])
-        P[sel] += np.matmul(P2, T[k2[sel], nu])
+        sel = support[k, nu]
+        Pn, Cn = _cell_fields(hom, n, int(nu), cells[sel], local[sel])
+        G[sel] += np.matmul(np.eye(G.shape[-1]) + Cn, C[k[sel], nu])
+        P[sel] += np.matmul(Pn, A[k[sel], nu])
     return P, G
 
 
@@ -326,36 +364,25 @@ def _period_points(mesh, eps):
     return xt.reshape(-1, d), rows.ravel()
 
 
-def _period_fold_factors(hom, schedule, mesh):
-    """n = 2 folded factors (P, G) at every fine quadrature point of mesh.
-
-    They depend on a point only through y1 and y2, which repeat every eps:
-    _fold_factors runs on one period and every point gathers its row.
-    """
-    xt, rows = _period_points(mesh, schedule.epsilon)
-    P, G = _fold_factors(hom, schedule, xt)
-    return P[rows], G[rows]
-
-
 def multiscale_corrector_error(fine_traj, u0_traj, hom, schedule, g1=None):
-    """Folded corrector error per stamp (n = 1 or 2, 2D).
+    """Folded corrector error per stamp (any number of scales n, 2D).
 
     E_ms(t) = ||du^eps/dt - U(du0/dt + sum grad_y du_i/dt)||_{L^2}
             + ||curl u^eps - U(curl u0 + sum curl_y u_i)||_{L^2}.
     """
     if hom.spec.depends_on_x():
         raise CorrectorInputError("the folded corrector supports x-independent specs only")
-    if schedule.n_scales > 2:
-        raise CorrectorInputError("folded correctors implemented for n <= 2")
     mesh = fine_traj.mesh
     if mesh.d != 2:
         raise CorrectorInputError("the folded corrector driver is 2D")
     xq, wq = _fine_quadrature(mesh, _QUAD_RULE)
     bins, nbins = _macro_bins(xq, schedule.epsilon, mesh.extent)
     if schedule.n_scales == 1:
-        P, G = _fold_factors(hom, schedule, xq)
-    else:
-        P, G = _period_fold_factors(hom, schedule, mesh)
+        P, G = cell_factors(hom, schedule.fast_variables(xq)[0])
+    else:   # y_1..y_n repeat every eps: one period of points is built, each point reads its row
+        xt, rows = _period_points(mesh, schedule.epsilon)
+        P, G = _fold_factors(hom, schedule, xt)
+        P, G = P[rows], G[rows]
     g1_vals = g1(xq) if g1 is not None else np.zeros_like(xq)
     corr = CorrectorField(times=u0_traj.snap_times, fine_mesh=mesh, u0_traj=u0_traj,
                           xq=xq, wq=wq, P=P, G=G, g1_vals=g1_vals,
@@ -363,31 +390,3 @@ def multiscale_corrector_error(fine_traj, u0_traj, hom, schedule, g1=None):
     e_vel, e_curl = _stamp_errors(fine_traj, corr)
     return ErrorSeries(fine_traj.snap_times.copy(), np.zeros_like(e_vel),
                        np.zeros_like(e_vel), e_vel + e_curl)
-
-
-def _subcell_tables(hom, r2):
-    """Subcell-averaged slow-factor tables for the n=2 folded corrector.
-
-    T[k, nu] = avg over y1-subcell k of lambda_nu(y1) (I + P1(y1))  (d x d)
-    S[k, nu] = avg over y1-subcell k of lambda_nu(y1) G1(y1)        (m x m)
-
-    where lambda_nu are the multilinear hat weights of the y1 sample grid
-    hom.y_grids[0], whose level-2 cell solutions nu are.
-    """
-    d = hom.d
-    Q = hom.cell_N
-    if Q % r2 != 0:
-        raise CorrectorInputError("cell resolution must be divisible by the scale ratio")
-    pts = hom.mesh.cell_centers
-    P1, G1 = cell_factors(hom, pts)
-    k_flat = lattice_index(pts * r2, r2)
-    nsub = r2 ** d
-    count = np.bincount(k_flat, minlength=nsub).astype(float)
-    T = np.zeros((nsub, hom.y_grids[0].size, d, d))
-    S = np.zeros((nsub, hom.y_grids[0].size) + G1.shape[1:])
-    eye = np.eye(d)
-    for nu, lam in hom.y_grids[0].corners(pts):
-        contrib = lam[:, None, None] * (eye + P1)
-        np.add.at(T, (k_flat, nu), contrib / count[k_flat, None, None])
-        np.add.at(S, (k_flat, nu), lam[:, None, None] * G1 / count[k_flat, None, None])
-    return T, S

@@ -304,11 +304,9 @@ def _homogenize(cfg, spec):
     if slow_y is not None and (len(slow_y) != n - 1 or any(m < 1 for m in slow_y)):
         raise ConfigError(f"hom.slow_y needs {n - 1} entries (coeff.n - 1), each at least 1, "
                           f"got {','.join(map(str, slow_y)) or 'none'}")
-    if slow_x is not None and slow_x < 2 and spec.depends_on_x():
-        raise ConfigError(f"hom.slow_x must be at least 2 for an x-dependent spec, got {slow_x}")
-    if slow_x is not None and slow_x != 1 and not spec.depends_on_x():
-        raise ConfigError(f"hom.slow_x must be 1 for an x-independent spec (b^0, a^0 do "
-                          f"not depend on x), got {slow_x}")
+    if slow_x is not None and (slow_x < 2 if spec.depends_on_x() else slow_x != 1):
+        raise ConfigError(f"hom.slow_x must be at least 2 for an x-dependent spec and 1 for an "
+                          f"x-independent one (b^0, a^0 do not depend on x), got {slow_x}")
     return homogenize(spec, cfg["hom.cell_n"], slow_x=slow_x, slow_y=slow_y, tol=cfg["tol"])
 
 
@@ -511,9 +509,6 @@ def run_sweep(cfg, outdir):
             raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
     if cfg["sweep.multiscale"]:
         # the hypotheses of the folded corrector (multiscale_corrector_error)
-        if cfg["coeff.n"] > 2:
-            raise ConfigError(f"sweep.multiscale: the folded corrector is implemented for "
-                              f"coeff.n <= 2, got coeff.n = {cfg['coeff.n']}")
         if cfg["coeff.d"] != 2:
             raise ConfigError(f"sweep.multiscale: the folded corrector is 2D, got "
                               f"coeff.d = {cfg['coeff.d']}")
@@ -530,6 +525,11 @@ def run_sweep(cfg, outdir):
                           f"coefficient, got an x-dependent {_x_keys(spec)}")
     # every leg's keys are checked before the cell solves
     legs = [_sweep_leg(cfg, spec, e) for e in eps_list]
+    # the folded corrector's tables average over nested subcells of the cell mesh
+    bad = [r for r in cfg["schedule.ratios"] if cfg["hom.cell_n"] % r]
+    if cfg["sweep.multiscale"] and bad:
+        raise ConfigError(f"sweep.multiscale: hom.cell_n {cfg['hom.cell_n']} is not divisible "
+                          f"by the scale ratio {bad[0]} of schedule.ratios")
     hom = _homogenize(cfg, spec)
     os.makedirs(outdir, exist_ok=True)
     hom.export_text(os.path.join(outdir, "tensors.txt"))

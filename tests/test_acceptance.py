@@ -5,6 +5,7 @@ lines; the whole module is self-contained and deterministic.  The rate sweep
 (criterion 8) is the long pole at a few minutes of wall time.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -85,6 +86,12 @@ sweep.multiscale = true
 data.g1 = cavity11
 data.f = bubble_cos2t
 """
+
+
+# criterion 11: the rate-sweep shape of the benchmark, layered a and b
+ABLATION_SWEEP_CONFIG = RATE_SWEEP_CONFIG.replace(
+    "sweep.epsilons = 0.125,0.0625,0.03125", "sweep.epsilons = 0.25,0.125,0.0625").replace(
+    "sweep.fine_ratio = 32", "sweep.fine_ratio = 16")
 
 
 @pytest.fixture(scope="module")
@@ -260,3 +267,52 @@ def test_criterion_10_reproducibility(multiscale_report, tmp_path):
     b2 = open(tmp_path / "report.csv", "rb").read()
     ok = b1 == b2
     report(10, ok, f"rerun report.csv byte-identical ({len(b1)} bytes)")
+
+
+def ablation_errors(cfg, eps_list):
+    """Per eps: max E_vel and E_curl of the full pointwise corrector, of the one
+    with P = 0 and of the one with G = I, on the same fine and homogenized runs."""
+    spec = harness.build_spec(cfg)
+    hom = harness._homogenize(cfg, spec)
+    out = []
+    for eps in eps_list:
+        _, schedule, mesh, data, quad = harness._sweep_leg(cfg, spec, eps)
+        fine = wave.integrate(wave.setup_problem("fine", mesh, data, spec=spec,
+                                                 schedule=schedule, quad_rule=quad))
+        coarse = wave.integrate(wave.setup_problem(
+            "homogenized", DomainMesh(2, cfg["sweep.hom_n"]), data, hom=hom, quad_rule=quad))
+        full = corr.reconstruct_corrector(coarse, hom, schedule, g1=data.g1, fine_mesh=mesh)
+        no_p = dataclasses.replace(full, P=np.zeros_like(full.P))
+        no_g = dataclasses.replace(full, G=np.broadcast_to(np.eye(1), full.G.shape).copy())
+        errs = [corr.corrector_error(fine, f) for f in (full, no_p, no_g)]
+        out.append((full, [(e.max_vel, e.max_curl) for e in errs]))
+    return out
+
+
+def test_criterion_11_corrector_terms_are_needed():
+    # The L^2 corrector terms P = grad_y w (velocity) and G = I + curl_y N (curl)
+    # are what make the error decay: without either, that error stays near its
+    # largest-eps value.  Measured: full E_vel 0.311, 0.148, 0.079 and E_curl
+    # 0.286, 0.171, 0.133; E_vel with P = 0 0.393, 0.353, 0.347 and E_curl with
+    # G = I 0.866, 0.822, 0.808.
+    t0 = time.perf_counter()
+    eps = (0.25, 0.125, 0.0625)
+    runs = ablation_errors(harness.parse_config(ABLATION_SWEEP_CONFIG), eps)
+    vel, curl = [e[0][0] for _, e in runs], [e[0][1] for _, e in runs]
+    vel_no_p, curl_no_g = [e[1][0] for _, e in runs], [e[2][1] for _, e in runs]
+    decay = all(a > b for a, b in zip(vel, vel[1:])) and vel[0] > 2.5 * vel[-1] \
+        and all(a > b for a, b in zip(curl, curl[1:])) and curl[0] > 1.5 * curl[-1]
+    flat = min(vel_no_p) > 0.75 * vel_no_p[0] and min(curl_no_g) > 0.75 * curl_no_g[0] \
+        and vel_no_p[-1] > 2.5 * vel[-1] and curl_no_g[-1] > 3.0 * curl[-1]
+    # constant b: grad_y w = 0, so dropping P changes no bit of E_vel
+    const_b = ABLATION_SWEEP_CONFIG.replace(
+        "coeff.b.family = layered\ncoeff.b.offset = 2.0\ncoeff.b.amplitude = 1.0",
+        "coeff.b.family = constant\ncoeff.b.value = 2.0")
+    (field, errs), = ablation_errors(harness.parse_config(const_b), eps[:1])
+    exact = np.all(field.P == 0.0) and errs[0][0] == errs[1][0]
+    elapsed = time.perf_counter() - t0
+    ok = decay and flat and exact and elapsed < 15.0
+    report(11, ok, f"E_vel {[f'{e:.3f}' for e in vel]} vs P = 0 {[f'{e:.3f}' for e in vel_no_p]}, "
+                   f"E_curl {[f'{e:.3f}' for e in curl]} vs G = I "
+                   f"{[f'{e:.3f}' for e in curl_no_g]} over eps {list(eps)}; constant b: P = 0 "
+                   f"exactly, E_vel equal bitwise: {exact}; {elapsed:.1f}s < 15s")

@@ -358,6 +358,22 @@ def test_homogenize_constant_is_exact():
     assert abs(res.a0[0, 0, 0] - 1.5) < 1e-12
 
 
+@pytest.mark.parametrize("x_dependent,slow_x", [(False, 3), (False, 2), (True, 1)])
+def test_homogenize_refuses_slow_x_that_does_not_fit_the_spec(monkeypatch, x_dependent, slow_x):
+    # an x-independent spec once ran one cell pair per x sample (18 for slow_x = 3
+    # against 2), and an x-dependent one needs two samples per axis at least
+    par = {"factors": [{"offset": 2.0, "amplitude": 1.0, "axis": 0}],
+           "x_amplitude": 0.5 if x_dependent else 0.0}
+    spec = CoefficientSpec(2, 1, a=CoefficientPart("separable-product", dict(par)),
+                           b=CoefficientPart("separable-product", dict(par)),
+                           alpha=0.4, beta=4.6)
+    solves = []
+    monkeypatch.setattr(fem, "solve_spd", lambda *a, **k: solves.append(a))
+    with pytest.raises(HomogenizationError, match=f"slow_x = {slow_x}"):
+        homogenize(spec, cell_N=8, slow_x=slow_x)
+    assert solves == []
+
+
 def test_homogenize_x_dependent_sampling():
     # a(x, y) = (1 + 0.5 sin(pi x1) sin(pi x2)) (2 + sin 2 pi y1):
     # pointwise in x this is a layered problem, so a0(x) = sqrt3 * x-factor

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -390,11 +392,87 @@ def test_ems_n2_smoke(n2_setup):
     assert ems.max_ms > 0
 
 
+def hat_weight(grid, y, q):
+    """Weight of sample q of a periodic slow grid at points y (npts, d): the product
+    over the axes of the periodic hat of width 1/res centred on the sample."""
+    w = np.ones(len(y))
+    if grid.res == 1:
+        return w
+    for a, qa in enumerate(np.unravel_index(q, (grid.res,) * grid.d)):
+        t = (y[:, a] * grid.res - qa) % grid.res
+        w *= np.maximum(0.0, 1.0 - np.minimum(t, grid.res - t))
+    return w
+
+
+def cell_factor_at(hom, level, sample, y):
+    """I + grad_y w and I + curl_y N of one cached cell solution at points y."""
+    d = hom.d
+    W, Nc = hom.cell_solution("b", level, sample), hom.cell_solution("a", level, sample)
+    P = np.stack([fem.eval_nodal_gradient(hom.mesh, W[r], y) for r in range(d)], axis=-1)
+    C = np.stack([fem.eval_edge_curl(hom.mesh, Nc[r], y) for r in range(len(Nc))], axis=-1)
+    return np.eye(d) + P, np.eye(len(Nc)) + C
+
+
+def folded_factors_oracle(hom, schedule, xq):
+    """Folded factors (P, G) of n >= 2 at the points xq, with explicit loops.
+
+    For every nested subcell (floor(r_2 y_1), ..., floor(r_n y_{n-1})) the cell
+    centres of each y_j in it are listed, the running product of the slow levels
+    is formed on their product grid with every sample of each level, and its
+    average times the hat weight of every level-n sample is taken; level n is
+    then summed over every sample at y_n.
+    """
+    d, n, ratios, grids = hom.d, schedule.n_scales, schedule.ratios, hom.y_grids
+    centres = hom.mesh.cell_centers
+    sizes = [g.size for g in grids]
+    nsamples = int(np.prod(sizes))
+    eps = schedule.epsilons
+    ys = [xq / e - np.floor(xq / e) for e in eps]
+    sub_of_point = [tuple(np.minimum(np.floor(y * r).astype(int), r - 1).T)
+                    for y, r in zip(ys, ratios)]
+    P = -np.broadcast_to(np.eye(d), (len(xq), d, d)).copy()
+    G = np.zeros((len(xq), 1, 1))
+    levels_n = [cell_factor_at(hom, n, nu, ys[-1]) for nu in range(nsamples)]
+    for sub in itertools.product(*[list(itertools.product(range(r), repeat=d))
+                                   for r in ratios]):
+        members = [np.flatnonzero(np.all(np.floor(centres * r).astype(int) == np.array(s),
+                                         axis=1)) for s, r in zip(sub, ratios)]
+        mesh_idx = [m.ravel() for m in np.meshgrid(*members, indexing="ij")]
+        yj = [centres[i] for i in mesh_idx]
+        prod_b = np.broadcast_to(np.eye(d), (len(yj[0]), d, d))
+        prod_a = np.ones((len(yj[0]), 1, 1))
+        for level in range(1, n):
+            Mb, Ma = 0.0, 0.0
+            for mu in range(int(np.prod(sizes[:level - 1]))):
+                lam = np.ones(len(yj[0]))
+                for g, q, y in zip(grids, np.unravel_index(mu, sizes[:level - 1]), yj):
+                    lam = lam * hat_weight(g, y, q)
+                Fb, Fa = cell_factor_at(hom, level, mu, yj[level - 1])
+                Mb = Mb + lam[:, None, None] * Fb
+                Ma = Ma + lam[:, None, None] * Fa
+            prod_b, prod_a = Mb @ prod_b, Ma @ prod_a
+        at = np.ones(len(xq), dtype=bool)
+        for s, k in zip(sub, sub_of_point):
+            for a in range(d):
+                at &= k[a] == s[a]
+        for nu in range(nsamples):
+            lam = np.ones(len(yj[0]))
+            for g, q, y in zip(grids, np.unravel_index(nu, sizes), yj):
+                lam = lam * hat_weight(g, y, q)
+            A = (lam[:, None, None] * prod_b).mean(axis=0)
+            C = (lam[:, None, None] * prod_a).mean(axis=0)
+            Fb, Fa = levels_n[nu]
+            P[at] += Fb[at] @ A
+            G[at] += Fa[at] @ C
+    return P, G
+
+
 def folded_error_oracle(fine_traj, u0_traj, hom, schedule, g1):
-    """Reference E_ms: the folded corrector rebuilt at every stamp.
+    """Reference E_ms, the macro-cell averages formed anew at every stamp.
 
     Averages du0, du0 - g1 and curl u0 over the eps macro-cells at each stamp
-    and, for n = 2, evaluates the level-2 cell fields subcell by subcell.
+    and applies the factors: for n = 1 the level-1 factors at y_1, for n >= 2
+    those of folded_factors_oracle.
     """
     mesh = fine_traj.mesh
     d = mesh.d
@@ -413,53 +491,20 @@ def folded_error_oracle(fine_traj, u0_traj, hom, schedule, g1):
         return out[mc]
 
     cells0, local0 = u0_traj.mesh.locate(xq)
-    eps = schedule.epsilons
-    y1 = xq / eps[0]
-    y1 -= np.floor(y1)
-    n = schedule.n_scales
-    if n == 1:
-        P1, G1 = corr.cell_factors(hom, y1)
+    if schedule.n_scales == 1:
+        y1 = xq / schedule.epsilon
+        y1 -= np.floor(y1)
+        P, G = corr.cell_factors(hom, y1)
     else:
-        r2 = schedule.ratios[0]
-        T, S = corr._subcell_tables(hom, r2)
-        sub = np.minimum((y1 * r2).astype(np.int64), r2 - 1)
-        k2 = np.ravel_multi_index(sub.T, (r2,) * d)
-        y2 = xq / eps[1]
-        y2 -= np.floor(y2)
-        cells2, local2 = hom.mesh.locate(y2)
+        P, G = folded_factors_oracle(hom, schedule, xq)
     e_ms = np.empty(fine_traj.n_snaps)
     for i in range(fine_traj.n_snaps):
         v0 = fem.expand_interior(u0_traj.mesh, u0_traj.V[i])
         u0 = fem.expand_interior(u0_traj.mesh, u0_traj.U[i])
         du0 = fem.eval_edge_field(u0_traj.mesh, v0, None, cells0, local0)
         cu0 = fem.eval_edge_curl(u0_traj.mesh, u0, None, cells0, local0)
-        du0_avg = bin_average(du0)
-        diff_avg = bin_average(du0 - g1_vals)
-        cu0_avg = bin_average(cu0)
-        if n == 1:
-            v_fold = du0_avg + np.einsum("pjr,pr->pj", P1, diff_avg)
-            c_fold = G1[:, 0] * cu0_avg
-        else:
-            v_fold = du0_avg.copy()
-            avgP = T.sum(axis=1) - np.eye(d)   # subcell average of P1
-            v_fold += np.einsum("pjr,pr->pj", avgP[k2], diff_avg)
-            factor = np.zeros((len(xq), 1))
-            for k in range(r2 ** d):
-                sel = k2 == k
-                if not np.any(sel):
-                    continue
-                for nu in np.flatnonzero(np.abs(S[k, :, 0, 0]) > 1e-14):
-                    sol_a = hom.cell_solution("a", 2, int(nu))
-                    q2 = fem.eval_edge_curl(hom.mesh, sol_a[0], None,
-                                            cells2[sel], local2[sel])
-                    factor[sel] += (1.0 + q2) * S[k, nu, 0, 0]
-                    sol_b = hom.cell_solution("b", 2, int(nu))
-                    P2 = np.zeros((int(sel.sum()), d, d))
-                    for r in range(d):
-                        P2[:, :, r] = fem.eval_nodal_gradient(
-                            hom.mesh, sol_b[r], None, cells2[sel], local2[sel])
-                    v_fold[sel] += np.einsum("pjr,rs,ps->pj", P2, T[k, nu], diff_avg[sel])
-            c_fold = factor * cu0_avg
+        v_fold = bin_average(du0) + np.einsum("pjr,pr->pj", P, bin_average(du0 - g1_vals))
+        c_fold = G[:, 0] * bin_average(cu0)
         duf = fem.eval_edge_field(mesh, fem.expand_interior(mesh, fine_traj.V[i]),
                                   None, cells, local)
         cuf = fem.eval_edge_curl(mesh, fem.expand_interior(mesh, fine_traj.U[i]),
@@ -477,6 +522,72 @@ def test_ems_n2_matches_per_stamp_oracle(n2_setup):
     assert np.all(ems.e_vel == 0.0) and np.all(ems.e_curl == 0.0)
 
 
+@pytest.fixture(scope="module")
+def n3_setup():
+    """Three-scale spec, eps = 1/2, ratios (2, 2), slow_y (3, 3): fine and homogenized runs."""
+    # each scale's factor varies along both axes, so the levels' factors do not commute
+    code = ("(2 + np.sin(2 * pi * ys[0][:, 0]) * np.cos(2 * pi * ys[0][:, 1]))"
+            " * (2 + 0.5 * np.sin(2 * pi * (ys[1][:, 0] + 2 * ys[1][:, 1])))"
+            " * (1.5 + 0.5 * np.cos(2 * pi * ys[2][:, 1]) * np.sin(2 * pi * ys[2][:, 0]))")
+    part = CoefficientPart("expression", {"code": code})
+    spec = CoefficientSpec(2, 3, a=part, b=part, alpha=0.5, beta=18.0)
+    hom = homogenize(spec, cell_N=8, slow_y=[3, 3], tol=1e-10)
+    sched = ScaleSchedule(1 / 2, (2, 2))
+    fm = DomainMesh(2, 32)
+    data = wave.WaveData(T=0.125, dt=1 / 64, g1=cavity11, f=bubble_forcing(), store_every=4,
+                         tol=1e-10)
+    tf = wave.integrate(wave.setup_problem("fine", fm, data, spec=spec,
+                                           schedule=sched, quad_rule=3))
+    th = wave.integrate(wave.setup_problem("homogenized", DomainMesh(2, 16), data, hom=hom))
+    return hom, sched, tf, th
+
+
+def test_ems_n3_matches_per_stamp_oracle(n3_setup):
+    hom, sched, tf, th = n3_setup
+    xq = corr._fine_quadrature(tf.mesh, corr._QUAD_RULE)[0]
+    P, G = corr._fold_factors(hom, sched, xq)
+    P_ref, G_ref = folded_factors_oracle(hom, sched, xq)
+    assert np.abs(P - P_ref).max() <= 1e-12 and np.abs(G - G_ref).max() <= 1e-12
+    assert np.abs(P).max() > 0.1   # the slow levels' products do not commute: order counts
+    ems = corr.multiscale_corrector_error(tf, th, hom, sched, g1=cavity11)
+    ref = folded_error_oracle(tf, th, hom, sched, cavity11)
+    assert np.all(ref > 0)
+    assert np.all(np.abs(ems.e_ms - ref) <= 1e-12 * np.abs(ref))
+
+
+def folded_factors(hom, sched, xq):
+    """The factors of multiscale_corrector_error at points xq, for every n."""
+    if sched.n_scales == 1:
+        return corr.cell_factors(hom, sched.fast_variables(xq)[0])
+    return corr._fold_factors(hom, sched, xq)
+
+
+@st.composite
+def unit_factor_specs(draw):
+    """n scales of zero-amplitude sine factors: a constant coefficient in n variables."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    ratios = tuple(draw(st.sampled_from([2, 3])) for _ in range(n - 1))
+    slow_y = [draw(st.integers(1, 3)) for _ in range(n - 1)]
+    fac = [{"offset": draw(st.sampled_from([1.0, 1.5, 2.0])), "amplitude": 0.0,
+            "axis": draw(st.integers(0, 1)), "phase": draw(st.floats(0.0, 6.0))}
+           for _ in range(n)]
+    part = CoefficientPart("separable-product", {"factors": fac})
+    return CoefficientSpec(2, n, a=part, b=part, alpha=0.5, beta=10.0), ratios, slow_y
+
+
+@settings(max_examples=12, deadline=None)
+@given(unit_factor_specs())
+def test_folded_factors_of_unit_factors_are_identity(case):
+    # every cell solution vanishes, so every level's product is I and P = 0, G = I
+    spec, ratios, slow_y = case
+    hom = homogenize(spec, cell_N=6, slow_y=slow_y or None, tol=1e-12)
+    sched = ScaleSchedule(1 / 3, ratios)
+    xq = np.random.default_rng(24).random((200, 2))
+    P, G = folded_factors(hom, sched, xq)
+    assert np.abs(P).max() <= 1e-13
+    assert np.abs(G - np.eye(1)).max() <= 1e-13
+
+
 def test_ems_n1_bitwise_per_stamp_oracle(layered_setup):
     spec, hom, sched, fine_mesh, tf, th = layered_setup
     ems = corr.multiscale_corrector_error(tf, th, hom, sched, g1=cavity11)
@@ -486,23 +597,26 @@ def test_ems_n1_bitwise_per_stamp_oracle(layered_setup):
 # ---------------------------------------------------------------------------
 # n = 2 folded factors from one eps-period of fine cells
 
-def separable_n2_spec(phases=(0.0, 0.0)):
+def separable_spec(phases=(0.0, 0.0)):
+    """One factor 2 + sin(2 pi y_i[0] + phase) per scale i, with one phase per scale."""
     fac = [{"offset": 2.0, "amplitude": 1.0, "axis": 0, "phase": ph} for ph in phases]
-    return CoefficientSpec(2, 2,
+    return CoefficientSpec(2, len(phases),
                            a=CoefficientPart("separable-product", {"factors": fac}),
                            b=CoefficientPart("separable-product", {"factors": fac}),
-                           alpha=1.0, beta=9.0)
+                           alpha=1.0, beta=3.0 ** len(phases))
 
 
 @pytest.fixture(scope="module")
 def folded_sweep_hom():
     """Cell solutions of the benchmark's folded sweep: cell_n 32, slow_y 8, r2 = 4."""
-    return homogenize(separable_n2_spec((0.3, 1.1)), cell_N=32, slow_y=8, tol=1e-10)
+    return homogenize(separable_spec((0.3, 1.1)), cell_N=32, slow_y=8, tol=1e-10)
 
 
 def assert_period_factors_match(hom, sched, mesh, atol=1e-12):
     xq = corr._fine_quadrature(mesh, corr._QUAD_RULE)[0]
-    P, G = corr._period_fold_factors(hom, sched, mesh)
+    xt, rows = corr._period_points(mesh, sched.epsilon)
+    P, G = corr._fold_factors(hom, sched, xt)
+    P, G = P[rows], G[rows]
     P_ref, G_ref = corr._fold_factors(hom, sched, xq)
     assert P.shape == P_ref.shape and G.shape == G_ref.shape
     assert np.abs(P - P_ref).max() <= atol
@@ -535,7 +649,7 @@ def test_period_factors_keep_face_pick(monkeypatch):
     # a cell-mesh face (y2 = 1/4, 3/4), where grad_y w jumps; the table must
     # take the same side as the per-point path
     monkeypatch.setattr(corr, "_QUAD_RULE", 1)
-    hom = homogenize(separable_n2_spec((0.0, 0.7)), cell_N=4, slow_y=2)
+    hom = homogenize(separable_spec((0.0, 0.7)), cell_N=4, slow_y=2)
     sched = ScaleSchedule(1 / 4, (2,))
     mesh = DomainMesh(2, 16)
     xq = corr._fine_quadrature(mesh, 1)[0]
@@ -630,11 +744,12 @@ def random_trajectory(mesh, rng, snaps=3):
                                V=rng.standard_normal((snaps, n)))
 
 
-@pytest.mark.parametrize("case", ["layered", "x-dependent", "3d", "folded-n1", "folded-n2"])
+@pytest.mark.parametrize("case", ["layered", "x-dependent", "3d", "folded-n1", "folded-n2",
+                                  "folded-n3"])
 def test_stamp_loop_blocks_bitwise(monkeypatch, case):
-    # the whole corrector (factors, locate, stamps) in blocks of 7 points and
-    # in one block gives the same bits; 1,600 and 1,000 points leave a short
-    # last block of 4 and 6
+    # the whole corrector (factors, tables, locate, stamps) in blocks of 7
+    # points and in one block gives the same bits; 1,600 and 1,000 points leave
+    # a short last block of 4 and 6
     rng = np.random.default_rng(23)
     if case == "3d":
         lay = CoefficientPart("layered", dict(LAYERED))
@@ -645,10 +760,13 @@ def test_stamp_loop_blocks_bitwise(monkeypatch, case):
         if case == "x-dependent":
             hom = homogenize(x_dependent_spec(), cell_N=16, slow_x=3)
         elif case == "folded-n2":
-            hom = homogenize(separable_n2_spec((0.3, 1.1)), cell_N=8, slow_y=2, tol=1e-10)
+            hom = homogenize(separable_spec((0.3, 1.1)), cell_N=8, slow_y=2, tol=1e-10)
+        elif case == "folded-n3":
+            hom = homogenize(separable_spec((0.3, 1.1, 0.7)), cell_N=4, slow_y=3, tol=1e-10)
         else:
             hom = homogenize(layered_spec(), cell_N=16)
-        sched, g1 = ScaleSchedule(1 / 4, (2,) if case == "folded-n2" else ()), cavity11
+        ratios = {"folded-n2": (2,), "folded-n3": (2, 2)}.get(case, ())
+        sched, g1 = ScaleSchedule(1 / 4, ratios), cavity11
         fine_mesh, coarse_mesh = DomainMesh(2, 20), DomainMesh(2, 8)
     fine = random_trajectory(fine_mesh, rng)
     coarse = random_trajectory(coarse_mesh, rng)

@@ -211,6 +211,17 @@ def test_sweep_report_and_determinism(tmp_path):
     assert doc["epsilons"] == [0.25, 0.125, 0.0625]
 
 
+def test_folded_sweep_n3_decreases_and_reruns_bitwise(tmp_path):
+    # three scales through the one level recursion of the folded corrector
+    cfg = parse_config(FOLDED_N3_SWEEP)
+    r1 = harness.run(cfg, outdir=str(tmp_path / "a"))
+    assert not r1.partial and len(r1.e_ms) == 3
+    assert r1.e_ms[0] > r1.e_ms[1] > r1.e_ms[2] > 0
+    harness.run(cfg, outdir=str(tmp_path / "b"))
+    for name in ("report.csv", "errors.csv", "tensors.txt"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_cli_exit_codes(tmp_path):
     cfg_path = tmp_path / "c.cfg"
     cfg_path.write_text(CONST_SIM)
@@ -394,10 +405,36 @@ FOLDED_SWEEP = (LAYERED_SWEEP.replace("layered", "separable-product")
                 .replace("coeff.b.offset = 2.0\ncoeff.b.amplitude = 1.0", "coeff.b.factors = 2:1:0")
                 .replace("sweep.epsilons = 0.25,0.125,0.0625",
                          "sweep.epsilons = 0.5,0.25,0.125\nsweep.multiscale = true"))
+# the three-scale folded sweep: 2:1:0 at every scale, whose b^0_xx closed form is sqrt(27)
+FOLDED_N3_SWEEP = """
+mode = sweep
+tol = 1e-10
+coeff.d = 2
+coeff.n = 3
+coeff.alpha = 1.0
+coeff.beta = 27.0
+coeff.a.family = separable-product
+coeff.a.factors = 2:1:0;2:1:0;2:1:0
+coeff.b.family = separable-product
+coeff.b.factors = 2:1:0;2:1:0;2:1:0
+schedule.ratios = 2,2
+hom.cell_n = 16
+hom.slow_y = 4,4
+sweep.epsilons = 0.5,0.25,0.125
+sweep.fine_ratio = 4
+sweep.dt_ratio = 4
+sweep.t_final = 0.125
+sweep.hom_n = 64
+sweep.snapshots_per_run = 8
+sweep.multiscale = true
+data.g1 = cavity11
+data.f = bubble_cos2t
+"""
 RUN_KEY_CONFIGS = {"simulate": ("simulate", CONST_SIM), "sweep": ("sweep", LAYERED_SWEEP),
                    "xdep-simulate": ("simulate", XDEP_HOM.replace("homogenize", "simulate")
                                      + "sim.n = 8\nsim.t_final = 0.2\nsim.dt = 0.05\n"),
-                   "xdep-sweep": ("sweep", XDEP_SWEEP), "folded-sweep": ("sweep", FOLDED_SWEEP)}
+                   "xdep-sweep": ("sweep", XDEP_SWEEP), "folded-sweep": ("sweep", FOLDED_SWEEP),
+                   "folded-n3-sweep": ("sweep", FOLDED_N3_SWEEP)}
 
 
 @pytest.mark.parametrize("config,key,value", [
@@ -434,8 +471,11 @@ RUN_KEY_CONFIGS = {"simulate": ("simulate", CONST_SIM), "sweep": ("sweep", LAYER
     # the folded corrector's hypotheses: once refused (exit 3) after the cell
     # solves and every leg's time loops, with tensors.txt written
     ("folded-sweep", "coeff.a.x_amplitude", "0.5"),
-    ("folded-sweep", "coeff.n", "3"),
     ("folded-sweep", "coeff.d", "3"),
+    # the folded tables average over nested subcells of the cell mesh: once
+    # refused (exit 3) after the cell solves and every leg's time loops
+    ("folded-n3-sweep", "hom.cell_n", "15"),
+    ("folded-n3-sweep", "schedule.ratios", "2,3"),   # r_3 = 3 does not divide 16
     # once 18 cell solves instead of 2 for an x-independent spec, then exit 3
     # from the folded corrector after every leg's time loops
     ("folded-sweep", "hom.slow_x", "3"),
@@ -456,7 +496,8 @@ def test_cli_run_key_checked_before_cell_solves(tmp_path, capsys, monkeypatch, c
     assert solves == []
 
 
-@pytest.mark.parametrize("config", ["xdep-sweep", "xdep-simulate", "folded-sweep"])
+@pytest.mark.parametrize("config", ["xdep-sweep", "xdep-simulate", "folded-sweep",
+                                    "folded-n3-sweep"])
 def test_run_key_base_configs_reach_the_cell_solves(tmp_path, monkeypatch, config):
     # the bases of the cases above pass every check, so each case is refused for its key
     solves = []
