@@ -257,6 +257,8 @@ def homogenize(spec, cell_N, slow_x=None, slow_y=None, tol=1e-12):
     y_res = list(slow_y) if np.iterable(slow_y) else [int(slow_y)] * (n - 1)
     if len(y_res) != n - 1:
         raise HomogenizationError(f"need {n - 1} slow-y resolutions, got {len(y_res)}")
+    if any(m < 1 for m in y_res):
+        raise HomogenizationError(f"slow_y = {y_res}: every slow-y resolution must be at least 1")
 
     x_grid = SampleGrid(d, slow_x, periodic=False)
     y_grids = tuple(SampleGrid(d, m, periodic=True) for m in y_res)

@@ -11,18 +11,21 @@ enters only through the -g1 shift of the velocity.  This pointwise corrector
 and the folded one (the summed corrector averaged with U^n_eps) both read
 v = A(du0/dt) + P A(du0/dt - g1), q = G A(curl u0), where A is the identity or
 the average over eps macro-cells.  The factors P, G do not depend on time and
-are built once per run (folded, n >= 2: the slow levels' factors multiplied
-level by level and averaged over the nested subcells, times exact samples of
-the innermost cell fields, on the quadrature points of one eps-period of fine
-cells); one stamp loop serves both.  The eps macro-cells of A and the nested
-subcells of the tables are cells of the one eps-lattice of maxhom.unfolding
-(lattice_cells, lattice_index), the cells that unfolding.fold reads.
+are built once per run (folded, n >= 2: the slow levels' cell fields, each
+evaluated once per sample at the cell centres, blended over the slow grids and
+multiplied level by level as arrays on the nested grid of cell centres, then
+averaged over the nested subcells, times exact samples of the innermost cell
+fields, on the quadrature points of one eps-period of fine cells); one stamp
+loop serves both.  The eps macro-cells of A and the nested subcells of the
+tables are cells of the one eps-lattice of maxhom.unfolding (lattice_cells,
+lattice_index), the cells that unfolding.fold reads.
 
 Error norms are L^2(D) per stored stamp, via the fine mesh's Gauss grid; the
 reported L^infty(0,T) value is the maximum over stored stamps.
 """
 
 from dataclasses import dataclass, field
+import functools
 import itertools
 
 import numpy as np
@@ -55,18 +58,6 @@ def _cell_fields(hom, level, sample, cells, local):
     return dw, cn
 
 
-def _blend(hom, level, corners, cells, local):
-    """sum_c w_c F_(level, s_c) at located points, for corners (s_c, w_c) of a slow
-    grid: the blended grad_y w (npts, d, d) and curl_y N (npts, m, m)."""
-    out = np.zeros((len(cells),) + hom.b0.shape[1:]), np.zeros((len(cells),) + hom.a0.shape[1:])
-    for flat, wgt in corners:
-        for si in np.unique(flat):
-            sel = flat == si
-            for o, F in zip(out, _cell_fields(hom, level, int(si), cells[sel], local[sel])):
-                o[sel] += wgt[sel, None, None] * F
-    return out
-
-
 def cell_factors(hom, y, slow=None):
     """Factors (P, G) of the level-1 cell fields at fast points y (npts, d).
 
@@ -76,11 +67,16 @@ def cell_factors(hom, y, slow=None):
     which lie in the unit box of hom.x_grid.
     """
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    P, G = np.empty((len(y),) + hom.b0.shape[1:]), np.empty((len(y),) + hom.a0.shape[1:])
+    P, G = np.zeros((len(y),) + hom.b0.shape[1:]), np.zeros((len(y),) + hom.a0.shape[1:])
     for blk in fem.point_blocks(len(y)):
         cells, local = hom.mesh.locate(y[blk])
         z = np.zeros((len(cells), hom.d)) if slow is None else slow[blk]
-        P[blk], G[blk] = _blend(hom, 1, hom.x_grid.corners(z), cells, local)
+        for flat, wgt in hom.x_grid.corners(z):
+            for si in np.unique(flat):
+                sel = flat == si
+                fields = _cell_fields(hom, 1, int(si), cells[sel], local[sel])
+                for out, F in zip((P[blk], G[blk]), fields):
+                    out[sel] += wgt[sel, None, None] * F
     G += np.eye(G.shape[-1])
     return P, G
 
@@ -283,54 +279,56 @@ def _macro_bins(xq, eps, extent):
 def _fold_factors(hom, schedule, xq):
     """Factors (P, G) of the folded corrector at the points xq, n >= 2 (2D).
 
-    The slow levels run on the nested grid of cell centres y_1..y_{n-1}: level
-    i < n multiplies a running product by sum_mu Lam_mu(y_<i) (I + F_(i,mu)(y_i)),
-    F = grad_y w (for the table A) or curl_y N (for C) and Lam the joint hat
-    weights of y_grids[:i - 1].  A[k, nu] and C[k, nu] average Lam_nu(y_<n) times
-    the product over the nested subcell k = (floor(r_2 y_1), .., floor(r_n y_{n-1})).
-    The products are built in point blocks and added corner by corner in point
-    order, so no table depends on the block size.  With P_nu, N_nu the level-n
-    cell fields of sample nu at y_n: P = sum_nu A[k, nu] - I + sum_nu P_nu A[k, nu]
-    and G = sum_nu (I + curl_y N_nu) C[k, nu], summed over C[k, nu] != 0.
+    The slow levels run on the nested grid of cell centres y_1..y_{n-1}, one
+    array axis per level: level i < n multiplies a running product by
+    sum_mu Lam_mu(y_<i) (I + F_(i,mu)(y_i)), F = grad_y w (for the table A) or
+    curl_y N (for C) and Lam the joint hat weights of y_grids[:i - 1].  The
+    level-i fields are evaluated once per sample at the cell centres and
+    blended by SampleGrid.interpolate, one grid (one nested axis) at a time.
+    A[k, nu] and C[k, nu] average Lam_nu(y_<n) times the product over the
+    nested subcell k = (floor(r_2 y_1), .., floor(r_n y_{n-1})), added corner
+    by corner in nested C order.  With P_nu, N_nu the level-n cell fields of
+    sample nu at y_n: P = sum_nu A[k, nu] - I + sum_nu P_nu A[k, nu] and
+    G = sum_nu (I + curl_y N_nu) C[k, nu], summed over C[k, nu] != 0.
     """
     d, Q, n, ratios = hom.d, hom.cell_N, schedule.n_scales, schedule.ratios
     if any(Q % r for r in ratios):
         raise CorrectorInputError("cell resolution must be divisible by every scale ratio")
     centres, grids = hom.mesh.cell_centers, hom.y_grids
-    shape = (len(centres),) * (n - 1)
-    idx = np.unravel_index(np.arange(np.prod(shape)), shape)   # the cell centre of each y_j
+    cells, local = hom.mesh.locate(centres)
+    sizes, dims = [g.size for g in grids], tuple(r ** d for r in ratios)
 
     def subcell(ys):
-        return np.ravel_multi_index([lattice_index(y * r, r) for y, r in zip(ys, ratios)],
-                                    tuple(r ** d for r in ratios))
+        return [lattice_index(y * r, r) for y, r in zip(ys, ratios)]
 
-    def corners(levels, at):
-        """Corners (flat sample, weight) of the joint hat weights of grids[:levels] at `at`."""
-        tabs = [g.corners(centres[j]) for g, j in zip(grids, at[:levels])]
-        for combo in itertools.product(*tabs):
-            flat, w = np.zeros(len(at[0]), dtype=np.int64), np.ones(len(at[0]))
-            for g, (fg, wg) in zip(grids, combo):
-                flat, w = flat * g.size + fg, w * wg
-            yield flat, w
-
-    prods = np.empty((len(idx[0]), d, d)), np.empty((len(idx[0]),) + hom.a0.shape[1:])
-    for blk in fem.point_blocks(len(idx[0])):
-        ib = [j[blk] for j in idx]
-        for level, j in enumerate(ib, 1):
-            cells, local = hom.mesh.locate(centres[j])
-            for p, f in zip(prods, _blend(hom, level, corners(level - 1, ib), cells, local)):
-                f += np.eye(f.shape[-1])
-                p[blk] = f if level == 1 else np.matmul(f, p[blk])
-    k = subcell([centres[j] for j in idx])
+    prods = None   # (len(centres),) * (level - 1) + (m, m) for the grad and the curl
+    for level in range(1, n):
+        samples = [_cell_fields(hom, level, s, cells, local)
+                   for s in range(int(np.prod(sizes[:level - 1])))]
+        new = []
+        for i, F in enumerate(zip(*samples)):
+            F = np.stack(F).reshape(tuple(sizes[:level - 1]) + F[0].shape)
+            for a, g in enumerate(grids[:level - 1]):
+                F = np.moveaxis(g.interpolate(np.moveaxis(F, a, 0), centres), 0, a)
+            F += np.eye(F.shape[-1])
+            new.append(F if prods is None else np.matmul(F, prods[i][..., None, :, :]))
+        prods = new
+    k = np.ravel_multi_index(np.ix_(*subcell([centres] * (n - 1))), dims).ravel()
+    prods = [p.reshape((len(k),) + p.shape[-2:]) for p in prods]
     count = float(np.prod([(Q // r) ** d for r in ratios]))   # points per subcell
-    size = (int(np.prod(ratios)) ** d, int(np.prod([g.size for g in grids])))
-    A, C = [np.zeros(size + p.shape[1:]) for p in prods]
-    for nu, lam in corners(n - 1, idx):
+    A, C = [np.zeros((int(np.prod(dims)), int(np.prod(sizes))) + p.shape[1:]) for p in prods]
+    for combo in itertools.product(*[g.corners(centres) for g in grids]):
+        flat, lam = zip(*combo)
+        row = k * A.shape[1] + np.ravel_multi_index(np.ix_(*flat), sizes).ravel()   # (k, nu)
+        lam = functools.reduce(np.multiply, np.ix_(*lam)).ravel()
         for table, p in zip((A, C), prods):
-            np.add.at(table, (k, nu), lam[:, None, None] * p / count)
+            # one flat index per entry: the fast path of add.at, summing in the same order
+            vals = (lam[:, None, None] * p / count).reshape(len(row), -1)
+            for j in range(vals.shape[1]):
+                np.add.at(table.reshape(-1), row * vals.shape[1] + j, vals[:, j])
 
     *ys, yn = schedule.fast_variables(xq)
-    k = subcell(ys)
+    k = np.ravel_multi_index(subcell(ys), dims)
     cells, local = hom.mesh.locate(yn)
     P = (A.sum(axis=1) - np.eye(d))[k]   # subcell average of the slow product, minus I
     G = np.zeros((len(xq),) + C.shape[2:])

@@ -507,6 +507,9 @@ def run_sweep(cfg, outdir):
     for key in ("sweep.fine_ratio", "sweep.dt_ratio", "sweep.snapshots_per_run", "sweep.hom_n"):
         if cfg[key] < 1:
             raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
+    if all(cfg[key] == "zero" for key in ("data.g0", "data.g1", "data.f")):
+        raise ConfigError("data.g0, data.g1 and data.f are all zero: the solution is "
+                          "identically 0 and leaves no error to fit a slope to")
     if cfg["sweep.multiscale"]:
         # the hypotheses of the folded corrector (multiscale_corrector_error)
         if cfg["coeff.d"] != 2:
@@ -551,6 +554,7 @@ def run_sweep(cfg, outdir):
     if len(report.eps) < 2:
         # a cause that refuses (nearly) every leg, e.g. from the config itself
         raise report.failures[0][1]
+    report.slope()   # a failed fit leaves no partial report behind
     with open(os.path.join(outdir, "errors.csv"), "w") as fh:
         fh.write("eps,t,E_vel,E_curl,E_ms\n")
         for eps, errs in series:

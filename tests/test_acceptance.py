@@ -237,6 +237,7 @@ def test_criterion_07_unfolding_identities():
            f"(gate 1e-12, n = 1 and 2)")
 
 
+@pytest.mark.slow
 def test_criterion_08_homogenization_rate(tmp_path):
     cfg = harness.parse_config(RATE_SWEEP_CONFIG)
     t0 = time.perf_counter()

@@ -1,4 +1,5 @@
 import os
+import re
 import warnings
 
 import numpy as np
@@ -358,19 +359,28 @@ def test_homogenize_constant_is_exact():
     assert abs(res.a0[0, 0, 0] - 1.5) < 1e-12
 
 
-@pytest.mark.parametrize("x_dependent,slow_x", [(False, 3), (False, 2), (True, 1)])
-def test_homogenize_refuses_slow_x_that_does_not_fit_the_spec(monkeypatch, x_dependent, slow_x):
+@pytest.mark.parametrize("x_dependent,slow_x,slow_y", [
+    pytest.param(False, 3, None, id="False-3"), pytest.param(False, 2, None, id="False-2"),
+    pytest.param(True, 1, None, id="True-1"),
+    # a slow-y resolution below 1 once failed inside the recursion of an n = 2
+    # spec: a ValueError from a reshape for 0, an IndexError for -1
+    pytest.param(False, None, [0], id="slow_y-0"),
+    pytest.param(False, None, [-1], id="slow_y-minus1"),
+])
+def test_homogenize_refuses_slow_x_that_does_not_fit_the_spec(monkeypatch, x_dependent, slow_x,
+                                                              slow_y):
     # an x-independent spec once ran one cell pair per x sample (18 for slow_x = 3
     # against 2), and an x-dependent one needs two samples per axis at least
-    par = {"factors": [{"offset": 2.0, "amplitude": 1.0, "axis": 0}],
-           "x_amplitude": 0.5 if x_dependent else 0.0}
-    spec = CoefficientSpec(2, 1, a=CoefficientPart("separable-product", dict(par)),
+    factors = [{"offset": 2.0, "amplitude": 1.0, "axis": 0}] * (1 if slow_y is None else 2)
+    par = {"factors": factors, "x_amplitude": 0.5 if x_dependent else 0.0}
+    spec = CoefficientSpec(2, len(factors), a=CoefficientPart("separable-product", dict(par)),
                            b=CoefficientPart("separable-product", dict(par)),
-                           alpha=0.4, beta=4.6)
+                           alpha=0.4, beta=4.6 ** len(factors))
     solves = []
     monkeypatch.setattr(fem, "solve_spd", lambda *a, **k: solves.append(a))
-    with pytest.raises(HomogenizationError, match=f"slow_x = {slow_x}"):
-        homogenize(spec, cell_N=8, slow_x=slow_x)
+    match = f"slow_x = {slow_x}" if slow_y is None else re.escape(f"slow_y = {slow_y}")
+    with pytest.raises(HomogenizationError, match=match):
+        homogenize(spec, cell_N=8, slow_x=slow_x, slow_y=slow_y)
     assert solves == []
 
 

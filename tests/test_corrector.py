@@ -555,6 +555,26 @@ def test_ems_n3_matches_per_stamp_oracle(n3_setup):
     assert np.all(np.abs(ems.e_ms - ref) <= 1e-12 * np.abs(ref))
 
 
+def test_fold_factors_evaluate_each_slow_level_sample_once(n3_setup, monkeypatch):
+    # the slow levels' fields depend on y_i only: each (level, sample) of
+    # level i < n is evaluated once, at the cell centres, not at every point
+    # of the nested grid
+    hom, sched, tf, th = n3_setup
+    calls = []
+    fields = corr._cell_fields
+
+    def counting(hom, level, sample, cells, local):
+        calls.append((level, sample, len(cells)))
+        return fields(hom, level, sample, cells, local)
+
+    monkeypatch.setattr(corr, "_cell_fields", counting)
+    corr._fold_factors(hom, sched, corr._fine_quadrature(tf.mesh, corr._QUAD_RULE)[0])
+    slow = [(level, s, npts) for level, s, npts in calls if level < sched.n_scales]
+    samples = [(level, s) for level in range(1, sched.n_scales)
+               for s in range(int(np.prod([g.size for g in hom.y_grids[:level - 1]])))]
+    assert sorted(slow) == [(level, s, hom.mesh.n_cells) for level, s in samples]
+
+
 def folded_factors(hom, sched, xq):
     """The factors of multiscale_corrector_error at points xq, for every n."""
     if sched.n_scales == 1:

@@ -382,6 +382,37 @@ def test_sweep_without_two_legs_exits_with_cause(tmp_path, capsys, monkeypatch):
     assert not (out / "report.csv").exists()
 
 
+def test_sweep_with_all_zero_data_exits_2_before_cell_solves(tmp_path, capsys, monkeypatch):
+    # the solution is identically 0: once every cell solve and every leg ran before
+    # the slope fit refused the zero errors, leaving a report without a slope row
+    solves = []
+    monkeypatch.setattr(harness, "homogenize", lambda *a, **k: solves.append(a))
+    text = LAYERED_SWEEP.replace("data.g1 = cavity11", "data.g1 = zero")
+    cfg_path = tmp_path / "s.cfg"
+    cfg_path.write_text(text.replace("data.f = bubble_cos2t", "data.f = zero"))
+    out = tmp_path / "o"
+    assert harness.main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: data.g0, data.g1 and data.f are all zero")
+    assert not out.exists()
+    assert solves == []
+
+
+def test_sweep_slope_failure_leaves_no_partial_report(tmp_path, capsys, monkeypatch):
+    # legs with zero error cannot be fitted: errors.csv and a report.csv without
+    # slope or fingerprint rows were once written before the fit failed
+    def zero_leg(cfg, spec, hom, leg):
+        errs = corrector.ErrorSeries(np.zeros(1), np.zeros(1), np.zeros(1))
+        return leg[0], 0.0, 0.0, 0.0, errs, 0.0
+
+    monkeypatch.setattr(harness, "_sweep_one", zero_leg)
+    cfg_path = tmp_path / "s.cfg"
+    cfg_path.write_text(LAYERED_SWEEP)
+    out = tmp_path / "o"
+    assert harness.main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "slope fit needs positive epsilons and errors" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["tensors.txt"]
+
+
 def test_multiscale_lattice_that_does_not_tile_exits_2_before_cell_solves(tmp_path, capsys):
     # extent 1.125 holds 2.25 eps-cells of eps = 1/2 and 4.5 of eps = 1/4: the
     # folded corrector could not average over them, which is a config error
