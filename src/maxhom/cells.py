@@ -95,33 +95,37 @@ class SampleGrid:
 # ---------------------------------------------------------------------------
 # single-level cell solves and level tensors
 
-def solve_scalar_cell(coef_fn, mesh, tol=1e-12):
+def solve_scalar_cell(coef_fn, mesh, tol=1e-12, guess=None):
     """Solve the d scalar cell problems div_y(C (e^k + grad w^k)) = 0 on Y.
 
     Returns (W, cbar): W is (d, n_nodes) with mean-zero w^k, cbar the reduced
     per-cell coefficient used in both the solve and the level tensor.
+    guess: a (d, n_nodes) candidate W, each row taken as it is when it
+    already meets the solve contract (fem.solve_spd).
     """
     system, cbar = fem.assemble_scalar_stiffness(mesh, coef_fn, rule=1)
     rhs = fem.scalar_cell_rhs(mesh, cbar)
     W = np.empty((mesh.d, mesh.n_nodes))
     for k in range(mesh.d):
-        W[k] = fem.solve_spd(system, rhs[k], rel_tol=tol)
+        W[k] = fem.solve_spd(system, rhs[k], rel_tol=tol,
+                             guess=None if guess is None else guess[k])
     return W, cbar
 
 
-def solve_curl_cell(coef_fn, mesh, tol=1e-12):
+def solve_curl_cell(coef_fn, mesh, tol=1e-12, guess=None):
     """Solve the curl cell problems curl_y(A (e^l + curl N^l)) = 0 on Y.
 
     Returns (Nc, abar): Nc is (m, n_edges) and abar (ncells, m, m), with
     m = 1 curl component in 2D and 3 in 3D.  The gradient kernel of the
     periodic curl-curl operator is left in place; only curls of N are used
-    downstream.
+    downstream.  guess: a candidate Nc, as for solve_scalar_cell.
     """
     system, abar = fem.assemble_curl_stiffness(mesh, coef_fn, rule=1)
     rhs = fem.curl_cell_rhs(mesh, abar)
     Nc = np.empty_like(rhs)
     for l in range(rhs.shape[0]):
-        Nc[l] = fem.solve_spd(system, rhs[l], rel_tol=tol)
+        Nc[l] = fem.solve_spd(system, rhs[l], rel_tol=tol,
+                              guess=None if guess is None else guess[l])
     return Nc, abar
 
 
@@ -173,7 +177,9 @@ class HomogenizationResult:
     d(d-1)/2 curl components (1 in 2D, 3 in 3D).  b0/a0 are the level-0 fields
     at the x samples and coefficient(which) their interpolant.  cells[("b",
     level, sample)] is the mean-zero W (d, n_nodes) of that cell solve and
-    cells[("a", level, sample)] its Nc (m, n_edges).
+    cells[("a", level, sample)] its Nc (m, n_edges).  fold_tables[ratios]
+    keeps the eps-independent tables of the folded corrector built from these
+    cell solutions (maxhom.corrector), so a sweep builds them once.
     """
 
     spec: object
@@ -182,6 +188,7 @@ class HomogenizationResult:
     y_grids: tuple
     tensors: dict
     cells: dict = field(default_factory=dict)
+    fold_tables: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self._mesh = CellMesh(self.d, self.cell_N)
@@ -245,6 +252,13 @@ def homogenize(spec, cell_N, slow_x=None, slow_y=None, tol=1e-12):
     slow_x: per-axis x sample resolution, 1 for an x-independent spec and at
     least 2 (default 5) otherwise.  slow_y: per-axis resolutions of the slow y_i
     grids for levels 1..n-1 (int or list; default 8).
+
+    Each cell solve is offered the previous sample's solution at its level as
+    a guess.  Where the samples' problems are scalar multiples of one another
+    (a coefficient that is a product of per-scale factors, s(x) and a base
+    matrix), that solution already solves the next problem, and every sample
+    after the first runs no CG iteration; otherwise the guess costs one
+    operator product and each solve runs from zero.
     """
     d, n = spec.d, spec.n_scales
     if slow_x is None:
@@ -276,6 +290,7 @@ def homogenize(spec, cell_N, slow_x=None, slow_y=None, tol=1e-12):
             if level < n:
                 y_grid = y_grids[level - 1]
                 flatu = upper.reshape((-1, y_grid.size) + tshape)
+            prev = None   # the previous sample's cell solution at this level
             for si, multi in enumerate(itertools.product(*[range(s) for s in shapes])):
                 anchor_x, *anchor_ys = [p[j] for p, j in zip(slow_pts, multi)]
                 if level == n:
@@ -288,13 +303,12 @@ def homogenize(spec, cell_N, slow_x=None, slow_y=None, tol=1e-12):
                     coef_fn = functools.partial(y_grid.interpolate, flatu[si])
                 key = (which, level, si)
                 if which == "b":
-                    W, cbar = solve_scalar_cell(coef_fn, mesh, tol)
-                    Ti = scalar_level_tensor(mesh, cbar, W)
-                    result.cells[key] = W
+                    prev, cbar = solve_scalar_cell(coef_fn, mesh, tol, guess=prev)
+                    Ti = scalar_level_tensor(mesh, cbar, prev)
                 else:
-                    Nc, abar = solve_curl_cell(coef_fn, mesh, tol)
-                    Ti = curl_level_tensor(mesh, abar, Nc)
-                    result.cells[key] = Nc
+                    prev, abar = solve_curl_cell(coef_fn, mesh, tol, guess=prev)
+                    Ti = curl_level_tensor(mesh, abar, prev)
+                result.cells[key] = prev
                 _require_bounds(Ti, spec, which, level - 1, si)
                 T[multi] = Ti
             result.tensors[(which, level - 1)] = T

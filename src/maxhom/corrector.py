@@ -14,7 +14,8 @@ the average over eps macro-cells.  The factors P, G do not depend on time and
 are built once per run (folded, n >= 2: the slow levels' cell fields, each
 evaluated once per sample at the cell centres, blended over the slow grids and
 multiplied level by level as arrays on the nested grid of cell centres, then
-averaged over the nested subcells, times exact samples of the innermost cell
+averaged over the nested subcells into tables that do not depend on eps and
+are kept on the HomogenizationResult, times exact samples of the innermost cell
 fields, on the quadrature points of one eps-period of fine cells); one stamp
 loop serves both.  The eps macro-cells of A and the nested subcells of the
 tables are cells of the one eps-lattice of maxhom.unfolding (lattice_cells,
@@ -276,30 +277,31 @@ def _macro_bins(xq, eps, extent):
     return lattice_index(xq / eps, L), L ** xq.shape[1]
 
 
-def _fold_factors(hom, schedule, xq):
-    """Factors (P, G) of the folded corrector at the points xq, n >= 2 (2D).
+def _subcells(ys, ratios):
+    """Per-level nested subcell indices (floor(r_2 y_1), .., floor(r_n y_{n-1}))."""
+    return [lattice_index(y * r, r) for y, r in zip(ys, ratios)]
 
-    The slow levels run on the nested grid of cell centres y_1..y_{n-1}, one
-    array axis per level: level i < n multiplies a running product by
-    sum_mu Lam_mu(y_<i) (I + F_(i,mu)(y_i)), F = grad_y w (for the table A) or
-    curl_y N (for C) and Lam the joint hat weights of y_grids[:i - 1].  The
-    level-i fields are evaluated once per sample at the cell centres and
-    blended by SampleGrid.interpolate, one grid (one nested axis) at a time.
-    A[k, nu] and C[k, nu] average Lam_nu(y_<n) times the product over the
-    nested subcell k = (floor(r_2 y_1), .., floor(r_n y_{n-1})), added corner
-    by corner in nested C order.  With P_nu, N_nu the level-n cell fields of
-    sample nu at y_n: P = sum_nu A[k, nu] - I + sum_nu P_nu A[k, nu] and
-    G = sum_nu (I + curl_y N_nu) C[k, nu], summed over C[k, nu] != 0.
+
+def _fold_tables(hom, ratios):
+    """Tables (A, C) of the folded corrector's slow levels (n = len(ratios) + 1 >= 2, 2D).
+
+    They depend on hom and the ratios only, not on eps.  The slow levels run
+    on the nested grid of cell centres y_1..y_{n-1}, one array axis per
+    level: level i < n multiplies a running product by sum_mu Lam_mu(y_<i)
+    (I + F_(i,mu)(y_i)), F = grad_y w (for the table A) or curl_y N (for C)
+    and Lam the joint hat weights of y_grids[:i - 1].  The level-i fields are
+    evaluated once per sample at the cell centres and blended by
+    SampleGrid.interpolate, one grid (one nested axis) at a time.  A[k, nu]
+    and C[k, nu] average Lam_nu(y_<n) times the product over the nested
+    subcell k = (floor(r_2 y_1), .., floor(r_n y_{n-1})), added corner by
+    corner in nested C order.
     """
-    d, Q, n, ratios = hom.d, hom.cell_N, schedule.n_scales, schedule.ratios
+    d, Q, n = hom.d, hom.cell_N, len(ratios) + 1
     if any(Q % r for r in ratios):
         raise CorrectorInputError("cell resolution must be divisible by every scale ratio")
     centres, grids = hom.mesh.cell_centers, hom.y_grids
     cells, local = hom.mesh.locate(centres)
     sizes, dims = [g.size for g in grids], tuple(r ** d for r in ratios)
-
-    def subcell(ys):
-        return [lattice_index(y * r, r) for y, r in zip(ys, ratios)]
 
     prods = None   # (len(centres),) * (level - 1) + (m, m) for the grad and the curl
     for level in range(1, n):
@@ -313,7 +315,7 @@ def _fold_factors(hom, schedule, xq):
             F += np.eye(F.shape[-1])
             new.append(F if prods is None else np.matmul(F, prods[i][..., None, :, :]))
         prods = new
-    k = np.ravel_multi_index(np.ix_(*subcell([centres] * (n - 1))), dims).ravel()
+    k = np.ravel_multi_index(np.ix_(*_subcells([centres] * (n - 1), ratios)), dims).ravel()
     prods = [p.reshape((len(k),) + p.shape[-2:]) for p in prods]
     count = float(np.prod([(Q // r) ** d for r in ratios]))   # points per subcell
     A, C = [np.zeros((int(np.prod(dims)), int(np.prod(sizes))) + p.shape[1:]) for p in prods]
@@ -326,9 +328,22 @@ def _fold_factors(hom, schedule, xq):
             vals = (lam[:, None, None] * p / count).reshape(len(row), -1)
             for j in range(vals.shape[1]):
                 np.add.at(table.reshape(-1), row * vals.shape[1] + j, vals[:, j])
+    return A, C
 
+
+def _fold_factors(hom, schedule, xq, tables=None):
+    """Factors (P, G) of the folded corrector at the points xq, n >= 2 (2D).
+
+    tables: the (A, C) of _fold_tables(hom, schedule.ratios), built here when
+    None.  With k the nested subcell of a point and P_nu, N_nu the level-n
+    cell fields of sample nu at y_n: P = sum_nu A[k, nu] - I + sum_nu P_nu
+    A[k, nu] and G = sum_nu (I + curl_y N_nu) C[k, nu], summed over
+    C[k, nu] != 0.
+    """
+    d, n, ratios = hom.d, schedule.n_scales, schedule.ratios
+    A, C = _fold_tables(hom, ratios) if tables is None else tables
     *ys, yn = schedule.fast_variables(xq)
-    k = np.ravel_multi_index(subcell(ys), dims)
+    k = np.ravel_multi_index(_subcells(ys, ratios), tuple(r ** d for r in ratios))
     cells, local = hom.mesh.locate(yn)
     P = (A.sum(axis=1) - np.eye(d))[k]   # subcell average of the slow product, minus I
     G = np.zeros((len(xq),) + C.shape[2:])
@@ -378,8 +393,12 @@ def multiscale_corrector_error(fine_traj, u0_traj, hom, schedule, g1=None):
     if schedule.n_scales == 1:
         P, G = cell_factors(hom, schedule.fast_variables(xq)[0])
     else:   # y_1..y_n repeat every eps: one period of points is built, each point reads its row
+        # the tables do not depend on eps: a sweep builds them once, for its first leg
+        tables = hom.fold_tables.get(schedule.ratios)
+        if tables is None:
+            tables = hom.fold_tables[schedule.ratios] = _fold_tables(hom, schedule.ratios)
         xt, rows = _period_points(mesh, schedule.epsilon)
-        P, G = _fold_factors(hom, schedule, xt)
+        P, G = _fold_factors(hom, schedule, xt, tables)
         P, G = P[rows], G[rows]
     g1_vals = g1(xq) if g1 is not None else np.zeros_like(xq)
     corr = CorrectorField(times=u0_traj.snap_times, fine_mesh=mesh, u0_traj=u0_traj,

@@ -284,15 +284,15 @@ def _assemble(mesh, coef, ref_mat, order, dof_map, n, index_map=None):
     return _scatter(dof_map, eloc, n, index_map)
 
 
-def _cell_rhs(mesh, coef, ref_vec, order, dof_map, n, zero_floor=False):
+def _cell_rhs(mesh, coef, ref_vec, order, dof_map, n):
     """Right-hand sides -int (C e^k) . D phi_i for every k: (m, n).
 
     Per cell they are the element matrices of the form (C e^k) . D phi_i,
     whose reference tensor is delta_bk ref_vec[a, i] (D phi scales as h^-order).
-    zero_floor: a right-hand side at the rounding floor of its own sum (norm
-    at most 64 eps times the norm of the summed |per-cell terms|) vanishes in
-    exact arithmetic, e.g. for a coefficient constant up to rounding, and is
-    set to 0.
+    A right-hand side at the rounding floor of its own sum (norm at most 64
+    eps times the norm of the summed |per-cell terms|) vanishes in exact
+    arithmetic, e.g. along the layers of a layered coefficient, and is set to
+    0: its corrector is then 0 with no CG iteration.
     """
     m = len(ref_vec)
     per_cell = -mesh.h ** (mesh.d - order) * element_matrices(
@@ -300,11 +300,10 @@ def _cell_rhs(mesh, coef, ref_vec, order, dof_map, n, zero_floor=False):
     rhs = np.zeros((m, n))
     for k in range(m):
         np.add.at(rhs[k], dof_map.ravel(), per_cell[:, k].ravel())
-        if zero_floor:
-            scale = np.zeros(n)
-            np.add.at(scale, dof_map.ravel(), np.abs(per_cell[:, k]).ravel())
-            if np.linalg.norm(rhs[k]) <= 64 * np.finfo(float).eps * np.linalg.norm(scale):
-                rhs[k] = 0.0
+        scale = np.zeros(n)
+        np.add.at(scale, dof_map.ravel(), np.abs(per_cell[:, k]).ravel())
+        if np.linalg.norm(rhs[k]) <= 64 * np.finfo(float).eps * np.linalg.norm(scale):
+            rhs[k] = 0.0
     return rhs
 
 
@@ -318,7 +317,11 @@ def assemble_scalar_stiffness(mesh, coef_fn, rule=1):
 
 
 def scalar_cell_rhs(mesh, cbar):
-    """Right-hand sides -int (C e^k) . grad phi_i for all k: (d, n_nodes)."""
+    """Right-hand sides -int (C e^k) . grad phi_i for all k: (d, n_nodes).
+
+    A right-hand side at the rounding floor of its own sum is set to 0 (see
+    _cell_rhs), so w^k = 0 with no CG iteration.
+    """
     return _cell_rhs(mesh, cbar, nodal_ref(mesh.d)["GVEC"], 1, mesh.cell_nodes, mesh.n_nodes)
 
 
@@ -343,12 +346,11 @@ def curl_cell_rhs(mesh, abar):
     """Right-hand sides -int (A e^l) . curl phi_i for the curl cell problems: (m, n_edges).
 
     abar: (ncells, m, m) as assemble_curl_stiffness returns it.  A right-hand
-    side at the rounding floor of its own sum is set to 0, so N^l = 0: CG on
-    the curl-curl operator, singular on gradients, breaks down on such
-    rounding noise.  The scalar problems project their constant kernel out.
+    side at the rounding floor of its own sum is set to 0 (see _cell_rhs), so
+    N^l = 0: CG on the curl-curl operator, singular on gradients, breaks down
+    on such rounding noise.
     """
-    return _cell_rhs(mesh, abar, edge_ref(mesh.d)["CVEC"], 2, mesh.cell_edges, mesh.n_edges,
-                     zero_floor=True)
+    return _cell_rhs(mesh, abar, edge_ref(mesh.d)["CVEC"], 2, mesh.cell_edges, mesh.n_edges)
 
 
 def assemble_vector_mass(mesh, coef_fn, rule=2):
@@ -483,7 +485,17 @@ CG_CAP_FACTOR = 20
 CG_STAGNATION_WINDOW = 1000
 
 
-def solve_spd(system, rhs, rel_tol=1e-10, x0=None):
+def _contract_bound(anorm, x, normb, rel_tol):
+    """The residual bound of the solve contract at an iterate x: max(rel_tol ||b||, floor).
+
+    The floor, a few ulps of ||A|| (||x|| + ||b|| / ||A||), is the rounding
+    of forming b - A x itself.
+    """
+    floor = 64 * np.finfo(float).eps * anorm * (np.linalg.norm(x) + normb / anorm)
+    return max(rel_tol * normb, floor)
+
+
+def solve_spd(system, rhs, rel_tol=1e-10, x0=None, guess=None):
     """Jacobi-preconditioned CG meeting ||A x - rhs|| <= rel_tol ||rhs||.
 
     For nullspace == "constants" the rhs and iterates are projected onto the
@@ -496,6 +508,11 @@ def solve_spd(system, rhs, rel_tol=1e-10, x0=None):
     contract is numerically meaningless and an absolute floor of a few ulps of
     ||A|| (||x0|| + ||x||) is accepted instead.  A solve whose residual
     norm stagnates (see CG_STAGNATION_WINDOW) raises SolveError.
+
+    x0 starts CG.  guess is a candidate answer, e.g. the solution of a scalar
+    multiple of this problem: when it already meets the contract (one
+    product with A) it is returned, projected, with no CG iteration;
+    otherwise the solve runs as without it.
     """
     if not (0 < rel_tol < 1):
         raise SolveError("rel_tol must lie in (0, 1)")
@@ -518,10 +535,19 @@ def solve_spd(system, rhs, rel_tol=1e-10, x0=None):
     normb = np.linalg.norm(b)
     if normb == 0.0:
         return np.zeros(n)
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    if project and x0 is not None:
-        x -= x.mean()
-    floor = 64 * np.finfo(float).eps * anorm * (np.linalg.norm(x) + normb / anorm)
+
+    def start(v):
+        v = np.asarray(v, dtype=float).copy()
+        if project:
+            v -= v.mean()
+        return v
+
+    if guess is not None:
+        x = start(guess)
+        if np.linalg.norm(b - A @ x) <= _contract_bound(anorm, x, normb, rel_tol):
+            return x
+    x = np.zeros(n) if x0 is None else start(x0)
+    bound = _contract_bound(anorm, x, normb, rel_tol)
     r = b - A @ x
     minv = 1.0 / system.diag
     z = minv * r
@@ -532,7 +558,7 @@ def solve_spd(system, rhs, rel_tol=1e-10, x0=None):
     best, stalled = np.inf, 0
     for _ in range(CG_CAP_FACTOR * n + 10):
         rnorm = np.linalg.norm(r)
-        if rnorm <= max(rel_tol * normb, floor):
+        if rnorm <= bound:
             break
         if rnorm < best:
             best, stalled = rnorm, 0
@@ -557,8 +583,8 @@ def solve_spd(system, rhs, rel_tol=1e-10, x0=None):
         rz = rz_new
     res = np.linalg.norm(b - A @ x)
     # keep the warm-start-scale floor: rounding enters while the iterate is large
-    floor = max(floor, 64 * np.finfo(float).eps * anorm * (np.linalg.norm(x) + normb / anorm))
-    if res > max(rel_tol * normb, floor) * (1 + 1e-9):
+    bound = max(bound, _contract_bound(anorm, x, normb, rel_tol))
+    if res > bound * (1 + 1e-9):
         raise SolveError(
             f"CG did not converge: residual {res:.3e} > {rel_tol:.1e} * {normb:.3e}")
     if project:

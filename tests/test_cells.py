@@ -249,6 +249,53 @@ def test_along_layer_rhs_gives_no_nullspace_warning():
     assert np.abs(W[0]).max() < 1e-12
 
 
+class CountingMatrix:
+    """A matrix that counts its products with vectors."""
+
+    def __init__(self, A):
+        self.A, self.matvecs = A, 0
+
+    def __matmul__(self, x):
+        self.matvecs += 1
+        return self.A @ x
+
+    def diagonal(self):
+        return self.A.diagonal()
+
+
+def counted_solves(fn, *args, cold=False, **kwargs):
+    """fn(*args, **kwargs) and the (operator products, guess offered) of its fem.solve_spd calls.
+
+    cold: drop every guess, so each solve runs from zero as without one.
+    """
+    calls, solve = [], fem.solve_spd
+
+    def counted(system, rhs, rel_tol=1e-10, x0=None, guess=None):
+        A = CountingMatrix(system.A)
+        x = solve(fem.SparseSymSystem(system.n, A, system.nullspace), rhs, rel_tol, x0,
+                  None if cold else guess)
+        calls.append((A.matvecs, guess is not None))
+        return x
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fem, "solve_spd", counted)
+        return fn(*args, **kwargs), calls
+
+
+def test_along_layer_rhs_is_zero_and_runs_no_cg():
+    # the k = 0 right-hand side of a coefficient layered along y2 cancels to
+    # rounding noise; it is set to 0, so w^0 = 0 without a product with A
+    # (CG once ran 175 products on that noise at 64^2)
+    mesh = CellMesh(2, 64)
+    along = lambda y: (2.0 + np.sin(2 * np.pi * y[:, 1] + 0.7))[:, None, None] * np.eye(2)
+    _, cbar = fem.assemble_scalar_stiffness(mesh, along)
+    rhs = fem.scalar_cell_rhs(mesh, cbar)
+    assert np.all(rhs[0] == 0.0) and np.linalg.norm(rhs[1]) > 0.01
+    (W, _), calls = counted_solves(solve_scalar_cell, along, mesh)
+    assert np.all(W[0] == 0.0) and np.abs(W[1]).max() > 0.01
+    assert calls[0] == (0, False) and calls[1][0] > 1
+
+
 def test_layered_level_tensor_harmonic_arithmetic():
     mesh = CellMesh(2, 64)
     W, cbar = solve_scalar_cell(layered_matrix, mesh)
@@ -462,6 +509,92 @@ def test_two_level_separable_against_brute_force():
     assert np.abs(res.b0[0] - b0_bf).max() < 5e-2
     assert abs(res.a0[0, 0, 0] - a0_bf[0, 0]) < 5e-2
     assert np.abs(b0_bf - np.diag([3.0, 4.0])).max() < 2e-3
+
+
+def product_part(factors, x_amplitude=0.0):
+    """A separable product of sine factors 2 + sin(2 pi y_i[axis] + phase), one per scale."""
+    fac = [{"offset": 2.0, "amplitude": 1.0, **f} for f in factors]
+    return CoefficientPart("separable-product", {"factors": fac, "x_amplitude": x_amplitude})
+
+
+def assert_tensors_close(res, ref, rtol):
+    """Every level tensor of res within rtol of ref's, sample by sample."""
+    assert res.tensors.keys() == ref.tensors.keys()
+    for key, T in ref.tensors.items():
+        T = T.reshape((-1,) + T.shape[-2:])
+        got = res.tensors[key].reshape(T.shape)
+        assert all(np.abs(g - t).max() <= rtol * np.abs(t).max() for g, t in zip(got, T))
+
+
+@pytest.mark.parametrize("factors,x_amplitude,kw", [
+    # the benchmark's x-dependent cavity spec, layered along y2, at a small cell_n
+    pytest.param([{"axis": 1, "phase": 2.1}], 0.5, {"cell_N": 16, "slow_x": 3}, id="xdep-n1"),
+    pytest.param([{"phase": 0.3}, {"phase": 1.1}], 0.0, {"cell_N": 16, "slow_y": 3}, id="n2"),
+])
+def test_product_spec_samples_reuse_the_neighbour_solution(factors, x_amplitude, kw):
+    # each sample's cell problem is a scalar multiple of the previous one's,
+    # whose solution then meets the solve contract: no CG iteration (at most
+    # the one product that tests it) for every sample after the first
+    n = len(factors)
+    spec = CoefficientSpec(2, n, a=product_part(factors, x_amplitude),
+                           b=product_part(factors, x_amplitude), alpha=1.0,
+                           beta=(1.0 + x_amplitude) * 3.0 ** n)
+    cold, cold_calls = counted_solves(homogenize, spec, cold=True, **kw)
+    res, calls = counted_solves(homogenize, spec, **kw)
+    samples = sum(T.size // T.shape[-1] ** 2 for T in res.tensors.values())
+    rows = [products for products, offered in calls if offered]
+    # one first sample per tensor and level; d = 2 rows of W and one of Nc per sample
+    assert samples > 2 * n and len(rows) == (samples // 2 - n) * 3
+    assert all(products <= 1 for products in rows)
+    # each of those solves ran CG from zero without its guess
+    assert all(c > 1 for (c, _), (p, offered) in zip(cold_calls, calls) if offered and p)
+    assert_tensors_close(res, cold, 1e-14)
+
+
+def test_non_separable_spec_rejects_the_neighbour_solution():
+    # an x-dependent phase: no sample's problem is a multiple of another's, so
+    # each guess is refused after its one product and the solve runs from zero
+    code = "2 + np.sin(2 * pi * ys[0][:, 0] + pi * (x[:, 0] + 2 * x[:, 1])) " \
+           "* (1 + 0.5 * np.cos(2 * pi * ys[0][:, 1]))"
+    part = CoefficientPart("expression", {"code": code})
+    spec = CoefficientSpec(2, 1, a=part, b=part, alpha=0.4, beta=4.0)
+    cold, cold_calls = counted_solves(homogenize, spec, cold=True, cell_N=12, slow_x=3)
+    res, calls = counted_solves(homogenize, spec, cell_N=12, slow_x=3)
+    assert sum(offered for _, offered in calls) == 8 * 3
+    assert [p - c for (p, _), (c, _) in zip(calls, cold_calls)] == \
+        [int(offered) for _, offered in calls]
+    for key, T in cold.tensors.items():
+        assert np.array_equal(res.tensors[key], T)
+    for key, U in cold.cells.items():
+        assert np.array_equal(res.cells[key], U)
+
+
+@st.composite
+def xdep_product_specs(draw):
+    """Random x-dependent separable products, n = 1 or 2, and a slow_x of 2 or 3."""
+    n = draw(st.integers(1, 2))
+
+    def part():
+        fac = [{"amplitude": draw(st.floats(0.0, 1.0)), "axis": draw(st.integers(0, 1)),
+                "phase": draw(st.floats(0.0, 2 * np.pi))} for _ in range(n)]
+        return product_part(fac, draw(st.floats(0.05, 0.9)))
+
+    spec = CoefficientSpec(2, n, a=part(), b=part(), alpha=0.5, beta=2.0 * 3.0 ** n)
+    return spec, draw(st.integers(2, 3))
+
+
+@settings(max_examples=15, deadline=None)
+@given(xdep_product_specs())
+def test_product_tensors_scale_with_the_x_modulation(case):
+    # a(x, y) = s(x) p(y) base: every x sample's cell problem is s(x) times one
+    # problem, so b^0(x) / s(x) and a^0(x) / s(x) are one matrix
+    spec, slow_x = case
+    res = homogenize(spec, cell_N=8, slow_x=slow_x, slow_y=2)
+    xs = res.x_grid.points
+    for T, part in ((res.b0, spec.b), (res.a0, spec.a)):
+        s = 1.0 + part.params["x_amplitude"] * np.sin(np.pi * xs[:, 0]) * np.sin(np.pi * xs[:, 1])
+        R = T / s[:, None, None]
+        assert np.abs(R - R[0]).max() <= 1e-13 * np.abs(R[0]).max()
 
 
 def test_tensor_bounds_symmetry_and_mean_zero():

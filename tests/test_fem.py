@@ -298,6 +298,30 @@ def test_solve_stagnation_stops_early():
     assert A.matvecs <= fem.CG_STAGNATION_WINDOW + 1 < fem.CG_CAP_FACTOR * n + 10
 
 
+def test_solve_takes_a_guess_only_when_it_meets_the_contract():
+    mesh = CellMesh(2, 12)
+    system, _ = fem.assemble_scalar_stiffness(
+        mesh, lambda y: (2.0 + np.sin(2 * np.pi * y[:, 0]) * np.cos(2 * np.pi * y[:, 1]))
+        [:, None, None] * np.eye(2))
+    rhs = np.random.default_rng(5).standard_normal(system.n)
+    rhs -= rhs.mean()
+
+    def solve(guess):
+        A = _CountingMatrix(system.A)
+        return fem.solve_spd(fem.SparseSymSystem(system.n, A, "constants"), rhs, 1e-12,
+                             guess=guess), A.matvecs
+
+    cold, products = solve(None)
+    # the solution of 3 A x = 3 b solves A x = b: one product tests it, no CG iteration
+    scaled = fem.solve_spd(fem.SparseSymSystem(system.n, 3.0 * system.A, "constants"),
+                           3.0 * rhs, 1e-12)
+    taken, one = solve(scaled + 1.0)
+    assert one == 1 and np.array_equal(taken, (scaled + 1.0) - (scaled + 1.0).mean())
+    # a guess off by 1e-6 fails the contract: refused, the solve runs from zero
+    refused, more = solve(cold + 1e-6 * rhs)
+    assert more == products + 1 and np.array_equal(refused, cold)
+
+
 def test_solve_projects_nullspace_component():
     mesh = CellMesh(2, 3)
     system, _ = fem.assemble_scalar_stiffness(mesh, eye_fn(2))
