@@ -45,7 +45,7 @@ for eps in (1 / 4, 1 / 8, 1 / 16):
     data = wave.WaveData(T=0.25, dt=eps / 8, g1=g1, f=forcing,
                          store_every=max(1, steps // 8), tol=1e-11)
     fine = wave.integrate(wave.setup_problem("fine", fine_mesh, data, spec=spec,
-                                             schedule=sched, quad_rule=3))
+                                             schedule=sched))
     hmesh = DomainMesh(2, 64)
     h0 = wave.integrate(wave.setup_problem("homogenized", hmesh, data, hom=hom))
     field = corr.reconstruct_corrector(h0, hom, sched, g1=g1, fine_mesh=fine_mesh)

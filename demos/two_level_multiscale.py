@@ -50,7 +50,7 @@ for eps in (1 / 4, 1 / 8):
     data = wave.WaveData(T=0.125, dt=eps2 / 4, g1=g1, f=forcing,
                          store_every=max(1, steps // 8), tol=1e-10)
     fine = wave.integrate(wave.setup_problem("fine", mesh, data, spec=spec,
-                                             schedule=sched, quad_rule=3))
+                                             schedule=sched))
     h0 = wave.integrate(wave.setup_problem("homogenized", DomainMesh(2, 64),
                                            data, hom=hom))
     ems = corr.multiscale_corrector_error(fine, h0, hom, sched, g1=g1)

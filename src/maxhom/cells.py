@@ -103,7 +103,7 @@ def solve_scalar_cell(coef_fn, mesh, tol=1e-12, guess=None):
     guess: a (d, n_nodes) candidate W, each row taken as it is when it
     already meets the solve contract (fem.solve_spd).
     """
-    system, cbar = fem.assemble_scalar_stiffness(mesh, coef_fn, rule=1)
+    system, cbar = fem.assemble_scalar_stiffness(mesh, coef_fn)
     rhs = fem.scalar_cell_rhs(mesh, cbar)
     W = np.empty((mesh.d, mesh.n_nodes))
     for k in range(mesh.d):
@@ -120,7 +120,7 @@ def solve_curl_cell(coef_fn, mesh, tol=1e-12, guess=None):
     periodic curl-curl operator is left in place; only curls of N are used
     downstream.  guess: a candidate Nc, as for solve_scalar_cell.
     """
-    system, abar = fem.assemble_curl_stiffness(mesh, coef_fn, rule=1)
+    system, abar = fem.assemble_curl_stiffness(mesh, coef_fn)
     rhs = fem.curl_cell_rhs(mesh, abar)
     Nc = np.empty_like(rhs)
     for l in range(rhs.shape[0]):
@@ -246,12 +246,36 @@ def _require_bounds(T, spec, which, level, sample):
             f"[{eigs.min():.8g}, {eigs.max():.8g}], outside [{spec.alpha}, {spec.beta}]")
 
 
-def homogenize(spec, cell_N, slow_x=None, slow_y=None, tol=1e-12):
-    """Run the full recursion; returns a HomogenizationResult.
+def sample_grids(spec, slow_x=None, slow_y=None):
+    """The x grid and the slow y_i grids of homogenize: (x_grid, y_grids).
 
     slow_x: per-axis x sample resolution, 1 for an x-independent spec and at
     least 2 (default 5) otherwise.  slow_y: per-axis resolutions of the slow y_i
-    grids for levels 1..n-1 (int or list; default 8).
+    grids for levels 1..n-1 (int or list; default 8), each at least 1.  A value
+    that does not fit the spec raises HomogenizationError, whose message starts
+    with the argument's name.
+    """
+    d, n = spec.d, spec.n_scales
+    if slow_x is None:
+        slow_x = 5 if spec.depends_on_x() else 1
+    if (slow_x < 2 if spec.depends_on_x() else slow_x != 1):
+        raise HomogenizationError(f"slow_x = {slow_x}: an x-dependent spec needs at least 2 "
+                                  "x samples, an x-independent one exactly 1 (b^0, a^0 do "
+                                  "not depend on x)")
+    if slow_y is None:
+        slow_y = 8
+    y_res = list(slow_y) if np.iterable(slow_y) else [int(slow_y)] * (n - 1)
+    if len(y_res) != n - 1 or any(m < 1 for m in y_res):
+        raise HomogenizationError(f"slow_y = {y_res}: needs {n - 1} resolutions (one per "
+                                  "scale but the innermost), each at least 1")
+    return (SampleGrid(d, slow_x, periodic=False),
+            tuple(SampleGrid(d, m, periodic=True) for m in y_res))
+
+
+def homogenize(spec, cell_N, slow_x=None, slow_y=None, tol=1e-12):
+    """Run the full recursion; returns a HomogenizationResult.
+
+    slow_x, slow_y: the sample resolutions, as sample_grids reads them.
 
     Each cell solve is offered the previous sample's solution at its level as
     a guess.  Where the samples' problems are scalar multiples of one another
@@ -261,21 +285,7 @@ def homogenize(spec, cell_N, slow_x=None, slow_y=None, tol=1e-12):
     operator product and each solve runs from zero.
     """
     d, n = spec.d, spec.n_scales
-    if slow_x is None:
-        slow_x = 5 if spec.depends_on_x() else 1
-    if (slow_x < 2 if spec.depends_on_x() else slow_x != 1):
-        raise HomogenizationError(f"slow_x = {slow_x}: an x-dependent spec needs at least 2 "
-                                  "x samples, an x-independent one exactly 1")
-    if slow_y is None:
-        slow_y = 8
-    y_res = list(slow_y) if np.iterable(slow_y) else [int(slow_y)] * (n - 1)
-    if len(y_res) != n - 1:
-        raise HomogenizationError(f"need {n - 1} slow-y resolutions, got {len(y_res)}")
-    if any(m < 1 for m in y_res):
-        raise HomogenizationError(f"slow_y = {y_res}: every slow-y resolution must be at least 1")
-
-    x_grid = SampleGrid(d, slow_x, periodic=False)
-    y_grids = tuple(SampleGrid(d, m, periodic=True) for m in y_res)
+    x_grid, y_grids = sample_grids(spec, slow_x, slow_y)
     result = HomogenizationResult(spec, cell_N, x_grid, y_grids, {})
     mesh = result.mesh
 

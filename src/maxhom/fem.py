@@ -6,11 +6,11 @@ H(curl) (one DOF per edge, the tangential circulation, oriented along the
 global +axis direction).  Element integrals separate into exact reference
 tensors (polynomial basis products, integrated once with a high-order Gauss
 rule) contracted with a per-cell constant coefficient; the coefficient is
-reduced per cell by sampling at tensor-product Gauss points.  Periodic cell
-problems use the 1-point (midpoint) rule, which is superconvergent for
-smooth periodic coefficients; domain assembly takes 2 points per axis unless
-the caller asks for another rule (the harness picks 3 when a coefficient
-part has a sine factor: the layered and separable-product families).
+reduced per cell by sampling at tensor-product Gauss points, and the mesh
+decides how many (assembly_rule): the midpoint on a periodic cell mesh,
+which is superconvergent for smooth periodic coefficients, and 3 points per
+axis on a domain mesh, where a period of a fine coefficient may span as few
+as 4 cells (h <= eps_n / 4).
 
 Scalings for a cubic cell of size h (reference = unit cube):
   nodal gradient  = ref / h          edge basis = ref / h
@@ -189,6 +189,12 @@ def quad_points(mesh, rule):
     return _cell_points(mesh, pts, slice(None)), wts
 
 
+def assembly_rule(mesh):
+    """Gauss points per axis of the assemblers' coefficient reduction: 1 on a
+    periodic cell mesh, 3 on a domain mesh."""
+    return 1 if mesh.periodic else 3
+
+
 def cell_coefficient(mesh, coef_fn, rule):
     """Reduce a coefficient to one constant per cell (Gauss-weighted average).
 
@@ -307,11 +313,11 @@ def _cell_rhs(mesh, coef, ref_vec, order, dof_map, n):
     return rhs
 
 
-def assemble_scalar_stiffness(mesh, coef_fn, rule=1):
+def assemble_scalar_stiffness(mesh, coef_fn):
     """Periodic bilinear form int_Y (C grad phi_i) . grad phi_j on a CellMesh."""
     if not mesh.periodic:
         raise AssemblyError("scalar stiffness is assembled on periodic cell meshes")
-    cbar = cell_coefficient(mesh, coef_fn, rule)
+    cbar = cell_coefficient(mesh, coef_fn, assembly_rule(mesh))
     A = _assemble(mesh, cbar, nodal_ref(mesh.d)["GRAD"], 1, mesh.cell_nodes, mesh.n_nodes)
     return SparseSymSystem(mesh.n_nodes, A, nullspace="constants"), cbar
 
@@ -325,7 +331,7 @@ def scalar_cell_rhs(mesh, cbar):
     return _cell_rhs(mesh, cbar, nodal_ref(mesh.d)["GVEC"], 1, mesh.cell_nodes, mesh.n_nodes)
 
 
-def assemble_curl_stiffness(mesh, coef_fn, rule=1):
+def assemble_curl_stiffness(mesh, coef_fn):
     """Bilinear form int (A curl phi_i) . curl phi_j with edge elements.
 
     The curl has m = 1 component in 2D and 3 in 3D; abar is returned as
@@ -333,7 +339,7 @@ def assemble_curl_stiffness(mesh, coef_fn, rule=1):
     (recorded only).  DomainMesh: boundary edges eliminated (u x nu = 0);
     returns the system on interior DOFs.
     """
-    abar = cell_coefficient(mesh, coef_fn, rule)
+    abar = cell_coefficient(mesh, coef_fn, assembly_rule(mesh))
     if mesh.periodic:
         n, index_map = mesh.n_edges, None
     else:
@@ -353,21 +359,21 @@ def curl_cell_rhs(mesh, abar):
     return _cell_rhs(mesh, abar, edge_ref(mesh.d)["CVEC"], 2, mesh.cell_edges, mesh.n_edges)
 
 
-def assemble_vector_mass(mesh, coef_fn, rule=2):
+def assemble_vector_mass(mesh, coef_fn):
     """Positive definite form int_D (B phi_i) . phi_j on interior edge DOFs."""
     if mesh.periodic:
         raise AssemblyError("the vector mass matrix lives on a DomainMesh")
-    bbar = cell_coefficient(mesh, coef_fn, rule)
+    bbar = cell_coefficient(mesh, coef_fn, assembly_rule(mesh))
     n = mesh.n_interior_edges
     A = _assemble(mesh, bbar, edge_ref(mesh.d)["MASS"], 1, mesh.cell_edges, n,
                   mesh.interior_index)
     return SparseSymSystem(n, A, nullspace="none"), bbar
 
 
-def assemble_load(mesh, f_fn, rule=2):
+def assemble_load(mesh, f_fn):
     """Load vector int_D f . phi_i on interior edge DOFs; f_fn maps (npts, d) -> (npts, d)."""
     d, h = mesh.d, mesh.h
-    pts, wts = gauss_rule(d, rule)
+    pts, wts = gauss_rule(d, assembly_rule(mesh))
     eb = edge_basis(d, pts)  # (nloc, d, nq)
     full = np.zeros(mesh.n_edges)
     # one block of cells at a time, added in cell order: the bits of one pass

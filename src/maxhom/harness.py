@@ -6,7 +6,7 @@ fully resolved configuration, and its canonical form is hashed into the run
 fingerprint.  Reruns of the same config produce byte-identical CSV outputs
 (the algorithms are deterministic; runtimes live only in manifest.txt).
 
-CLI:  maxhom {homogenize|simulate|sweep} --config <path> [--out <dir>] [--tol <r>]
+CLI:  maxhom {homogenize|simulate|sweep} --config <path> [--out <dir>]
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
 """
 
@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import corrector, fem, wave
-from .cells import HomogenizationError, homogenize
+from .cells import HomogenizationError, homogenize, sample_grids
 from .coeffs import PARAMS, CoefficientError, CoefficientPart, CoefficientSpec, ScaleSchedule
 from .mesh import DomainMesh, MeshError
 from .unfolding import lattice_cells
@@ -87,7 +87,6 @@ SCHEMA = {
     "sim.dt": (float, None),
     "sim.store_every": (int, 1),
     "sim.probes": (_parse_ints, None),
-    "sim.quad": (int, None),
     "sim.snapshots": (_parse_bool, False),
     "data.g0": (str, "zero"),
     "data.g1": (str, "zero"),
@@ -260,16 +259,6 @@ def _field(cfg, key, registry):
     return fn
 
 
-def _quad_rule(cfg, spec):
-    """sim.quad, checked, or by default 3 when a part has a sine factor, else 2."""
-    quad = cfg["sim.quad"]
-    if quad is None:
-        return 3 if spec.a.sine_factors() or spec.b.sine_factors() else 2
-    if quad not in (1, 2, 3):
-        raise ConfigError(f"sim.quad must be 1, 2 or 3, got {quad}")
-    return quad
-
-
 def build_wave_data(cfg, dt, t_final, store_every, probes=()):
     return wave.WaveData(
         T=t_final, dt=dt,
@@ -300,13 +289,10 @@ def _write_manifest(outdir, cfg, extra_lines=()):
 def _homogenize(cfg, spec):
     """homogenize() after checking the slow-grid keys against the spec."""
     slow_x, slow_y = cfg["hom.slow_x"], cfg["hom.slow_y"]
-    n = spec.n_scales
-    if slow_y is not None and (len(slow_y) != n - 1 or any(m < 1 for m in slow_y)):
-        raise ConfigError(f"hom.slow_y needs {n - 1} entries (coeff.n - 1), each at least 1, "
-                          f"got {','.join(map(str, slow_y)) or 'none'}")
-    if slow_x is not None and (slow_x < 2 if spec.depends_on_x() else slow_x != 1):
-        raise ConfigError(f"hom.slow_x must be at least 2 for an x-dependent spec and 1 for an "
-                          f"x-independent one (b^0, a^0 do not depend on x), got {slow_x}")
+    try:
+        sample_grids(spec, slow_x, slow_y)
+    except HomogenizationError as exc:
+        raise ConfigError(f"hom.{exc}") from None   # the message starts with slow_x or slow_y
     return homogenize(spec, cfg["hom.cell_n"], slow_x=slow_x, slow_y=slow_y, tol=cfg["tol"])
 
 
@@ -355,7 +341,6 @@ def run_simulate(cfg, outdir):
         raise ConfigError(f"sim.probes must lie in [0, {n_int}) (interior edges), "
                           f"got {','.join(map(str, probes))}")
     data = build_wave_data(cfg, dt, cfg["sim.t_final"], cfg["sim.store_every"], probes)
-    quad = _quad_rule(cfg, spec)
     schedule = hom = None
     if cfg["sim.kind"] == "fine":
         schedule = build_schedule(cfg)
@@ -366,7 +351,7 @@ def run_simulate(cfg, outdir):
     if hom is not None:
         hom.export_text(os.path.join(outdir, "tensors.txt"))
     prob = wave.setup_problem(cfg["sim.kind"], mesh, data, spec=spec,
-                              schedule=schedule, hom=hom, quad_rule=quad)
+                              schedule=schedule, hom=hom)
     # snapshots stream to their file as the loop stores them; none are kept
     if cfg["sim.snapshots"]:
         sink = wave.export_snapshots(prob, os.path.join(outdir, "snapshots.bin"))
@@ -441,8 +426,8 @@ class ConvergenceReport:
             fh.write("\n")
 
 
-def _sweep_leg(cfg, spec, eps):
-    """(eps, schedule, fine mesh, wave data, quadrature rule) of the leg at eps, keys checked."""
+def _sweep_leg(cfg, eps):
+    """(eps, schedule, fine mesh, wave data) of the leg at eps, keys checked."""
     schedule = build_schedule(cfg, epsilon=eps)
     eps_n = schedule.epsilons[-1]
     Nf = int(round(cfg["sweep.fine_ratio"] / eps_n))
@@ -468,19 +453,18 @@ def _sweep_leg(cfg, spec, eps):
         if h0 > eps + 1e-12:
             raise ConfigError(f"sweep.hom_n {cfg['sweep.hom_n']} gives a homogenized mesh "
                               f"h0={h0:g} coarser than eps={eps:g}")
-    return eps, schedule, mesh, data, _quad_rule(cfg, spec)
+    return eps, schedule, mesh, data
 
 
 def _sweep_one(cfg, spec, hom, leg):
     t0 = time.perf_counter()
-    eps, schedule, mesh, data, quad = leg
+    eps, schedule, mesh, data = leg
 
     # no WaveProblem is kept: its matrices would stay alive through the corrector
     traj_f = wave.integrate(wave.setup_problem("fine", mesh, data, spec=spec,
-                                               schedule=schedule, quad_rule=quad))
+                                               schedule=schedule))
     hom_mesh = DomainMesh(cfg["coeff.d"], cfg["sweep.hom_n"], cfg["sim.extent"])
-    traj_h = wave.integrate(wave.setup_problem("homogenized", hom_mesh, data, hom=hom,
-                                               quad_rule=quad))
+    traj_h = wave.integrate(wave.setup_problem("homogenized", hom_mesh, data, hom=hom))
 
     if cfg["sweep.multiscale"]:
         errs = corrector.multiscale_corrector_error(traj_f, traj_h, hom, schedule, g1=data.g1)
@@ -527,7 +511,7 @@ def run_sweep(cfg, outdir):
         raise ConfigError(f"sweep.multiscale: the folded corrector needs an x-independent "
                           f"coefficient, got an x-dependent {_x_keys(spec)}")
     # every leg's keys are checked before the cell solves
-    legs = [_sweep_leg(cfg, spec, e) for e in eps_list]
+    legs = [_sweep_leg(cfg, e) for e in eps_list]
     # the folded corrector's tables average over nested subcells of the cell mesh
     bad = [r for r in cfg["schedule.ratios"] if cfg["hom.cell_n"] % r]
     if cfg["sweep.multiscale"] and bad:
@@ -595,15 +579,12 @@ def main(argv=None):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--tol", type=float, default=None)
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
         if cfg["mode"] != args.command:
             raise ConfigError(
                 f"config mode {cfg['mode']!r} does not match subcommand {args.command!r}")
-        if args.tol is not None:
-            cfg["tol"] = args.tol
         run(cfg, outdir=args.out)
     except (ConfigError, CoefficientError, MeshError, wave.WaveSetupError,
             fem.AssemblyError) as exc:

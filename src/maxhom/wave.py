@@ -81,7 +81,6 @@ class WaveProblem:
     M: fem.SparseSymSystem
     K: fem.SparseSymSystem
     data: WaveData
-    quad_rule: int = 2
     step_system: fem.SparseSymSystem = None
     f_load: np.ndarray = None   # static part of a separable forcing
 
@@ -90,8 +89,7 @@ class WaveProblem:
         L = (self.M.A + (dt * dt / 4.0) * self.K.A).tocsr()
         self.step_system = fem.SparseSymSystem(self.M.n, L, nullspace="none")
         if self.data.f is not None:
-            self.f_load = fem.assemble_load(self.mesh, self.data.f.space_fn,
-                                            rule=self.quad_rule)
+            self.f_load = fem.assemble_load(self.mesh, self.data.f.space_fn)
 
     def load_at(self, t):
         if self.data.f is None:
@@ -154,17 +152,16 @@ def _coefficient_callables(kind, mesh, spec=None, schedule=None, hom=None):
     raise WaveSetupError(f"unknown problem kind {kind!r}")
 
 
-def setup_problem(kind, mesh, data, spec=None, schedule=None, hom=None, quad_rule=2):
+def setup_problem(kind, mesh, data, spec=None, schedule=None, hom=None):
     """Assemble mass/stiffness for a fine or homogenized run.
 
-    quad_rule is the per-axis Gauss order of the coefficient reduction on the
-    domain mesh (2 by default; the harness passes 3 when a coefficient part has
-    a sine factor: the layered and separable-product families).
+    The coefficients are reduced per cell with the domain mesh's rule
+    (fem.assembly_rule: 3 Gauss points per axis), the load of a forcing too.
     """
     a_fn, b_fn = _coefficient_callables(kind, mesh, spec, schedule, hom)
-    K, _ = fem.assemble_curl_stiffness(mesh, a_fn, rule=quad_rule)
-    M, _ = fem.assemble_vector_mass(mesh, b_fn, rule=quad_rule)
-    return WaveProblem(mesh, M, K, data, quad_rule)
+    K, _ = fem.assemble_curl_stiffness(mesh, a_fn)
+    M, _ = fem.assemble_vector_mass(mesh, b_fn)
+    return WaveProblem(mesh, M, K, data)
 
 
 def energy(problem, u, v):

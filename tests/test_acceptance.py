@@ -277,11 +277,11 @@ def ablation_errors(cfg, eps_list):
     hom = harness._homogenize(cfg, spec)
     out = []
     for eps in eps_list:
-        _, schedule, mesh, data, quad = harness._sweep_leg(cfg, spec, eps)
+        _, schedule, mesh, data = harness._sweep_leg(cfg, eps)
         fine = wave.integrate(wave.setup_problem("fine", mesh, data, spec=spec,
-                                                 schedule=schedule, quad_rule=quad))
+                                                 schedule=schedule))
         coarse = wave.integrate(wave.setup_problem(
-            "homogenized", DomainMesh(2, cfg["sweep.hom_n"]), data, hom=hom, quad_rule=quad))
+            "homogenized", DomainMesh(2, cfg["sweep.hom_n"]), data, hom=hom))
         full = corr.reconstruct_corrector(coarse, hom, schedule, g1=data.g1, fine_mesh=mesh)
         no_p = dataclasses.replace(full, P=np.zeros_like(full.P))
         no_g = dataclasses.replace(full, G=np.broadcast_to(np.eye(1), full.G.shape).copy())

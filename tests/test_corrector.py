@@ -48,7 +48,7 @@ def layered_setup():
     data = wave.WaveData(T=0.25, dt=1 / 64, g1=cavity11, f=bubble_forcing(),
                          store_every=2, tol=1e-11)
     tf = wave.integrate(wave.setup_problem("fine", fine_mesh, data, spec=spec,
-                                           schedule=sched, quad_rule=3))
+                                           schedule=sched))
     hm = DomainMesh(2, 32)
     th = wave.integrate(wave.setup_problem("homogenized", hm, data, hom=hom))
     return spec, hom, sched, fine_mesh, tf, th
@@ -337,7 +337,7 @@ def n2_setup():
     fm = DomainMesh(2, 64)
     data = wave.WaveData(T=0.125, dt=1 / 64, g1=cavity11, store_every=4, tol=1e-10)
     tf = wave.integrate(wave.setup_problem("fine", fm, data, spec=spec,
-                                           schedule=sched, quad_rule=3))
+                                           schedule=sched))
     th = wave.integrate(wave.setup_problem("homogenized", DomainMesh(2, 32), data, hom=hom))
     return hom, sched, tf, th
 
@@ -537,7 +537,7 @@ def n3_setup():
     data = wave.WaveData(T=0.125, dt=1 / 64, g1=cavity11, f=bubble_forcing(), store_every=4,
                          tol=1e-10)
     tf = wave.integrate(wave.setup_problem("fine", fm, data, spec=spec,
-                                           schedule=sched, quad_rule=3))
+                                           schedule=sched))
     th = wave.integrate(wave.setup_problem("homogenized", DomainMesh(2, 16), data, hom=hom))
     return hom, sched, tf, th
 

@@ -246,14 +246,12 @@ def test_cli_zero_sweep_key_exits_2(tmp_path, capsys, key):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("route", ["config", "flag"])
+@pytest.mark.parametrize("route", ["config"])   # the key is the one route to tol
 @pytest.mark.parametrize("tol", ["0", "-1", "1"])
 def test_cli_tol_outside_unit_interval_exits_2(tmp_path, capsys, route, tol):
     cfg_path = tmp_path / "s.cfg"
-    cfg_path.write_text(LAYERED_SWEEP + (f"tol = {tol}\n" if route == "config" else ""))
+    cfg_path.write_text(LAYERED_SWEEP + f"tol = {tol}\n")
     argv = ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o")]
-    if route == "flag":
-        argv += ["--tol", tol]
     assert harness.main(argv) == 2
     assert "tol must lie in (0, 1)" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
@@ -472,15 +470,12 @@ RUN_KEY_CONFIGS = {"simulate": ("simulate", CONST_SIM), "sweep": ("sweep", LAYER
     ("simulate", "sim.n", None),
     ("simulate", "sim.kind", "bogus"),
     ("simulate", "sim.store_every", "0"),
-    ("simulate", "sim.quad", "5"),
-    ("simulate", "sim.quad", "0"),          # once a silent fallback to the default rule
     ("simulate", "sim.probes", "100000"),   # once an IndexError after the time loop began
     ("simulate", "sim.probes", "-1"),       # once a silent probe of the last DOF
     ("simulate", "data.g0", "bogus"),
     ("sweep", "data.f", "bogus"),
     ("sweep", "data.g0", "bogus"),
     ("sweep", "sweep.t_final", "0.03"),     # one step is 0.0625 at eps 0.25
-    ("sweep", "sim.quad", "5"),
     # the pointwise corrector's hypotheses and the fine resolution: once refused
     # per leg after its time loops (exit 3), or inside the first leg
     ("sweep", "data.g0", "cavity11"),
@@ -617,7 +612,7 @@ def test_cli_whitelisted_expression_runs(tmp_path):
 
 def test_simulate_probes_at_the_ends_of_the_interior_edges(tmp_path):
     # CONST_SIM has 2 * 8 * 7 = 112 interior edges
-    cfg = parse_config(CONST_SIM + "sim.probes = 0,111\nsim.quad = 1\n")
+    cfg = parse_config(CONST_SIM + "sim.probes = 0,111\n")
     traj = harness.run(cfg, outdir=str(tmp_path))
     assert traj.probe_values.shape == (len(traj.step_times), 2)
 
@@ -646,7 +641,7 @@ def test_sweep_leg_frees_wave_problems_before_the_corrector(monkeypatch, multisc
     monkeypatch.setattr(wave, "setup_problem", tracked_setup)
     for name in ("reconstruct_corrector", "multiscale_corrector_error"):
         monkeypatch.setattr(corrector, name, watch(getattr(corrector, name)))
-    harness._sweep_one(cfg, spec, hom, harness._sweep_leg(cfg, spec, 0.25))
+    harness._sweep_one(cfg, spec, hom, harness._sweep_leg(cfg, 0.25))
     # the fine and the homogenized problem, both gone when the corrector starts
     assert len(problems) == 2 and alive == [False, False]
 
@@ -703,6 +698,25 @@ sim.dt = 0.025
 sim.snapshots = true
 data.g1 = cavity11
 """
+
+
+def test_fine_simulate_reduces_one_function_alike_in_every_family(tmp_path):
+    # 2 + sin(2 pi y_1) as three families: the expression was once reduced with
+    # 2 Gauss points per axis and the families with a sine factor with 3, so
+    # that its K and M differed by 3.7e-4 relative; the domain mesh's rule is 3
+    text = FINE_SIM.replace("sim.snapshots = true", "sim.snapshots = false")
+    outputs = []
+    for family, params in (("layered", "offset = 2.0\ncoeff.{w}.amplitude = 1.0"),
+                           ("expression", "code = 2.0 + np.sin(2*pi*ys[0][:, 0])"),
+                           ("separable-product", "factors = 2:1:0")):
+        cfg = text
+        for w in "ab":
+            cfg = cfg.replace(f"coeff.{w}.family = layered\ncoeff.{w}.offset = 2.0\n"
+                              f"coeff.{w}.amplitude = 1.0",
+                              f"coeff.{w}.family = {family}\ncoeff.{w}." + params.format(w=w))
+        harness.run(parse_config(cfg), outdir=str(tmp_path / family))
+        outputs.append((tmp_path / family / "trajectory.csv").read_bytes())
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 def test_simulate_failing_in_time_loop_leaves_no_snapshots(tmp_path, monkeypatch, capsys):

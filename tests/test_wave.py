@@ -253,7 +253,7 @@ def test_apriori_bound_uniform_in_eps():
         mesh = DomainMesh(2, N)
         data = wave.WaveData(T=0.5, dt=mesh.h, g1=cavity11, f=fsp, store_every=4)
         prob = wave.setup_problem("fine", mesh, data, spec=spec,
-                                  schedule=ScaleSchedule(eps), quad_rule=3)
+                                  schedule=ScaleSchedule(eps))
         traj = wave.integrate(prob)
         state = max(np.sqrt(2 * e) for e in traj.energies)
         g1n = np.sqrt(prob.interpolate_initial(cavity11, "g1") @ (
