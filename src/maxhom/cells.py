@@ -95,15 +95,16 @@ class SampleGrid:
 # ---------------------------------------------------------------------------
 # single-level cell solves and level tensors
 
-def solve_scalar_cell(coef_fn, mesh, tol=1e-12, guess=None):
+def solve_scalar_cell(coef_fn, mesh, tol=1e-12, guess=None, pattern=None):
     """Solve the d scalar cell problems div_y(C (e^k + grad w^k)) = 0 on Y.
 
     Returns (W, cbar): W is (d, n_nodes) with mean-zero w^k, cbar the reduced
     per-cell coefficient used in both the solve and the level tensor.
     guess: a (d, n_nodes) candidate W, each row taken as it is when it
-    already meets the solve contract (fem.solve_spd).
+    already meets the solve contract (fem.solve_spd).  pattern: the mesh's
+    fem.nodal_pattern, built per call when None.
     """
-    system, cbar = fem.assemble_scalar_stiffness(mesh, coef_fn)
+    system, cbar = fem.assemble_scalar_stiffness(mesh, coef_fn, pattern)
     rhs = fem.scalar_cell_rhs(mesh, cbar)
     W = np.empty((mesh.d, mesh.n_nodes))
     for k in range(mesh.d):
@@ -112,15 +113,16 @@ def solve_scalar_cell(coef_fn, mesh, tol=1e-12, guess=None):
     return W, cbar
 
 
-def solve_curl_cell(coef_fn, mesh, tol=1e-12, guess=None):
+def solve_curl_cell(coef_fn, mesh, tol=1e-12, guess=None, pattern=None):
     """Solve the curl cell problems curl_y(A (e^l + curl N^l)) = 0 on Y.
 
     Returns (Nc, abar): Nc is (m, n_edges) and abar (ncells, m, m), with
     m = 1 curl component in 2D and 3 in 3D.  The gradient kernel of the
     periodic curl-curl operator is left in place; only curls of N are used
-    downstream.  guess: a candidate Nc, as for solve_scalar_cell.
+    downstream.  guess: a candidate Nc, as for solve_scalar_cell.  pattern:
+    the mesh's fem.edge_pattern, built per call when None.
     """
-    system, abar = fem.assemble_curl_stiffness(mesh, coef_fn)
+    system, abar = fem.assemble_curl_stiffness(mesh, coef_fn, pattern)
     rhs = fem.curl_cell_rhs(mesh, abar)
     Nc = np.empty_like(rhs)
     for l in range(rhs.shape[0]):
@@ -283,6 +285,10 @@ def homogenize(spec, cell_N, slow_x=None, slow_y=None, tol=1e-12):
     matrix), that solution already solves the next problem, and every sample
     after the first runs no CG iteration; otherwise the guess costs one
     operator product and each solve runs from zero.
+
+    Every sample's cell matrix is summed on one pattern of the cell mesh per
+    tensor (fem.nodal_pattern for b, fem.edge_pattern for a), held only
+    while that tensor's samples are solved.
     """
     d, n = spec.d, spec.n_scales
     x_grid, y_grids = sample_grids(spec, slow_x, slow_y)
@@ -291,6 +297,7 @@ def homogenize(spec, cell_N, slow_x=None, slow_y=None, tol=1e-12):
 
     # b acts on d-vectors, a on curls of d(d-1)/2 components
     for which, k in (("b", d), ("a", d * (d - 1) // 2)):
+        pattern = fem.nodal_pattern(mesh) if which == "b" else fem.edge_pattern(mesh)
         tshape = (k, k)
         upper = None  # tensor samples of level i over (x, y_1..y_i)
         for level in range(n, 0, -1):
@@ -313,10 +320,10 @@ def homogenize(spec, cell_N, slow_x=None, slow_y=None, tol=1e-12):
                     coef_fn = functools.partial(y_grid.interpolate, flatu[si])
                 key = (which, level, si)
                 if which == "b":
-                    prev, cbar = solve_scalar_cell(coef_fn, mesh, tol, guess=prev)
+                    prev, cbar = solve_scalar_cell(coef_fn, mesh, tol, prev, pattern)
                     Ti = scalar_level_tensor(mesh, cbar, prev)
                 else:
-                    prev, abar = solve_curl_cell(coef_fn, mesh, tol, guess=prev)
+                    prev, abar = solve_curl_cell(coef_fn, mesh, tol, prev, pattern)
                     Ti = curl_level_tensor(mesh, abar, prev)
                 result.cells[key] = prev
                 _require_bounds(Ti, spec, which, level - 1, si)

@@ -248,27 +248,85 @@ class SparseSymSystem:
         return self._diag
 
 
-def _scatter(dof_map, eloc, n, index_map=None):
-    """Accumulate per-cell dense blocks into a symmetric CSR matrix.
+@dataclass(frozen=True)
+class BlockPattern:
+    """The CSR pattern of one DOF numbering's cell-block couplings.
 
-    dof_map: (ncells, nloc) global dof ids; eloc: (ncells, nloc, nloc);
-    index_map: optional full->reduced map with -1 for eliminated dofs.
+    Entry k of the raveled (ncells, nloc, nloc) element matrices adds into
+    slot[k] of the matrix data; an entry that couples an eliminated DOF goes
+    to the dummy slot nnz, which no matrix keeps.  Each matrix entry sums its
+    cell terms in cell order (np.bincount), so symmetric element matrices
+    give an exactly symmetric matrix whenever a cell's local DOFs are
+    distinct (every mesh with N >= 2).  The matrices built on a pattern share
+    its indptr and indices; the caller that assembles holds the pattern for
+    as long as it assembles (cells.homogenize for its cell mesh,
+    wave.setup_problem for its domain mesh), not the mesh.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    slot: np.ndarray
+
+    @property
+    def n(self):
+        return len(self.indptr) - 1
+
+    @property
+    def nnz(self):
+        return len(self.indices)
+
+    def sum_blocks(self, eloc):
+        """Sum per-cell blocks eloc (ncells, nloc, nloc) into an (n, n) CSR matrix."""
+        if eloc.size != len(self.slot):
+            raise AssemblyError(f"{eloc.shape} element matrices on a pattern of "
+                                f"{len(self.slot)} block entries")
+        data = np.bincount(self.slot, weights=eloc.ravel(), minlength=self.nnz + 1)
+        return sp.csr_matrix((data[:self.nnz], self.indices, self.indptr),
+                             shape=(self.n, self.n))
+
+
+def block_pattern(dof_map, n):
+    """The BlockPattern of per-cell blocks over dof_map (ncells, nloc) ids in [-1, n).
+
+    A DOF id of -1 is eliminated: every block entry in its row or column goes
+    to the dummy slot.
     """
     nloc = dof_map.shape[1]
-    # scipy keeps int32 indices below 2^31, so COO arrays of that type are not copied
-    idx = np.int32 if n < 2 ** 31 else np.int64
-    dofs = np.asarray(dof_map if index_map is None else index_map[dof_map], dtype=idx)
-    rows = np.repeat(dofs, nloc, axis=1).ravel()
-    cols = np.tile(dofs, (1, nloc)).ravel()
-    data = eloc.ravel()
-    if index_map is not None:
-        keep = (rows >= 0) & (cols >= 0)
-        rows, cols, data = rows[keep], cols[keep], data[keep]
-    A = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-    del rows, cols, data
-    # exact symmetry regardless of accumulation order; scipy sizes the arrays
-    # of a sum for nnz(A) + nnz(A.T), and the product copies them at nnz
-    return (A + A.T) * 0.5
+    if dof_map.size * nloc >= 2 ** 31:
+        raise AssemblyError("more block entries than int32 slots")
+    # one int64 key r n + c per block entry (r, c), in CSR order; the
+    # eliminated entries get n^2 and sort last
+    dofs = dof_map.astype(np.int64)
+    key = (dofs * n)[:, :, None] + dofs[:, None, :]
+    kept = dofs >= 0
+    key[~(kept[:, :, None] & kept[:, None, :])] = n * n
+    key = key.ravel()
+    order = np.argsort(key, kind="stable")   # runs of cell order sort faster
+    key = key[order]
+    first = np.empty(len(key), dtype=bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    slot = np.empty(len(key), dtype=np.int32)
+    slot[order] = np.cumsum(first, dtype=np.int32) - 1
+    del order
+    key = key[first]
+    key = key[key < n * n]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
+    return BlockPattern(indptr, (key % n).astype(np.int32), slot)
+
+
+def nodal_pattern(mesh):
+    """The pattern of the nodal element on a periodic CellMesh."""
+    return block_pattern(mesh.cell_nodes, mesh.n_nodes)
+
+
+def edge_pattern(mesh):
+    """The pattern of the edge element: every edge of a CellMesh, the interior
+    edges of a DomainMesh (boundary edges eliminated)."""
+    if mesh.periodic:
+        return block_pattern(mesh.cell_edges, mesh.n_edges)
+    return block_pattern(mesh.interior_index[mesh.cell_edges], mesh.n_interior_edges)
 
 
 def element_matrices(coef, ref_mat):
@@ -283,11 +341,17 @@ def element_matrices(coef, ref_mat):
             ).reshape((ncells,) + ref_mat.shape[2:])
 
 
-def _assemble(mesh, coef, ref_mat, order, dof_map, n, index_map=None):
-    """Symmetric CSR matrix of h^(d - 2 order) E[c]; D phi scales as h^-order."""
-    eloc = mesh.h ** (mesh.d - 2 * order) * element_matrices(coef, ref_mat)
-    eloc = 0.5 * (eloc + eloc.transpose(0, 2, 1))
-    return _scatter(dof_map, eloc, n, index_map)
+def _assemble(mesh, coef, ref_mat, order, pattern, n):
+    """CSR matrix (n, n) on pattern of the blocks h^(d - 2 order) E[c], each
+    symmetrized; D phi scales as h^-order."""
+    if pattern.n != n:
+        raise AssemblyError(f"a pattern of {pattern.n} DOFs for a matrix of {n}")
+    eloc = element_matrices(coef, ref_mat)
+    eloc *= mesh.h ** (mesh.d - 2 * order)
+    sym = eloc + eloc.transpose(0, 2, 1)
+    del eloc
+    sym *= 0.5
+    return pattern.sum_blocks(sym)
 
 
 def _cell_rhs(mesh, coef, ref_vec, order, dof_map, n):
@@ -303,22 +367,26 @@ def _cell_rhs(mesh, coef, ref_vec, order, dof_map, n):
     m = len(ref_vec)
     per_cell = -mesh.h ** (mesh.d - order) * element_matrices(
         coef, np.einsum("bk,ai->abki", np.eye(m), ref_vec))
-    rhs = np.zeros((m, n))
+    dofs = dof_map.ravel()
+    rhs = np.empty((m, n))
     for k in range(m):
-        np.add.at(rhs[k], dof_map.ravel(), per_cell[:, k].ravel())
-        scale = np.zeros(n)
-        np.add.at(scale, dof_map.ravel(), np.abs(per_cell[:, k]).ravel())
+        rhs[k] = np.bincount(dofs, weights=per_cell[:, k].ravel(), minlength=n)
+        scale = np.bincount(dofs, weights=np.abs(per_cell[:, k]).ravel(), minlength=n)
         if np.linalg.norm(rhs[k]) <= 64 * np.finfo(float).eps * np.linalg.norm(scale):
             rhs[k] = 0.0
     return rhs
 
 
-def assemble_scalar_stiffness(mesh, coef_fn):
-    """Periodic bilinear form int_Y (C grad phi_i) . grad phi_j on a CellMesh."""
+def assemble_scalar_stiffness(mesh, coef_fn, pattern=None):
+    """Periodic bilinear form int_Y (C grad phi_i) . grad phi_j on a CellMesh.
+
+    pattern: the mesh's nodal_pattern, built here when None.
+    """
     if not mesh.periodic:
         raise AssemblyError("scalar stiffness is assembled on periodic cell meshes")
     cbar = cell_coefficient(mesh, coef_fn, assembly_rule(mesh))
-    A = _assemble(mesh, cbar, nodal_ref(mesh.d)["GRAD"], 1, mesh.cell_nodes, mesh.n_nodes)
+    A = _assemble(mesh, cbar, nodal_ref(mesh.d)["GRAD"], 1,
+                  pattern or nodal_pattern(mesh), mesh.n_nodes)
     return SparseSymSystem(mesh.n_nodes, A, nullspace="constants"), cbar
 
 
@@ -331,20 +399,18 @@ def scalar_cell_rhs(mesh, cbar):
     return _cell_rhs(mesh, cbar, nodal_ref(mesh.d)["GVEC"], 1, mesh.cell_nodes, mesh.n_nodes)
 
 
-def assemble_curl_stiffness(mesh, coef_fn):
+def assemble_curl_stiffness(mesh, coef_fn, pattern=None):
     """Bilinear form int (A curl phi_i) . curl phi_j with edge elements.
 
     The curl has m = 1 component in 2D and 3 in 3D; abar is returned as
     (ncells, m, m).  CellMesh: periodic, nullspace = discrete gradients
     (recorded only).  DomainMesh: boundary edges eliminated (u x nu = 0);
-    returns the system on interior DOFs.
+    returns the system on interior DOFs.  pattern: the mesh's edge_pattern,
+    built here when None.
     """
     abar = cell_coefficient(mesh, coef_fn, assembly_rule(mesh))
-    if mesh.periodic:
-        n, index_map = mesh.n_edges, None
-    else:
-        n, index_map = mesh.n_interior_edges, mesh.interior_index
-    A = _assemble(mesh, abar, edge_ref(mesh.d)["CURL"], 2, mesh.cell_edges, n, index_map)
+    n = mesh.n_edges if mesh.periodic else mesh.n_interior_edges
+    A = _assemble(mesh, abar, edge_ref(mesh.d)["CURL"], 2, pattern or edge_pattern(mesh), n)
     return SparseSymSystem(n, A, nullspace="gradients"), abar
 
 
@@ -359,14 +425,17 @@ def curl_cell_rhs(mesh, abar):
     return _cell_rhs(mesh, abar, edge_ref(mesh.d)["CVEC"], 2, mesh.cell_edges, mesh.n_edges)
 
 
-def assemble_vector_mass(mesh, coef_fn):
-    """Positive definite form int_D (B phi_i) . phi_j on interior edge DOFs."""
+def assemble_vector_mass(mesh, coef_fn, pattern=None):
+    """Positive definite form int_D (B phi_i) . phi_j on interior edge DOFs.
+
+    pattern: the mesh's edge_pattern (that of its curl stiffness), built here
+    when None.
+    """
     if mesh.periodic:
         raise AssemblyError("the vector mass matrix lives on a DomainMesh")
     bbar = cell_coefficient(mesh, coef_fn, assembly_rule(mesh))
     n = mesh.n_interior_edges
-    A = _assemble(mesh, bbar, edge_ref(mesh.d)["MASS"], 1, mesh.cell_edges, n,
-                  mesh.interior_index)
+    A = _assemble(mesh, bbar, edge_ref(mesh.d)["MASS"], 1, pattern or edge_pattern(mesh), n)
     return SparseSymSystem(n, A, nullspace="none"), bbar
 
 

@@ -15,6 +15,7 @@ import os
 import struct
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import fem
 from .coeffs import fine_callable
@@ -85,8 +86,14 @@ class WaveProblem:
     f_load: np.ndarray = None   # static part of a separable forcing
 
     def __post_init__(self):
+        # L = M + dt^2/4 K on the pattern that M and K share: the data arrays
+        # add entry by entry, and L shares the pattern too
+        M, K = self.M.A, self.K.A
+        if not (np.array_equal(M.indptr, K.indptr) and np.array_equal(M.indices, K.indices)):
+            raise WaveSetupError("M and K must be assembled on one pattern")
         dt = self.data.dt
-        L = (self.M.A + (dt * dt / 4.0) * self.K.A).tocsr()
+        L = sp.csr_matrix((M.data + (dt * dt / 4.0) * K.data, M.indices, M.indptr),
+                          shape=M.shape)
         self.step_system = fem.SparseSymSystem(self.M.n, L, nullspace="none")
         if self.data.f is not None:
             self.f_load = fem.assemble_load(self.mesh, self.data.f.space_fn)
@@ -157,10 +164,13 @@ def setup_problem(kind, mesh, data, spec=None, schedule=None, hom=None):
 
     The coefficients are reduced per cell with the domain mesh's rule
     (fem.assembly_rule: 3 Gauss points per axis), the load of a forcing too.
+    K, M and the step matrix share the indptr and indices of one
+    fem.edge_pattern of the mesh; its block slots are freed on return.
     """
     a_fn, b_fn = _coefficient_callables(kind, mesh, spec, schedule, hom)
-    K, _ = fem.assemble_curl_stiffness(mesh, a_fn)
-    M, _ = fem.assemble_vector_mass(mesh, b_fn)
+    pattern = fem.edge_pattern(mesh)
+    K, _ = fem.assemble_curl_stiffness(mesh, a_fn, pattern)
+    M, _ = fem.assemble_vector_mass(mesh, b_fn, pattern)
     return WaveProblem(mesh, M, K, data)
 
 

@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from maxhom import fem, wave
@@ -50,6 +51,29 @@ def test_setup_dimensions_match_interior_count(unit_hom):
     prob = wave.setup_problem("homogenized", mesh, data, hom=unit_hom)
     assert prob.M.n == mesh.n_interior_edges
     assert prob.K.n == mesh.n_interior_edges
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_step_matrix_is_data_arithmetic_on_the_shared_pattern(unit_hom, d):
+    hom = unit_hom if d == 2 else homogenize(CoefficientSpec(
+        3, 1, a=CoefficientPart("constant", {"value": 1.0}),
+        b=CoefficientPart("constant", {"value": 2.0}), alpha=0.5, beta=2.5), cell_N=2)
+    data = wave.WaveData(T=0.1, dt=0.05)
+    prob = wave.setup_problem("homogenized", DomainMesh(d, 4), data, hom=hom)
+    K, M, L = prob.K.A, prob.M.A, prob.step_system.A
+    for A in (K, L):
+        assert np.shares_memory(A.indices, M.indices)
+        assert np.shares_memory(A.indptr, M.indptr)
+    assert np.array_equal(L.data, M.data + (data.dt ** 2 / 4.0) * K.data)
+    assert (L - L.T).count_nonzero() == 0
+
+
+def test_step_matrix_refuses_k_and_m_on_two_patterns(unit_hom):
+    prob = wave.setup_problem("homogenized", DomainMesh(2, 4), wave.WaveData(T=0.1, dt=0.05),
+                              hom=unit_hom)
+    diagonal = fem.SparseSymSystem(prob.M.n, sp.diags(prob.M.A.diagonal()).tocsr())
+    with pytest.raises(wave.WaveSetupError, match="one pattern"):
+        wave.WaveProblem(prob.mesh, diagonal, prob.K, prob.data)
 
 
 def test_homogenized_x_dependent_coefficient_only_on_the_unit_box(unit_hom):
