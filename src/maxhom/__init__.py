@@ -5,8 +5,7 @@ wave solves with edge elements, first-order correctors, periodic unfolding
 operators and convergence-study drivers, all on structured grids.
 """
 
-from .coeffs import (CoefficientError, CoefficientPart, CoefficientSpec,
-                     ScaleSchedule, eval_coefficient, eval_fine, validate_bounds)
+from .coeffs import CoefficientError, CoefficientPart, CoefficientSpec, ScaleSchedule
 from .mesh import CellMesh, DomainMesh, MeshError
 from .fem import (AssemblyError, SolveError, SparseSymSystem,
                   assemble_curl_stiffness, assemble_scalar_stiffness,

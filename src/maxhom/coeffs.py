@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import grid_points
-
 # one sine factor offset + amplitude * sin(2 pi frequency y_axis + phase): its
 # required keys and its optional keys with their defaults
 _FACTOR_KEYS = ({"offset", "amplitude"}, {"axis", "frequency", "phase"})
@@ -38,7 +36,11 @@ _SINE_FACTORS = {
 
 
 class CoefficientError(ValueError):
-    """Inconsistent coefficient specification or out-of-bounds evaluation."""
+    """Inconsistent coefficient specification, or a range outside its declared bounds."""
+
+
+# relative rounding allowance of the declared bounds against a closed-form range
+RANGE_SLACK = 1e-12
 
 
 def _as_matrix(value, m):
@@ -122,7 +124,8 @@ class CoefficientPart:
     times base (a scalar or m x m matrix; defaults: scale 1, axis 0, frequency 1,
     phase 0, x_amplitude 0, base identity).  constant has no factor and its base
     is value; layered is its one factor at `scale`; separable-product has one
-    factor per scale.
+    factor per scale.  A profile's eigenvalue range has a closed form
+    (eigenvalue_range); an expression's has none.
     """
 
     family: str
@@ -189,13 +192,41 @@ class CoefficientPart:
             if out.ndim <= 1:
                 return np.broadcast_to(out, (npts,))[:, None, None] * np.eye(m)
             return np.broadcast_to(out, (npts, m, m)).copy()
-        base = _as_matrix(self.params.get("base", self.params.get("value", 1.0)), m)
-        return self._profile(x, ys)[:, None, None] * base
+        return self._profile(x, ys)[:, None, None] * self._base(m)
+
+    def _base(self, m):
+        return _as_matrix(self.params.get("base", self.params.get("value", 1.0)), m)
+
+    def eigenvalue_range(self, m):
+        """(lo, hi) of the eigenvalues over x in the unit box and every y_i; None for expression.
+
+        The interval product of three parts, each attained at its two ends (in
+        either order): the sine factors (one a scale, so they vary
+        independently), each between offset - amplitude and offset + amplitude;
+        the x modulation 1 + x_amplitude prod_a sin(pi x_a), between 1 (x = 0)
+        and 1 + x_amplitude (x = (1/2, ..., 1/2)); and the eigenvalues of base.
+        """
+        if self.family == "expression":
+            return None
+        eigs = np.linalg.eigvalsh(self._base(m))
+        ends = [(f["offset"] - f["amplitude"], f["offset"] + f["amplitude"])
+                for _, f in self.sine_factors()]
+        ends += [(1.0, 1.0 + self.params.get("x_amplitude", 0.0)), (eigs[0], eigs[-1])]
+        lo = hi = 1.0
+        for a, b in ends:
+            corners = (lo * a, lo * b, hi * a, hi * b)
+            lo, hi = min(corners), max(corners)
+        return float(lo), float(hi)
 
 
 @dataclass(frozen=True)
 class CoefficientSpec:
-    """The coefficient pair (a, b) with declared spectral bounds [alpha, beta]."""
+    """The coefficient pair (a, b) with declared spectral bounds [alpha, beta].
+
+    A profile part whose closed-form eigenvalue range leaves [alpha, beta] (by
+    more than RANGE_SLACK relative) is refused when the spec is built; an
+    expression part is not checked here.
+    """
 
     d: int
     n_scales: int
@@ -216,19 +247,24 @@ class CoefficientSpec:
                 part._check(self.d, self.n_scales)
             except CoefficientError as exc:
                 raise CoefficientError(f"coefficient {which}: {exc}") from None
-            for key in set(part.params) & {"value", "base"}:
-                try:
-                    _as_matrix(part.params[key], m)
-                except CoefficientError as exc:
-                    # named as the config key of the param
-                    raise CoefficientError(f"coeff.{which}.{key}: {exc}") from None
+            try:
+                rng = part.eigenvalue_range(m)
+            except CoefficientError as exc:
+                # the base: named as the config key of its param
+                key = "base" if "base" in part.params else "value"
+                raise CoefficientError(f"coeff.{which}.{key}: {exc}") from None
+            if rng is not None and not (self.alpha * (1 - RANGE_SLACK) <= rng[0]
+                                        and rng[1] <= self.beta * (1 + RANGE_SLACK)):
+                raise CoefficientError(
+                    f"coeff.{which}: eigenvalues range over [{rng[0]:.15g}, {rng[1]:.15g}], "
+                    f"outside [coeff.alpha, coeff.beta] = [{self.alpha:.15g}, {self.beta:.15g}]")
 
     def eval_a(self, x, ys):
-        """Fast path: (npts, m, m) with m = d(d-1)/2 curl components. No bounds check."""
+        """a at (x, y_1..y_n): (npts, m, m) with m = d(d-1)/2 curl components."""
         return self.a.evaluate(x, ys, self.d * (self.d - 1) // 2)
 
     def eval_b(self, x, ys):
-        """Fast path: (npts, d, d). No bounds check."""
+        """b at (x, y_1..y_n): (npts, d, d)."""
         return self.b.evaluate(x, ys, self.d)
 
     def depends_on_x(self):
@@ -277,75 +313,14 @@ class ScaleSchedule:
         return out
 
 
-def eval_coefficient(spec, x, ys, which):
-    """Evaluate a or b at (x, y_1..y_n); returns symmetric matrices (npts, m, m).
-
-    Raises CoefficientError when an evaluated matrix violates the declared
-    bounds (inconsistent spec).
-    """
-    if which not in ("a", "b"):
-        raise CoefficientError("which must be 'a' or 'b'")
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != spec.d:
-        raise CoefficientError(f"points have dimension {x.shape[1]}, spec has {spec.d}")
-    ys = [np.atleast_2d(np.asarray(y, dtype=float)) for y in ys]
-    if len(ys) != spec.n_scales:
-        raise CoefficientError(f"expected {spec.n_scales} fast variables, got {len(ys)}")
-    ys = [y - np.floor(y) for y in ys]
-    vals = spec.eval_a(x, ys) if which == "a" else spec.eval_b(x, ys)
-    eigs = np.linalg.eigvalsh(vals)
-    tol = 1e-10 * max(1.0, spec.beta)
-    if eigs.min() < spec.alpha - tol or eigs.max() > spec.beta + tol:
-        raise CoefficientError(
-            f"coefficient {which!r} eigenvalues in [{eigs.min():.6g}, {eigs.max():.6g}] "
-            f"violate declared bounds [{spec.alpha}, {spec.beta}]")
-    return vals
-
-
-def eval_fine(spec, schedule, x, which):
-    """a^eps(x) = a(x, x/eps_1, ..., x/eps_n); returns (npts, m, m)."""
-    if schedule.n_scales != spec.n_scales:
-        raise CoefficientError("schedule and spec disagree on the number of scales")
-    return eval_coefficient(spec, x, schedule.fast_variables(x), which)
-
-
 def fine_callable(spec, schedule, which):
-    """Vectorized x -> coefficient sampler used by assembly (no bounds check)."""
+    """Vectorized x -> a^eps(x) = a(x, x/eps_1, ..., x/eps_n) (or b^eps): (npts, m, m)."""
+    if schedule.n_scales != spec.n_scales:
+        raise CoefficientError(f"schedule has {schedule.n_scales} scales, spec has "
+                               f"{spec.n_scales}")
+
     def fn(x):
         ys = schedule.fast_variables(x)
         return spec.eval_a(x, ys) if which == "a" else spec.eval_b(x, ys)
 
     return fn
-
-
-def validate_bounds(spec, samples_per_axis):
-    """Scan eigenvalues of a and b on a dense (x, y) grid.
-
-    Returns (alpha_hat, beta_hat) and emits a warning when the sampled range
-    leaves the declared [alpha, beta].
-    """
-    if samples_per_axis < 2:
-        raise CoefficientError("need at least 2 samples per axis")
-    m = samples_per_axis
-    ax = np.linspace(0.0, 1.0, m)
-    # sample x and each y on the same grid, crossed pairwise to keep the scan
-    # dense but affordable for n >= 2
-    pts = grid_points(*[ax] * spec.d)
-    lo, hi = np.inf, -np.inf
-    rng = np.random.default_rng(20240811)
-    for which in ("a", "b"):
-        for _ in range(max(1, spec.n_scales)):
-            x = pts
-            ys = [pts[rng.permutation(len(pts))] for _ in range(spec.n_scales)]
-            ys[0] = pts  # always include the aligned diagonal sweep
-            vals = spec.eval_a(x, ys) if which == "a" else spec.eval_b(x, ys)
-            eigs = np.linalg.eigvalsh(vals)
-            lo = min(lo, float(np.min(eigs)))
-            hi = max(hi, float(np.max(eigs)))
-    if lo < spec.alpha - 1e-12 or hi > spec.beta + 1e-12:
-        import warnings
-
-        warnings.warn(
-            f"sampled eigenvalue range [{lo:.6g}, {hi:.6g}] leaves declared "
-            f"[{spec.alpha}, {spec.beta}]", stacklevel=2)
-    return lo, hi

@@ -302,12 +302,16 @@ def _x_keys(spec):
                      for w, part in (("a", spec.a), ("b", spec.b)) if part.depends_on_x())
 
 
-def _check_x_samples(cfg, spec):
-    """Refuse an x-dependent spec on a box other than the unit box of its x samples."""
+def _check_x_box(cfg, spec):
+    """Refuse an x-dependent spec on a box other than the unit box.
+
+    The closed-form coefficient range holds for x in the unit box, and b^0, a^0
+    are sampled in x there.
+    """
     if spec.depends_on_x() and cfg["sim.extent"] != 1:
         raise ConfigError(f"sim.extent = {cfg['sim.extent']:g} with an x-dependent "
-                          f"{_x_keys(spec)}: b^0, a^0 are sampled in x on the unit box, "
-                          "so sim.extent must be 1")
+                          f"{_x_keys(spec)}: the coefficient's x range and the x samples "
+                          "of b^0, a^0 cover the unit box, so sim.extent must be 1")
 
 
 def run_homogenize(cfg, outdir):
@@ -341,11 +345,11 @@ def run_simulate(cfg, outdir):
         raise ConfigError(f"sim.probes must lie in [0, {n_int}) (interior edges), "
                           f"got {','.join(map(str, probes))}")
     data = build_wave_data(cfg, dt, cfg["sim.t_final"], cfg["sim.store_every"], probes)
+    _check_x_box(cfg, spec)
     schedule = hom = None
     if cfg["sim.kind"] == "fine":
         schedule = build_schedule(cfg)
     else:
-        _check_x_samples(cfg, spec)
         hom = _homogenize(cfg, spec)
     os.makedirs(outdir, exist_ok=True)
     if hom is not None:
@@ -506,7 +510,7 @@ def run_sweep(cfg, outdir):
                                   f"sim.extent {cfg['sim.extent']:g} is not a multiple of "
                                   f"eps {e:g}")
     spec = build_spec(cfg)
-    _check_x_samples(cfg, spec)
+    _check_x_box(cfg, spec)
     if cfg["sweep.multiscale"] and spec.depends_on_x():
         raise ConfigError(f"sweep.multiscale: the folded corrector needs an x-independent "
                           f"coefficient, got an x-dependent {_x_keys(spec)}")

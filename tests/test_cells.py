@@ -616,9 +616,10 @@ def test_tensor_bounds_symmetry_and_mean_zero():
 
 
 def test_bound_violation_reported_with_location():
-    spec = CoefficientSpec(2, 1, a=CoefficientPart("layered", dict(LAYERED)),
-                           b=CoefficientPart("layered", dict(LAYERED)),
-                           alpha=2.5, beta=3.0)  # harmonic mean sqrt3 < 2.5
+    # an expression has no closed-form range, so the spec builds and the tensor
+    # check refuses it: 2 + sin(2 pi y_1) has harmonic mean sqrt3 < 2.5
+    part = CoefficientPart("expression", {"code": "2.0 + np.sin(2*pi*ys[0][:, 0])"})
+    spec = CoefficientSpec(2, 1, a=part, b=part, alpha=2.5, beta=3.0)
     with pytest.raises(HomogenizationError, match="sample"):
         homogenize(spec, cell_N=16)
 

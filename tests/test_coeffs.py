@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxhom.coeffs import (FAMILIES, CoefficientError, CoefficientPart, CoefficientSpec,
-                           ScaleSchedule, eval_coefficient, eval_fine, validate_bounds)
+                           ScaleSchedule, fine_callable)
 
 LAYERED = {"scale": 1, "axis": 0, "offset": 2.0, "amplitude": 1.0}
 
@@ -52,32 +52,35 @@ def test_constant_identity():
                      alpha=0.5, beta=2.0)
     x = np.random.default_rng(0).random((7, 2))
     ys = [np.random.default_rng(1).random((7, 2))]
-    out = eval_coefficient(spec, x, ys, "b")
+    out = spec.eval_b(x, ys)
     assert np.array_equal(out, np.broadcast_to(np.eye(2), (7, 2, 2)))
-    assert np.array_equal(eval_coefficient(spec, x, ys, "a"), np.ones((7, 1, 1)))
+    assert np.array_equal(spec.eval_a(x, ys), np.ones((7, 1, 1)))
 
 
 def test_layered_point_value():
     # b(y1) = (2 + sin 2 pi y11) I at y1 = (0.25, 0): sin(pi/2) = 1 -> 3 I
     spec = make_spec()
-    out = eval_coefficient(spec, [[0.5, 0.5]], [np.array([[0.25, 0.0]])], "b")
+    out = spec.eval_b([[0.5, 0.5]], [np.array([[0.25, 0.0]])])
     assert np.allclose(out[0], 3.0 * np.eye(2), atol=1e-14)
 
 
 def test_bounds_violation_raises():
-    # declared alpha=1 but the profile dips to 0.5
-    spec = make_spec(a_par={"scale": 1, "axis": 0, "offset": 1.5, "amplitude": 1.0},
-                     alpha=1.0, beta=3.0)
-    with pytest.raises(CoefficientError):
-        eval_coefficient(spec, [[0.5, 0.5]], [np.array([[0.75, 0.0]])], "a")
+    # declared alpha=1 but the profile dips to 0.5: refused when the spec is built
+    with pytest.raises(CoefficientError, match=r"coeff.a: eigenvalues range over \[0.5, 2.5\], "
+                       r"outside \[coeff.alpha, coeff.beta\] = \[1, 3\]"):
+        make_spec(a_par={"scale": 1, "axis": 0, "offset": 1.5, "amplitude": 1.0},
+                  alpha=1.0, beta=3.0)
 
 
 def test_dimension_mismatch():
+    # the fine coefficient reads one fast variable per scale of the spec
     spec = make_spec()
-    with pytest.raises(CoefficientError):
-        eval_coefficient(spec, [[0.5, 0.5, 0.5]], [np.zeros((1, 3))], "b")
-    with pytest.raises(CoefficientError):
-        eval_coefficient(spec, [[0.5, 0.5]], [], "b")
+    with pytest.raises(CoefficientError, match="schedule has 2 scales, spec has 1"):
+        fine_callable(spec, ScaleSchedule(0.25, (2,)), "b")
+    spec2 = make_spec("separable-product", _sep((2.0, 1.0, 0), (2.0, 1.0, 1)),
+                      "constant", {"value": 1.0}, n=2, beta=9.0)
+    with pytest.raises(CoefficientError, match="schedule has 1 scales, spec has 2"):
+        fine_callable(spec2, ScaleSchedule(0.25), "a")
 
 
 def test_eval_fine_constant():
@@ -85,15 +88,16 @@ def test_eval_fine_constant():
                      alpha=1.0, beta=2.0)
     sched = ScaleSchedule(0.25)
     x = np.random.default_rng(2).random((11, 2))
-    vals = eval_fine(spec, sched, x, "b")
+    vals = fine_callable(spec, sched, "b")(x)
     assert np.allclose(vals, 1.25 * np.eye(2), atol=0)
+    assert np.allclose(fine_callable(spec, sched, "a")(x), 1.25, atol=0)
 
 
 def test_eval_fine_layered_quarter():
     # eps = 1/4 at x = (1/8, 0): y = x/eps mod 1 = (1/2, 0)
     spec = make_spec()
     sched = ScaleSchedule(0.25)
-    out = eval_fine(spec, sched, [[0.125, 0.0]], "b")
+    out = fine_callable(spec, sched, "b")(np.array([[0.125, 0.0]]))
     assert np.allclose(out[0], (2.0 + np.sin(np.pi)) * np.eye(2), atol=1e-14)
 
 
@@ -104,32 +108,39 @@ def test_eval_fine_two_scale_modular():
     spec = make_spec("separable-product", {"factors": fac},
                      "separable-product", {"factors": fac}, n=2, alpha=1.0, beta=9.0)
     sched = ScaleSchedule(0.25, (4,))
-    out = eval_fine(spec, sched, [[3.0 / 16.0, 0.0]], "b")
+    out = fine_callable(spec, sched, "b")(np.array([[3.0 / 16.0, 0.0]]))
     expect = (2.0 + np.sin(2 * np.pi * 0.75)) * (2.0 + 0.5 * np.sin(0.0))
     assert np.allclose(out[0], expect * np.eye(2), atol=1e-13)
 
 
 def test_validate_bounds_constant():
+    # the range is the value's; declared bounds at its exact ends build
     spec = make_spec("constant", {"value": 1.0}, "constant", {"value": 1.0},
                      alpha=1.0, beta=1.0)
-    lo, hi = validate_bounds(spec, 5)
-    assert lo == pytest.approx(1.0) and hi == pytest.approx(1.0)
+    assert spec.a.eigenvalue_range(1) == spec.b.eigenvalue_range(2) == (1.0, 1.0)
+    assert CoefficientPart("constant", {"value": (2.0, 1.0, 1.0, 2.0)}).eigenvalue_range(2) \
+        == pytest.approx((1.0, 3.0), rel=1e-15)
+    with pytest.raises(CoefficientError, match=r"coeff.b: .*\[1.25, 1.25\]"):
+        make_spec("constant", {"value": 1.0}, "constant", {"value": 1.25}, alpha=1.0, beta=1.0)
 
 
 def test_validate_bounds_layered_scan():
-    # dense-grid eigenvalue scan of 2 + sin: range approaches (1, 3)
+    # 2 + sin ranges over exactly [1, 3]; a dense-grid scan approaches it from inside
     spec = make_spec()
-    lo, hi = validate_bounds(spec, 101)
-    assert lo == pytest.approx(1.0, abs=5e-3)
-    assert hi == pytest.approx(3.0, abs=5e-3)
+    assert spec.b.eigenvalue_range(2) == (1.0, 3.0)
+    grid = np.stack(np.meshgrid(*[np.linspace(0.0, 1.0, 101)] * 2), -1).reshape(-1, 2)
+    eigs = np.linalg.eigvalsh(spec.eval_b(grid, [grid]))
+    assert 1.0 <= eigs.min() <= 1.0 + 5e-3 and 3.0 - 5e-3 <= eigs.max() <= 3.0
 
 
-def test_validate_bounds_warns_on_negative_region():
+def test_validate_bounds_refuses_negative_region():
+    # a profile with a negative region is refused when the spec is built
+    with pytest.raises(CoefficientError, match=r"coeff.a: .*\[-0.2, 1.8\]"):
+        make_spec(a_par={"offset": 0.8, "amplitude": -1.0}, alpha=0.5, beta=3.0)
+    # an expression has no closed-form range: it is left to the tensor and CG checks
     spec = make_spec("expression", {"code": "np.sin(2*pi*ys[0][:,0]) - 0.2"},
-                     alpha=0.5, beta=2.0)
-    with pytest.warns(UserWarning):
-        lo, _ = validate_bounds(spec, 21)
-    assert lo <= 0.0
+                     alpha=0.5, beta=3.0)
+    assert spec.a.eigenvalue_range(1) is None
 
 
 @pytest.mark.parametrize("fam,par", [
@@ -152,7 +163,7 @@ def test_symmetry_every_evaluation():
     spec = make_spec(b_par={"scale": 1, "axis": 1, "offset": 2.0, "amplitude": 1.0,
                             "base": [[2.0, 0.5], [0.5, 1.0]]}, alpha=0.5, beta=9.0)
     rng = np.random.default_rng(4)
-    vals = eval_coefficient(spec, rng.random((40, 2)), [rng.random((40, 2))], "b")
+    vals = spec.eval_b(rng.random((40, 2)), [rng.random((40, 2))])
     assert np.abs(vals - vals.transpose(0, 2, 1)).max() == 0.0
 
 
@@ -164,9 +175,9 @@ def test_fine_scale_consistency_random_points():
     sched = ScaleSchedule(0.125, (8,))
     rng = np.random.default_rng(5)
     x = rng.random((1000, 2))
-    fine = eval_fine(spec, sched, x, "b")
+    fine = fine_callable(spec, sched, "b")(x)
     ys = [np.mod(x / e, 1.0) for e in sched.epsilons]
-    manual = eval_coefficient(spec, x, ys, "b")
+    manual = spec.eval_b(x, ys)
     assert np.allclose(fine, manual, rtol=0, atol=1e-14)
 
 
@@ -288,3 +299,61 @@ def test_spec_refuses_factors_that_do_not_fit(part, n, match):
     # checked when the spec is built, not at the first evaluation
     with pytest.raises(CoefficientError, match=f"coefficient b: .*{match}"):
         make_spec(b_fam=part[0], b_par=part[1], n=n, alpha=0.5, beta=9.0)
+
+
+@st.composite
+def profile_parts(draw):
+    """(part, d, n, m): a random constant, layered or separable-product part of an m x m field."""
+    d, n = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    m = draw(st.sampled_from([d * (d - 1) // 2, d]))
+    fam = draw(st.sampled_from(["constant", "layered", "separable-product"]))
+    if draw(st.booleans()):
+        base = draw(st.floats(-3.0, 3.0))
+    else:
+        B = np.random.default_rng(draw(st.integers(0, 2 ** 16))).uniform(-2.0, 2.0, (m, m))
+        base = tuple((B + B.T).ravel())
+
+    def factor():
+        return {"offset": draw(st.floats(-3.0, 3.0)), "amplitude": draw(st.floats(-2.0, 2.0)),
+                "axis": draw(st.integers(0, d - 1)), "frequency": draw(st.integers(1, 3)),
+                "phase": draw(st.floats(0.0, 2 * np.pi))}
+
+    par = {"constant": lambda: {"value": base},
+           "layered": lambda: dict(factor(), scale=draw(st.integers(1, n)), base=base),
+           "separable-product": lambda: {"factors": [factor() for _ in range(n)], "base": base,
+                                         "x_amplitude": draw(st.floats(-2.0, 2.0))}}[fam]()
+    return CoefficientPart(fam, par), d, n, m
+
+
+@settings(max_examples=80, deadline=None)
+@given(profile_parts(), st.integers(0, 2 ** 16))
+def test_closed_form_range_holds_a_dense_scan_and_is_attained(part_dnm, seed):
+    part, d, n, m = part_dnm
+    lo, hi = part.eigenvalue_range(m)
+    tol = 1e-12 * max(abs(lo), abs(hi), 1e-300)
+    rng = np.random.default_rng(seed)
+    x = rng.random((4000, d))
+    eigs = np.linalg.eigvalsh(part.evaluate(x, [rng.random((4000, d)) for _ in range(n)], m))
+    assert lo - tol <= eigs.min() and eigs.max() <= hi + tol
+    # both ends at the extrema: each sine factor at +-1, x = 0 or (1/2, ..., 1/2)
+    factors = part.sine_factors()
+    pts = []
+    for signs in np.ndindex(*[2] * len(factors)):
+        ys = [np.zeros(d) for _ in range(n)]
+        for sgn, (scale, f) in zip(signs, factors):
+            arg = (0.5 - sgn) * np.pi - f["phase"]      # sin(arg + phase) = +1, then -1
+            ys[scale - 1][f["axis"]] = np.mod(arg / (2 * np.pi * f["frequency"]), 1.0)
+        pts += [(np.full(d, xv), ys) for xv in (0.0, 0.5)]
+    x = np.array([p[0] for p in pts])
+    ys = [np.array([p[1][i] for p in pts]) for i in range(n)]
+    eigs = np.linalg.eigvalsh(part.evaluate(x, ys, m))
+    assert abs(eigs.min() - lo) <= tol and abs(eigs.max() - hi) <= tol
+    # a spec declaring exactly that range builds; one whose bounds end a hair
+    # inside it, at either end, is refused
+    if lo > 0:
+        other = CoefficientPart("constant", {"value": lo})
+        ab = {"a": part, "b": other} if m == d * (d - 1) // 2 else {"a": other, "b": part}
+        CoefficientSpec(d, n, alpha=lo, beta=hi, **ab)
+        for shift in (1 + 1e-9, 1 - 1e-9):
+            with pytest.raises(CoefficientError, match="eigenvalues range over"):
+                CoefficientSpec(d, n, alpha=lo * shift, beta=hi * shift, **ab)

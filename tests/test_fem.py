@@ -408,6 +408,32 @@ def test_solve_stagnation_stops_early():
     assert A.matvecs <= fem.CG_STAGNATION_WINDOW + 1 < fem.CG_CAP_FACTOR * n + 10
 
 
+class _RoundedMatrix(_CountingMatrix):
+    """A counting matrix whose first `rounded` products are rounded to float32."""
+
+    def __init__(self, A, rounded):
+        super().__init__(A)
+        self.rounded = rounded
+
+    def __matmul__(self, x):
+        y = super().__matmul__(x)
+        return y.astype(np.float32).astype(float) if self.matvecs <= self.rounded else y
+
+
+def test_solve_restarts_when_the_true_residual_misses_the_bound():
+    # the rounded products leave the recursive residual 1e-8 off the true one:
+    # it meets 1e-12 ||b|| while b - A x does not, and CG goes on from x with
+    # b - A x instead of raising SolveError
+    rng = np.random.default_rng(2)
+    B = rng.standard_normal((50, 50))
+    A = B @ B.T + 50 * np.eye(50)
+    b = rng.standard_normal(50)
+    op = _RoundedMatrix(sp.csr_matrix(A), 6)
+    x = fem.solve_spd(fem.SparseSymSystem(50, op), b, 1e-12)
+    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b) * (1 + 1e-9)
+    assert op.matvecs < fem.CG_STAGNATION_WINDOW
+
+
 def test_solve_takes_a_guess_only_when_it_meets_the_contract():
     mesh = CellMesh(2, 12)
     system, _ = fem.assemble_scalar_stiffness(

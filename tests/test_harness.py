@@ -271,7 +271,9 @@ coeff.b.factors = 2:1:1
 coeff.b.x_amplitude = 0.5
 hom.cell_n = 8
 """
+# (2 +- 1)^2 (1 + 0.5 sin(pi x_1) sin(pi x_2)) ranges over [1, 13.5]
 XDEP_N2_HOM = (XDEP_HOM.replace("coeff.n = 1", "coeff.n = 2")
+               .replace("coeff.beta = 4.5", "coeff.beta = 13.5")
                .replace("factors = 2:1:1", "factors = 2:1:1;2:1:0"))
 SLOW_GRID_CONFIGS = {"layered-sweep": ("sweep", LAYERED_SWEEP),
                      "xdep": ("homogenize", XDEP_HOM),
@@ -320,25 +322,47 @@ def test_python_m_maxhom_runs_without_warnings(tmp_path):
 
 
 def test_cli_numerical_failure_exit_code(tmp_path):
-    # declared bounds the homogenized tensor cannot satisfy -> exit 3
+    # declared bounds the homogenized tensor cannot satisfy -> exit 3; an
+    # expression has no closed-form range, so only the tensor check sees them
     text = """
 mode = homogenize
 coeff.d = 2
 coeff.n = 1
 coeff.alpha = 2.5
 coeff.beta = 3.0
-coeff.a.family = layered
-coeff.a.offset = 2.0
-coeff.a.amplitude = 0.4
-coeff.b.family = layered
-coeff.b.offset = 2.0
-coeff.b.amplitude = 0.4
+coeff.a.family = expression
+coeff.a.code = 2.0 + 0.4 * np.sin(2*pi*ys[0][:, 0])
+coeff.b.family = expression
+coeff.b.code = 2.0 + 0.4 * np.sin(2*pi*ys[0][:, 0])
 hom.cell_n = 8
 """
     cfg_path = tmp_path / "h.cfg"
     cfg_path.write_text(text)
     assert harness.main(["homogenize", "--config", str(cfg_path),
                          "--out", str(tmp_path / "o")]) == 3
+
+
+@pytest.mark.parametrize("mode,kind", [("simulate", "fine"), ("simulate", "homogenized"),
+                                       ("homogenize", None), ("sweep", None)])
+def test_cli_coefficient_outside_its_bounds_exits_2_before_assembly(tmp_path, capsys,
+                                                                   monkeypatch, mode, kind):
+    # a = 1 + 2 sin(2 pi y_1) ranges over [-1, 3] against a declared [1, 3]: the
+    # fine simulate once exited 0, its homogenized twin 3 after the cell solves
+    calls = []
+    monkeypatch.setattr(harness, "homogenize", lambda *a, **k: calls.append("homogenize"))
+    monkeypatch.setattr(harness.wave, "setup_problem", lambda *a, **k: calls.append("setup"))
+    text = (LAYERED_SWEEP.replace("mode = sweep", f"mode = {mode}")
+            .replace("coeff.a.offset = 2.0\ncoeff.a.amplitude = 1.0",
+                     "coeff.a.offset = 1.0\ncoeff.a.amplitude = 2.0"))
+    if kind:
+        text += f"sim.kind = {kind}\nsim.n = 16\nschedule.epsilon = 0.25\n"
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(text)
+    out = tmp_path / "o"
+    assert harness.main([mode, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: coeff.a: eigenvalues range over [-1, 3], "
+                                       "outside [coeff.alpha, coeff.beta] = [1, 3]\n")
+    assert calls == [] and not out.exists()
 
 
 def refuse_corrector_at(monkeypatch, epsilons):
@@ -429,7 +453,9 @@ def test_multiscale_lattice_that_does_not_tile_exits_2_before_cell_solves(tmp_pa
 
 XDEP_SWEEP = (XDEP_HOM.replace("mode = homogenize", "mode = sweep") + "hom.slow_x = 3\n"
               + LAYERED_SWEEP.split("hom.cell_n = 32\n")[1])
+# coeff.beta covers coeff.a.x_amplitude = 0.5, which the folded corrector refuses
 FOLDED_SWEEP = (LAYERED_SWEEP.replace("layered", "separable-product")
+                .replace("coeff.beta = 3.0", "coeff.beta = 4.5")
                 .replace("coeff.a.offset = 2.0\ncoeff.a.amplitude = 1.0", "coeff.a.factors = 2:1:0")
                 .replace("coeff.b.offset = 2.0\ncoeff.b.amplitude = 1.0", "coeff.b.factors = 2:1:0")
                 .replace("sweep.epsilons = 0.25,0.125,0.0625",
@@ -462,6 +488,9 @@ data.f = bubble_cos2t
 RUN_KEY_CONFIGS = {"simulate": ("simulate", CONST_SIM), "sweep": ("sweep", LAYERED_SWEEP),
                    "xdep-simulate": ("simulate", XDEP_HOM.replace("homogenize", "simulate")
                                      + "sim.n = 8\nsim.t_final = 0.2\nsim.dt = 0.05\n"),
+                   "xdep-fine-simulate": ("simulate", XDEP_HOM.replace("homogenize", "simulate")
+                                          + "sim.kind = fine\nschedule.epsilon = 0.25\n"
+                                          "sim.n = 16\nsim.t_final = 0.2\nsim.dt = 0.05\n"),
                    "xdep-sweep": ("sweep", XDEP_SWEEP), "folded-sweep": ("sweep", FOLDED_SWEEP),
                    "folded-n3-sweep": ("sweep", FOLDED_N3_SWEEP)}
 
@@ -494,6 +523,9 @@ RUN_KEY_CONFIGS = {"simulate": ("simulate", CONST_SIM), "sweep": ("sweep", LAYER
     # to sim.extent while the fine coefficient and the corrector read x as it is
     ("xdep-sweep", "sim.extent", "2"),
     ("xdep-simulate", "sim.extent", "2"),
+    # the closed-form coefficient range holds on the unit box: a fine run on
+    # another box once ran with its x modulation outside the checked range
+    ("xdep-fine-simulate", "sim.extent", "2"),
     # the folded corrector's hypotheses: once refused (exit 3) after the cell
     # solves and every leg's time loops, with tensors.txt written
     ("folded-sweep", "coeff.a.x_amplitude", "0.5"),
@@ -522,10 +554,11 @@ def test_cli_run_key_checked_before_cell_solves(tmp_path, capsys, monkeypatch, c
     assert solves == []
 
 
-@pytest.mark.parametrize("config", ["xdep-sweep", "xdep-simulate", "folded-sweep",
-                                    "folded-n3-sweep"])
+@pytest.mark.parametrize("config", ["xdep-sweep", "xdep-simulate", "xdep-fine-simulate",
+                                    "folded-sweep", "folded-n3-sweep"])
 def test_run_key_base_configs_reach_the_cell_solves(tmp_path, monkeypatch, config):
-    # the bases of the cases above pass every check, so each case is refused for its key
+    # the bases of the cases above pass every check, so each case is refused for
+    # its key; a fine run has no cell solves and stops at its assembly
     solves = []
 
     def stop(*args, **kwargs):
@@ -533,6 +566,7 @@ def test_run_key_base_configs_reach_the_cell_solves(tmp_path, monkeypatch, confi
         raise HomogenizationError("stopped at the cell solves")
 
     monkeypatch.setattr(harness, "homogenize", stop)
+    monkeypatch.setattr(harness.wave, "setup_problem", stop)
     mode, text = RUN_KEY_CONFIGS[config]
     cfg_path = tmp_path / "c.cfg"
     cfg_path.write_text(text)
