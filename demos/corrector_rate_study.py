@@ -16,7 +16,7 @@ import numpy as np
 from maxhom import wave
 from maxhom import corrector as corr
 from maxhom.cells import homogenize
-from maxhom.coeffs import CoefficientPart, CoefficientSpec, ScaleSchedule
+from maxhom.coeffs import CoefficientPart, CoefficientSpec, ScaleSchedule, fine_coefficients
 from maxhom.harness import fit_slope
 from maxhom.mesh import DomainMesh
 
@@ -44,10 +44,9 @@ for eps in (1 / 4, 1 / 8, 1 / 16):
     steps = int(round(0.25 * 8 / eps))
     data = wave.WaveData(T=0.25, dt=eps / 8, g1=g1, f=forcing,
                          store_every=max(1, steps // 8), tol=1e-11)
-    fine = wave.integrate(wave.setup_problem("fine", fine_mesh, data, spec=spec,
-                                             schedule=sched))
+    fine = wave.integrate(wave.setup_problem(fine_mesh, data, fine_coefficients(spec, sched)))
     hmesh = DomainMesh(2, 64)
-    h0 = wave.integrate(wave.setup_problem("homogenized", hmesh, data, hom=hom))
+    h0 = wave.integrate(wave.setup_problem(hmesh, data, hom.coefficients()))
     field = corr.reconstruct_corrector(h0, hom, sched, g1=g1, fine_mesh=fine_mesh)
     errs = corr.corrector_error(fine, field)
     ems = corr.multiscale_corrector_error(fine, h0, hom, sched, g1=g1)

@@ -12,7 +12,7 @@ import numpy as np
 from maxhom import wave
 from maxhom import corrector as corr
 from maxhom.cells import homogenize
-from maxhom.coeffs import CoefficientPart, CoefficientSpec, ScaleSchedule
+from maxhom.coeffs import CoefficientPart, CoefficientSpec, ScaleSchedule, fine_coefficients
 from maxhom.mesh import DomainMesh
 
 fac = [{"offset": 2.0, "amplitude": 1.0, "axis": 0},
@@ -49,10 +49,8 @@ for eps in (1 / 4, 1 / 8):
     steps = int(round(0.125 * 4 / eps2))
     data = wave.WaveData(T=0.125, dt=eps2 / 4, g1=g1, f=forcing,
                          store_every=max(1, steps // 8), tol=1e-10)
-    fine = wave.integrate(wave.setup_problem("fine", mesh, data, spec=spec,
-                                             schedule=sched))
-    h0 = wave.integrate(wave.setup_problem("homogenized", DomainMesh(2, 64),
-                                           data, hom=hom))
+    fine = wave.integrate(wave.setup_problem(mesh, data, fine_coefficients(spec, sched)))
+    h0 = wave.integrate(wave.setup_problem(DomainMesh(2, 64), data, hom.coefficients()))
     ems = corr.multiscale_corrector_error(fine, h0, hom, sched, g1=g1)
     print(f"  eps = 1/{int(1/eps):<2d} (eps2 = 1/{int(1/eps2)}, fine N = {mesh.N}): "
           f"E_ms = {ems.max_ms:.4f}")

@@ -31,7 +31,7 @@ prev = None
 for N in (8, 16, 32, 64):
     mesh = DomainMesh(2, N)
     data = wave.WaveData(T=0.5, dt=mesh.h / 2, g0=mode, store_every=10 ** 9)
-    traj = wave.integrate(wave.setup_problem("homogenized", mesh, data, hom=hom))
+    traj = wave.integrate(wave.setup_problem(mesh, data, hom.coefficients()))
     xq, wts = fem.quad_points(mesh, 2)
     flat = xq.reshape(-1, 2)
     wq = np.tile(wts, mesh.n_cells) * mesh.h ** 2
@@ -47,14 +47,14 @@ print("\n=== energy conservation over 1000 free steps ===")
 mesh = DomainMesh(2, 16)
 data = wave.WaveData(T=1000 / 64.0, dt=1 / 64.0, g0=mode, store_every=10 ** 9,
                      tol=1e-12)
-traj = wave.integrate(wave.setup_problem("homogenized", mesh, data, hom=hom))
+traj = wave.integrate(wave.setup_problem(mesh, data, hom.coefficients()))
 drift = np.abs(traj.energies - traj.energies[0]).max() / traj.energies[0]
 print(f"  E(0) = {traj.energies[0]:.10f}")
 print(f"  max relative drift = {drift:.2e}")
 
 print("\n=== time reversal ===")
 data = wave.WaveData(T=0.5, dt=1 / 64.0, g0=mode, store_every=10 ** 9, tol=1e-12)
-prob = wave.setup_problem("homogenized", mesh, data, hom=hom)
+prob = wave.setup_problem(mesh, data, hom.coefficients())
 fwd = wave.integrate(prob)
 back = wave.integrate(prob, u0=fwd.U[-1], v0=-fwd.V[-1])
 u0 = prob.interpolate_initial(mode, "g0")

@@ -177,7 +177,7 @@ class HomogenizationResult:
     tensors[("b", i)] has shape (nx, ny_1, ..., ny_i) + (d, d), the sizes of
     those grids, and tensors[("a", i)] the same sample shape + (m, m), m =
     d(d-1)/2 curl components (1 in 2D, 3 in 3D).  b0/a0 are the level-0 fields
-    at the x samples and coefficient(which) their interpolant.  cells[("b",
+    at the x samples and coefficients() their interpolants.  cells[("b",
     level, sample)] is the mean-zero W (d, n_nodes) of that cell solve and
     cells[("a", level, sample)] its Nc (m, n_edges).  fold_tables[ratios]
     keeps the eps-independent tables of the folded corrector built from these
@@ -208,9 +208,10 @@ class HomogenizationResult:
         vals = self.tensors[(which, 0)]
         return vals.reshape((self.x_grid.size,) + vals.shape[1:])
 
-    def coefficient(self, which):
-        """b^0 (which = "b") or a^0 ("a") as a function of x (npts, d) in the unit box."""
-        return functools.partial(self.x_grid.interpolate, self._level0(which))
+    def coefficients(self):
+        """(a^0, b^0) as functions of x (npts, d) in the unit box, interpolated on x_grid."""
+        return tuple(functools.partial(self.x_grid.interpolate, self._level0(which))
+                     for which in ("a", "b"))
 
     @property
     def b0(self):
@@ -295,9 +296,13 @@ def homogenize(spec, cell_N, slow_x=None, slow_y=None, tol=1e-12):
     result = HomogenizationResult(spec, cell_N, x_grid, y_grids, {})
     mesh = result.mesh
 
-    # b acts on d-vectors, a on curls of d(d-1)/2 components
-    for which, k in (("b", d), ("a", d * (d - 1) // 2)):
-        pattern = fem.nodal_pattern(mesh) if which == "b" else fem.edge_pattern(mesh)
+    # b acts on d-vectors, a on curls of d(d-1)/2 components; the solvers and
+    # level tensors are looked up as module globals at each call
+    kinds = (("b", d, fem.nodal_pattern, spec.eval_b, solve_scalar_cell, scalar_level_tensor),
+             ("a", d * (d - 1) // 2, fem.edge_pattern, spec.eval_a, solve_curl_cell,
+              curl_level_tensor))
+    for which, k, build_pattern, eval_fn, solve_cell, level_tensor in kinds:
+        pattern = build_pattern(mesh)
         tshape = (k, k)
         upper = None  # tensor samples of level i over (x, y_1..y_i)
         for level in range(n, 0, -1):
@@ -315,17 +320,12 @@ def homogenize(spec, cell_N, slow_x=None, slow_y=None, tol=1e-12):
                         npts = len(y)
                         x = np.broadcast_to(ax, (npts, d))
                         ys = [np.broadcast_to(v, (npts, d)) for v in ays] + [y]
-                        return spec.eval_a(x, ys) if which == "a" else spec.eval_b(x, ys)
+                        return eval_fn(x, ys)
                 else:
                     coef_fn = functools.partial(y_grid.interpolate, flatu[si])
-                key = (which, level, si)
-                if which == "b":
-                    prev, cbar = solve_scalar_cell(coef_fn, mesh, tol, prev, pattern)
-                    Ti = scalar_level_tensor(mesh, cbar, prev)
-                else:
-                    prev, abar = solve_curl_cell(coef_fn, mesh, tol, prev, pattern)
-                    Ti = curl_level_tensor(mesh, abar, prev)
-                result.cells[key] = prev
+                prev, reduced = solve_cell(coef_fn, mesh, tol, prev, pattern)
+                Ti = level_tensor(mesh, reduced, prev)
+                result.cells[(which, level, si)] = prev
                 _require_bounds(Ti, spec, which, level - 1, si)
                 T[multi] = Ti
             result.tensors[(which, level - 1)] = T

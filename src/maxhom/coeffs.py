@@ -313,14 +313,17 @@ class ScaleSchedule:
         return out
 
 
-def fine_callable(spec, schedule, which):
-    """Vectorized x -> a^eps(x) = a(x, x/eps_1, ..., x/eps_n) (or b^eps): (npts, m, m)."""
+def fine_coefficients(spec, schedule):
+    """(a^eps, b^eps): vectorized x -> a(x, x/eps_1, ..., x/eps_n), (npts, m, m), and
+    x -> b(x, x/eps_1, ..., x/eps_n), (npts, d, d)."""
     if schedule.n_scales != spec.n_scales:
         raise CoefficientError(f"schedule has {schedule.n_scales} scales, spec has "
                                f"{spec.n_scales}")
 
-    def fn(x):
-        ys = schedule.fast_variables(x)
-        return spec.eval_a(x, ys) if which == "a" else spec.eval_b(x, ys)
+    def a_eps(x):
+        return spec.eval_a(x, schedule.fast_variables(x))
 
-    return fn
+    def b_eps(x):
+        return spec.eval_b(x, schedule.fast_variables(x))
+
+    return a_eps, b_eps

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import corrector, fem, wave
 from .cells import HomogenizationError, homogenize, sample_grids
-from .coeffs import PARAMS, CoefficientError, CoefficientPart, CoefficientSpec, ScaleSchedule
+from .coeffs import (PARAMS, CoefficientError, CoefficientPart, CoefficientSpec, ScaleSchedule,
+                     fine_coefficients)
 from .mesh import DomainMesh, MeshError
 from .unfolding import lattice_cells
 
@@ -314,6 +315,16 @@ def _check_x_box(cfg, spec):
                           "of b^0, a^0 cover the unit box, so sim.extent must be 1")
 
 
+def _check_fine_resolution(mesh, schedule, keys):
+    """Refuse a fine mesh that under-resolves the finest scale, h > eps_n/4; keys
+    names the config keys that set the mesh and the schedule."""
+    eps_n = schedule.epsilons[-1]
+    if mesh.h > eps_n / 4 + 1e-12:
+        needed = int(np.ceil(4 * mesh.extent / eps_n))
+        raise ConfigError(f"{keys}: the fine mesh under-resolves eps_n = {eps_n:g}, "
+                          f"h = {mesh.h:g} > eps_n/4; need N >= {needed}")
+
+
 def run_homogenize(cfg, outdir):
     spec = build_spec(cfg)
     hom = _homogenize(cfg, spec)
@@ -346,16 +357,19 @@ def run_simulate(cfg, outdir):
                           f"got {','.join(map(str, probes))}")
     data = build_wave_data(cfg, dt, cfg["sim.t_final"], cfg["sim.store_every"], probes)
     _check_x_box(cfg, spec)
-    schedule = hom = None
+    hom = None
     if cfg["sim.kind"] == "fine":
         schedule = build_schedule(cfg)
+        _check_fine_resolution(mesh, schedule, f"sim.n {cfg['sim.n']} with schedule.epsilon "
+                                               f"{cfg['schedule.epsilon']:g}")
+        coefficients = fine_coefficients(spec, schedule)
     else:
         hom = _homogenize(cfg, spec)
+        coefficients = hom.coefficients()
     os.makedirs(outdir, exist_ok=True)
     if hom is not None:
         hom.export_text(os.path.join(outdir, "tensors.txt"))
-    prob = wave.setup_problem(cfg["sim.kind"], mesh, data, spec=spec,
-                              schedule=schedule, hom=hom)
+    prob = wave.setup_problem(mesh, data, coefficients)
     # snapshots stream to their file as the loop stores them; none are kept
     if cfg["sim.snapshots"]:
         sink = wave.export_snapshots(prob, os.path.join(outdir, "snapshots.bin"))
@@ -436,11 +450,8 @@ def _sweep_leg(cfg, eps):
     eps_n = schedule.epsilons[-1]
     Nf = int(round(cfg["sweep.fine_ratio"] / eps_n))
     mesh = DomainMesh(cfg["coeff.d"], Nf, cfg["sim.extent"])
-    try:
-        wave.check_fine_resolution(mesh, schedule)
-    except wave.WaveSetupError as exc:
-        raise ConfigError(f"sweep.fine_ratio {cfg['sweep.fine_ratio']} on sim.extent "
-                          f"{cfg['sim.extent']:g} at eps {eps:g}: {exc}") from exc
+    _check_fine_resolution(mesh, schedule, f"sweep.fine_ratio {cfg['sweep.fine_ratio']} on "
+                                           f"sim.extent {cfg['sim.extent']:g} at eps {eps:g}")
     dt = eps_n / cfg["sweep.dt_ratio"]
     if cfg["sweep.t_final"] < dt:
         raise ConfigError(f"sweep.t_final {cfg['sweep.t_final']:g} is shorter than one step "
@@ -465,10 +476,9 @@ def _sweep_one(cfg, spec, hom, leg):
     eps, schedule, mesh, data = leg
 
     # no WaveProblem is kept: its matrices would stay alive through the corrector
-    traj_f = wave.integrate(wave.setup_problem("fine", mesh, data, spec=spec,
-                                               schedule=schedule))
+    traj_f = wave.integrate(wave.setup_problem(mesh, data, fine_coefficients(spec, schedule)))
     hom_mesh = DomainMesh(cfg["coeff.d"], cfg["sweep.hom_n"], cfg["sim.extent"])
-    traj_h = wave.integrate(wave.setup_problem("homogenized", hom_mesh, data, hom=hom))
+    traj_h = wave.integrate(wave.setup_problem(hom_mesh, data, hom.coefficients()))
 
     if cfg["sweep.multiscale"]:
         errs = corrector.multiscale_corrector_error(traj_f, traj_h, hom, schedule, g1=data.g1)

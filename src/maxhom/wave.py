@@ -18,7 +18,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fem
-from .coeffs import fine_callable
 from .mesh import DomainMesh
 
 
@@ -136,38 +135,19 @@ class WaveTrajectory:
         return len(self.snap_times)
 
 
-def check_fine_resolution(mesh, schedule):
-    """Refuse a fine mesh that under-resolves the finest scale: h > eps_n/4."""
-    eps_n = schedule.epsilons[-1]
-    if mesh.h > eps_n / 4 + 1e-12:
-        needed = int(np.ceil(4 * mesh.extent / eps_n))
-        raise WaveSetupError(
-            f"fine mesh under-resolves eps_n={eps_n:g}: h={mesh.h:g} > eps_n/4; "
-            f"need N >= {needed}")
+def setup_problem(mesh, data, coefficients):
+    """Assemble mass and stiffness of b u_tt + curl(a curl u) = f on mesh.
 
-
-def _coefficient_callables(kind, mesh, spec=None, schedule=None, hom=None):
-    if kind == "fine":
-        if spec is None or schedule is None:
-            raise WaveSetupError("fine runs need a coefficient spec and a schedule")
-        check_fine_resolution(mesh, schedule)
-        return fine_callable(spec, schedule, "a"), fine_callable(spec, schedule, "b")
-    if kind == "homogenized":
-        if hom is None:
-            raise WaveSetupError("homogenized runs need a HomogenizationResult")
-        return hom.coefficient("a"), hom.coefficient("b")
-    raise WaveSetupError(f"unknown problem kind {kind!r}")
-
-
-def setup_problem(kind, mesh, data, spec=None, schedule=None, hom=None):
-    """Assemble mass/stiffness for a fine or homogenized run.
-
-    The coefficients are reduced per cell with the domain mesh's rule
-    (fem.assembly_rule: 3 Gauss points per axis), the load of a forcing too.
-    K, M and the step matrix share the indptr and indices of one
-    fem.edge_pattern of the mesh; its block slots are freed on return.
+    coefficients: the pair (a, b) of vectorized callables of x (npts, d),
+    returning (npts, m, m) and (npts, d, d): (a^eps, b^eps) of a fine run
+    (coeffs.fine_coefficients) or (a^0, b^0) of a homogenized one
+    (HomogenizationResult.coefficients).
+    They are reduced per cell with the domain mesh's rule (fem.assembly_rule:
+    3 Gauss points per axis), the load of a forcing too.  K, M and the step
+    matrix share the indptr and indices of one fem.edge_pattern of the mesh;
+    its block slots are freed on return.
     """
-    a_fn, b_fn = _coefficient_callables(kind, mesh, spec, schedule, hom)
+    a_fn, b_fn = coefficients
     pattern = fem.edge_pattern(mesh)
     K, _ = fem.assemble_curl_stiffness(mesh, a_fn, pattern)
     M, _ = fem.assemble_vector_mass(mesh, b_fn, pattern)

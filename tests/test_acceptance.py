@@ -16,7 +16,7 @@ from maxhom import corrector as corr
 from maxhom import unfolding as uf
 from maxhom.cells import (curl_level_tensor, homogenize, scalar_level_tensor,
                           solve_curl_cell, solve_scalar_cell)
-from maxhom.coeffs import CoefficientPart, CoefficientSpec, ScaleSchedule
+from maxhom.coeffs import CoefficientPart, CoefficientSpec, ScaleSchedule, fine_coefficients
 from maxhom.mesh import CellMesh, DomainMesh
 
 SQRT3 = np.sqrt(3.0)
@@ -175,7 +175,7 @@ def test_criterion_05_cavity_mode_accuracy():
         data = wave.WaveData(T=0.5, dt=mesh.h / 2, g0=mode, store_every=10 ** 9,
                              tol=1e-12)
         t0 = time.perf_counter()
-        traj = wave.integrate(wave.setup_problem("homogenized", mesh, data, hom=hom))
+        traj = wave.integrate(wave.setup_problem(mesh, data, hom.coefficients()))
         if N == 16:
             coarsest_time = time.perf_counter() - t0
         xq, wts = fem.quad_points(mesh, 2)
@@ -207,7 +207,7 @@ def test_criterion_06_energy_conservation():
     mesh = DomainMesh(2, 16)
     data = wave.WaveData(T=1000 / 64.0, dt=1 / 64.0, g0=mode, store_every=10 ** 9,
                          tol=1e-12)
-    traj = wave.integrate(wave.setup_problem("homogenized", mesh, data, hom=hom))
+    traj = wave.integrate(wave.setup_problem(mesh, data, hom.coefficients()))
     drift = np.abs(traj.energies - traj.energies[0]).max() / traj.energies[0]
     report(6, drift <= 1e-8,
            f"|E(t)-E(0)|/E(0) = {drift:.2e} over 1000 steps (gate 1e-8)")
@@ -278,10 +278,9 @@ def ablation_errors(cfg, eps_list):
     out = []
     for eps in eps_list:
         _, schedule, mesh, data = harness._sweep_leg(cfg, eps)
-        fine = wave.integrate(wave.setup_problem("fine", mesh, data, spec=spec,
-                                                 schedule=schedule))
-        coarse = wave.integrate(wave.setup_problem(
-            "homogenized", DomainMesh(2, cfg["sweep.hom_n"]), data, hom=hom))
+        fine = wave.integrate(wave.setup_problem(mesh, data, fine_coefficients(spec, schedule)))
+        coarse = wave.integrate(wave.setup_problem(DomainMesh(2, cfg["sweep.hom_n"]), data,
+                                                   hom.coefficients()))
         full = corr.reconstruct_corrector(coarse, hom, schedule, g1=data.g1, fine_mesh=mesh)
         no_p = dataclasses.replace(full, P=np.zeros_like(full.P))
         no_g = dataclasses.replace(full, G=np.broadcast_to(np.eye(1), full.G.shape).copy())

@@ -446,7 +446,7 @@ def test_homogenize_x_dependent_sampling():
     assert np.abs(res.b0[:, 0, 0] - SQRT3 * factor).max() < 1e-10
     assert np.abs(res.b0[:, 1, 1] - 2.0 * factor).max() < 1e-10
     # interpolation between samples stays within the sampled range
-    probe = res.coefficient("a")(np.array([[0.4, 0.6], [0.21, 0.77]]))
+    probe = res.coefficients()[0](np.array([[0.4, 0.6], [0.21, 0.77]]))
     assert probe.min() >= res.a0.min() - 1e-12
     assert probe.max() <= res.a0.max() + 1e-12
 

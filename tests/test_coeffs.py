@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxhom.coeffs import (FAMILIES, CoefficientError, CoefficientPart, CoefficientSpec,
-                           ScaleSchedule, fine_callable)
+                           ScaleSchedule, fine_coefficients)
 
 LAYERED = {"scale": 1, "axis": 0, "offset": 2.0, "amplitude": 1.0}
 
@@ -76,11 +76,11 @@ def test_dimension_mismatch():
     # the fine coefficient reads one fast variable per scale of the spec
     spec = make_spec()
     with pytest.raises(CoefficientError, match="schedule has 2 scales, spec has 1"):
-        fine_callable(spec, ScaleSchedule(0.25, (2,)), "b")
+        fine_coefficients(spec, ScaleSchedule(0.25, (2,)))
     spec2 = make_spec("separable-product", _sep((2.0, 1.0, 0), (2.0, 1.0, 1)),
                       "constant", {"value": 1.0}, n=2, beta=9.0)
     with pytest.raises(CoefficientError, match="schedule has 1 scales, spec has 2"):
-        fine_callable(spec2, ScaleSchedule(0.25), "a")
+        fine_coefficients(spec2, ScaleSchedule(0.25))
 
 
 def test_eval_fine_constant():
@@ -88,16 +88,16 @@ def test_eval_fine_constant():
                      alpha=1.0, beta=2.0)
     sched = ScaleSchedule(0.25)
     x = np.random.default_rng(2).random((11, 2))
-    vals = fine_callable(spec, sched, "b")(x)
-    assert np.allclose(vals, 1.25 * np.eye(2), atol=0)
-    assert np.allclose(fine_callable(spec, sched, "a")(x), 1.25, atol=0)
+    a_eps, b_eps = fine_coefficients(spec, sched)
+    assert np.allclose(b_eps(x), 1.25 * np.eye(2), atol=0)
+    assert np.allclose(a_eps(x), 1.25, atol=0)
 
 
 def test_eval_fine_layered_quarter():
     # eps = 1/4 at x = (1/8, 0): y = x/eps mod 1 = (1/2, 0)
     spec = make_spec()
     sched = ScaleSchedule(0.25)
-    out = fine_callable(spec, sched, "b")(np.array([[0.125, 0.0]]))
+    out = fine_coefficients(spec, sched)[1](np.array([[0.125, 0.0]]))
     assert np.allclose(out[0], (2.0 + np.sin(np.pi)) * np.eye(2), atol=1e-14)
 
 
@@ -108,7 +108,7 @@ def test_eval_fine_two_scale_modular():
     spec = make_spec("separable-product", {"factors": fac},
                      "separable-product", {"factors": fac}, n=2, alpha=1.0, beta=9.0)
     sched = ScaleSchedule(0.25, (4,))
-    out = fine_callable(spec, sched, "b")(np.array([[3.0 / 16.0, 0.0]]))
+    out = fine_coefficients(spec, sched)[1](np.array([[3.0 / 16.0, 0.0]]))
     expect = (2.0 + np.sin(2 * np.pi * 0.75)) * (2.0 + 0.5 * np.sin(0.0))
     assert np.allclose(out[0], expect * np.eye(2), atol=1e-13)
 
@@ -175,10 +175,10 @@ def test_fine_scale_consistency_random_points():
     sched = ScaleSchedule(0.125, (8,))
     rng = np.random.default_rng(5)
     x = rng.random((1000, 2))
-    fine = fine_callable(spec, sched, "b")(x)
+    a_eps, b_eps = fine_coefficients(spec, sched)
     ys = [np.mod(x / e, 1.0) for e in sched.epsilons]
-    manual = spec.eval_b(x, ys)
-    assert np.allclose(fine, manual, rtol=0, atol=1e-14)
+    assert np.allclose(a_eps(x), spec.eval_a(x, ys), rtol=0, atol=1e-14)
+    assert np.allclose(b_eps(x), spec.eval_b(x, ys), rtol=0, atol=1e-14)
 
 
 def test_schedule_invariants():

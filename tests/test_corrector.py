@@ -8,7 +8,7 @@ from maxhom import fem, wave
 from maxhom import corrector as corr
 from maxhom import unfolding as uf
 from maxhom.cells import homogenize
-from maxhom.coeffs import CoefficientPart, CoefficientSpec, ScaleSchedule
+from maxhom.coeffs import CoefficientPart, CoefficientSpec, ScaleSchedule, fine_coefficients
 from maxhom.mesh import DomainMesh
 
 LAYERED = {"scale": 1, "axis": 0, "offset": 2.0, "amplitude": 1.0}
@@ -47,10 +47,9 @@ def layered_setup():
     fine_mesh = DomainMesh(2, 128)
     data = wave.WaveData(T=0.25, dt=1 / 64, g1=cavity11, f=bubble_forcing(),
                          store_every=2, tol=1e-11)
-    tf = wave.integrate(wave.setup_problem("fine", fine_mesh, data, spec=spec,
-                                           schedule=sched))
+    tf = wave.integrate(wave.setup_problem(fine_mesh, data, fine_coefficients(spec, sched)))
     hm = DomainMesh(2, 32)
-    th = wave.integrate(wave.setup_problem("homogenized", hm, data, hom=hom))
+    th = wave.integrate(wave.setup_problem(hm, data, hom.coefficients()))
     return spec, hom, sched, fine_mesh, tf, th
 
 
@@ -64,7 +63,7 @@ def test_constant_coefficients_collapse_bitwise():
     sched = ScaleSchedule(1 / 4)
     mesh = DomainMesh(2, 32)
     data = wave.WaveData(T=0.2, dt=0.05, g1=cavity11, store_every=2)
-    th = wave.integrate(wave.setup_problem("homogenized", mesh, data, hom=hom))
+    th = wave.integrate(wave.setup_problem(mesh, data, hom.coefficients()))
     field = corr.reconstruct_corrector(th, hom, sched, g1=cavity11, fine_mesh=mesh)
     assert np.abs(field.P).max() == 0.0
     assert np.array_equal(field.G, np.ones((len(field.G), 1, 1)))
@@ -133,9 +132,9 @@ def test_constant_case_discretization_level():
     fm = DomainMesh(2, 64)
     data = wave.WaveData(T=0.25, dt=1 / 64, g1=cavity11, f=bubble_forcing(),
                          store_every=4, tol=1e-11)
-    tf = wave.integrate(wave.setup_problem("fine", fm, data, spec=spec, schedule=sched))
+    tf = wave.integrate(wave.setup_problem(fm, data, fine_coefficients(spec, sched)))
     hm = DomainMesh(2, 32)
-    th = wave.integrate(wave.setup_problem("homogenized", hm, data, hom=hom))
+    th = wave.integrate(wave.setup_problem(hm, data, hom.coefficients()))
     field = corr.reconstruct_corrector(th, hom, sched, g1=cavity11, fine_mesh=fm)
     errs = corr.corrector_error(tf, field)
     vel_scale = np.sqrt(np.sum(field.wq * np.sum(cavity11(field.xq) ** 2, axis=1)))
@@ -176,7 +175,7 @@ def test_coarse_homogenized_mesh_refused():
     sched = ScaleSchedule(1 / 8)
     mesh = DomainMesh(2, 64)
     data = wave.WaveData(T=0.1, dt=0.05, g1=cavity11, store_every=1)
-    th = wave.integrate(wave.setup_problem("homogenized", DomainMesh(2, 4), data, hom=hom))
+    th = wave.integrate(wave.setup_problem(DomainMesh(2, 4), data, hom.coefficients()))
     with pytest.raises(corr.CorrectorInputError, match="alias"):
         corr.reconstruct_corrector(th, hom, sched, g1=cavity11, fine_mesh=mesh)
 
@@ -316,8 +315,8 @@ def test_ems_constant_coefficients_discretization_level():
     sched = ScaleSchedule(1 / 8)
     fm = DomainMesh(2, 64)
     data = wave.WaveData(T=0.25, dt=1 / 64, g1=cavity11, store_every=4, tol=1e-11)
-    tf = wave.integrate(wave.setup_problem("fine", fm, data, spec=spec, schedule=sched))
-    th = wave.integrate(wave.setup_problem("homogenized", DomainMesh(2, 32), data, hom=hom))
+    tf = wave.integrate(wave.setup_problem(fm, data, fine_coefficients(spec, sched)))
+    th = wave.integrate(wave.setup_problem(DomainMesh(2, 32), data, hom.coefficients()))
     ems = corr.multiscale_corrector_error(tf, th, hom, sched, g1=cavity11)
     # folding averages the slow fields over eps-cells: O(eps |grad|) + O(h)
     assert ems.max_ms < 1.5  # vs O(10) field scales
@@ -336,9 +335,8 @@ def n2_setup():
     sched = ScaleSchedule(1 / 4, (4,))
     fm = DomainMesh(2, 64)
     data = wave.WaveData(T=0.125, dt=1 / 64, g1=cavity11, store_every=4, tol=1e-10)
-    tf = wave.integrate(wave.setup_problem("fine", fm, data, spec=spec,
-                                           schedule=sched))
-    th = wave.integrate(wave.setup_problem("homogenized", DomainMesh(2, 32), data, hom=hom))
+    tf = wave.integrate(wave.setup_problem(fm, data, fine_coefficients(spec, sched)))
+    th = wave.integrate(wave.setup_problem(DomainMesh(2, 32), data, hom.coefficients()))
     return hom, sched, tf, th
 
 
@@ -536,9 +534,8 @@ def n3_setup():
     fm = DomainMesh(2, 32)
     data = wave.WaveData(T=0.125, dt=1 / 64, g1=cavity11, f=bubble_forcing(), store_every=4,
                          tol=1e-10)
-    tf = wave.integrate(wave.setup_problem("fine", fm, data, spec=spec,
-                                           schedule=sched))
-    th = wave.integrate(wave.setup_problem("homogenized", DomainMesh(2, 16), data, hom=hom))
+    tf = wave.integrate(wave.setup_problem(fm, data, fine_coefficients(spec, sched)))
+    th = wave.integrate(wave.setup_problem(DomainMesh(2, 16), data, hom.coefficients()))
     return hom, sched, tf, th
 
 

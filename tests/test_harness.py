@@ -526,6 +526,9 @@ RUN_KEY_CONFIGS = {"simulate": ("simulate", CONST_SIM), "sweep": ("sweep", LAYER
     # the closed-form coefficient range holds on the unit box: a fine run on
     # another box once ran with its x modulation outside the checked range
     ("xdep-fine-simulate", "sim.extent", "2"),
+    # h = 1/8 > eps/4: once refused inside wave.setup_problem, after the output
+    # directory was made, by a message that named no key
+    ("xdep-fine-simulate", "sim.n", "8"),
     # the folded corrector's hypotheses: once refused (exit 3) after the cell
     # solves and every leg's time loops, with tensors.txt written
     ("folded-sweep", "coeff.a.x_amplitude", "0.5"),
@@ -552,6 +555,19 @@ def test_cli_run_key_checked_before_cell_solves(tmp_path, capsys, monkeypatch, c
     assert err.startswith("error: ") and key in err
     assert not out.exists()
     assert solves == []
+
+
+def test_fine_setup_underresolved_rejected(tmp_path, capsys):
+    # h = 1/8 > eps/4 at eps = 1/4: the message names the keys and the N that resolves eps
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(CONST_SIM.replace("sim.kind = homogenized", "sim.kind = fine")
+                        + "schedule.epsilon = 0.25\n")
+    out = tmp_path / "o"
+    assert harness.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sim.n 8 with schedule.epsilon 0.25: ")
+    assert "need N >= 16" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("config", ["xdep-sweep", "xdep-simulate", "xdep-fine-simulate",
@@ -796,6 +812,18 @@ def test_simulate_without_snapshots_stores_none(tmp_path, monkeypatch, peak_byte
         assert not (tmp_path / str(every) / "snapshots.bin").exists()
     row = 8 * traj.mesh.n_interior_edges
     assert peaks[2] - peaks[1] <= 2 * row, (peaks[2] - peaks[1]) / row
+
+
+def test_benchmark_tracer_installs():
+    # perfbench/tracing.py wraps maxhom functions by name; a renamed or deleted
+    # one breaks the benchmark's --trace runs
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(root, "src"), os.path.join(root, "perfbench")]))
+    proc = subprocess.run([sys.executable, "-c",
+                           "import tracing; tracing.install(tracing.Tracer())"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _config_texts():

@@ -1,3 +1,4 @@
+import ast
 import os
 import struct
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from maxhom import fem, wave
 from maxhom.cells import HomogenizationError, homogenize
-from maxhom.coeffs import CoefficientPart, CoefficientSpec, ScaleSchedule
+from maxhom.coeffs import CoefficientPart, CoefficientSpec, ScaleSchedule, fine_coefficients
 from maxhom.mesh import DomainMesh
 
 OMEGA11 = np.pi * np.sqrt(2.0)
@@ -48,7 +49,7 @@ def rel_l2_error_at_T(traj, exact_fn, T):
 def test_setup_dimensions_match_interior_count(unit_hom):
     mesh = DomainMesh(2, 4)
     data = wave.WaveData(T=0.1, dt=0.05)
-    prob = wave.setup_problem("homogenized", mesh, data, hom=unit_hom)
+    prob = wave.setup_problem(mesh, data, unit_hom.coefficients())
     assert prob.M.n == mesh.n_interior_edges
     assert prob.K.n == mesh.n_interior_edges
 
@@ -59,7 +60,7 @@ def test_step_matrix_is_data_arithmetic_on_the_shared_pattern(unit_hom, d):
         3, 1, a=CoefficientPart("constant", {"value": 1.0}),
         b=CoefficientPart("constant", {"value": 2.0}), alpha=0.5, beta=2.5), cell_N=2)
     data = wave.WaveData(T=0.1, dt=0.05)
-    prob = wave.setup_problem("homogenized", DomainMesh(d, 4), data, hom=hom)
+    prob = wave.setup_problem(DomainMesh(d, 4), data, hom.coefficients())
     K, M, L = prob.K.A, prob.M.A, prob.step_system.A
     for A in (K, L):
         assert np.shares_memory(A.indices, M.indices)
@@ -69,8 +70,8 @@ def test_step_matrix_is_data_arithmetic_on_the_shared_pattern(unit_hom, d):
 
 
 def test_step_matrix_refuses_k_and_m_on_two_patterns(unit_hom):
-    prob = wave.setup_problem("homogenized", DomainMesh(2, 4), wave.WaveData(T=0.1, dt=0.05),
-                              hom=unit_hom)
+    prob = wave.setup_problem(DomainMesh(2, 4), wave.WaveData(T=0.1, dt=0.05),
+                              unit_hom.coefficients())
     diagonal = fem.SparseSymSystem(prob.M.n, sp.diags(prob.M.A.diagonal()).tocsr())
     with pytest.raises(wave.WaveSetupError, match="one pattern"):
         wave.WaveProblem(prob.mesh, diagonal, prob.K, prob.data)
@@ -86,10 +87,21 @@ def test_homogenized_x_dependent_coefficient_only_on_the_unit_box(unit_hom):
     xdep = homogenize(spec, cell_N=8, slow_x=3)
     data = wave.WaveData(T=0.1, dt=0.05)
     with pytest.raises(HomogenizationError, match="outside the unit box"):
-        wave.setup_problem("homogenized", DomainMesh(2, 8, 2.0), data, hom=xdep)
-    prob = wave.setup_problem("homogenized", DomainMesh(2, 8, 2.0), data, hom=unit_hom)
+        wave.setup_problem(DomainMesh(2, 8, 2.0), data, xdep.coefficients())
+    prob = wave.setup_problem(DomainMesh(2, 8, 2.0), data, unit_hom.coefficients())
     assert np.all(np.isfinite(wave.integrate(prob).energies))
-    wave.setup_problem("homogenized", DomainMesh(2, 8), data, hom=xdep)
+    wave.setup_problem(DomainMesh(2, 8), data, xdep.coefficients())
+
+
+def test_wave_imports_only_fem_and_mesh():
+    # the integrator takes its coefficient pair as callables: it knows no
+    # coefficient spec, schedule or homogenization result
+    tree = ast.parse(open(wave.__file__).read())
+    relative = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            relative.update([node.module] if node.module else [a.name for a in node.names])
+    assert relative == {"fem", "mesh"}
 
 
 def test_forcing_must_be_a_forcing():
@@ -97,20 +109,11 @@ def test_forcing_must_be_a_forcing():
         wave.WaveData(T=0.1, dt=0.05, f=lambda t, x: np.zeros_like(x))
 
 
-def test_fine_setup_underresolved_rejected():
-    mesh = DomainMesh(2, 8)
-    data = wave.WaveData(T=0.1, dt=0.05)
-    with pytest.raises(wave.WaveSetupError, match="need N >= 16"):
-        wave.setup_problem("fine", mesh, data, spec=const_spec(),
-                           schedule=ScaleSchedule(0.25))
-
-
 def test_fine_and_homogenized_agree_for_constants(unit_hom):
     mesh = DomainMesh(2, 16)
     data = wave.WaveData(T=0.1, dt=0.05)
-    pf = wave.setup_problem("fine", mesh, data, spec=const_spec(),
-                            schedule=ScaleSchedule(0.25))
-    ph = wave.setup_problem("homogenized", mesh, data, hom=unit_hom)
+    pf = wave.setup_problem(mesh, data, fine_coefficients(const_spec(), ScaleSchedule(0.25)))
+    ph = wave.setup_problem(mesh, data, unit_hom.coefficients())
     assert abs(pf.M.A - ph.M.A).max() < 1e-14
     assert abs(pf.K.A - ph.K.A).max() < 1e-14
 
@@ -118,7 +121,7 @@ def test_fine_and_homogenized_agree_for_constants(unit_hom):
 def test_nonzero_boundary_trace_rejected(unit_hom):
     mesh = DomainMesh(2, 8)
     data = wave.WaveData(T=0.1, dt=0.05, g0=lambda x: np.ones((len(x), 2)))
-    prob = wave.setup_problem("homogenized", mesh, data, hom=unit_hom)
+    prob = wave.setup_problem(mesh, data, unit_hom.coefficients())
     with pytest.raises(wave.WaveSetupError, match="tangential trace"):
         wave.integrate(prob)
 
@@ -129,7 +132,7 @@ def test_nonzero_boundary_trace_rejected(unit_hom):
 def test_zero_data_zero_trajectory(unit_hom):
     mesh = DomainMesh(2, 8)
     data = wave.WaveData(T=0.2, dt=0.05)
-    traj = wave.integrate(wave.setup_problem("homogenized", mesh, data, hom=unit_hom))
+    traj = wave.integrate(wave.setup_problem(mesh, data, unit_hom.coefficients()))
     assert np.abs(traj.U).max() == 0.0
     assert np.abs(traj.energies).max() == 0.0
 
@@ -139,7 +142,7 @@ def test_cavity_mode_convergence(unit_hom):
     for N in (8, 16, 32):
         mesh = DomainMesh(2, N)
         data = wave.WaveData(T=0.5, dt=mesh.h / 2, g0=cavity11, store_every=10 ** 9)
-        traj = wave.integrate(wave.setup_problem("homogenized", mesh, data, hom=unit_hom))
+        traj = wave.integrate(wave.setup_problem(mesh, data, unit_hom.coefficients()))
         errs.append(rel_l2_error_at_T(traj, lambda x: np.cos(OMEGA11 * 0.5) * cavity11(x), 0.5))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) >= 0.9
@@ -149,7 +152,7 @@ def test_forced_long_time_average_matches_static_solve(unit_hom):
     # f = K z for a curl-compatible z: the trajectory oscillates about z
     mesh = DomainMesh(2, 8)
     data0 = wave.WaveData(T=0.1, dt=0.05)
-    prob = wave.setup_problem("homogenized", mesh, data0, hom=unit_hom)
+    prob = wave.setup_problem(mesh, data0, unit_hom.coefficients())
     rng = np.random.default_rng(6)
     z = rng.standard_normal(prob.K.n)
     # project z onto the curl-compatible part (range of K) via a solve
@@ -159,7 +162,7 @@ def test_forced_long_time_average_matches_static_solve(unit_hom):
     load = prob.K.A @ z_comp
 
     data = wave.WaveData(T=40.0, dt=0.05, store_every=1, tol=1e-11)
-    prob2 = wave.setup_problem("homogenized", mesh, data, hom=unit_hom)
+    prob2 = wave.setup_problem(mesh, data, unit_hom.coefficients())
     prob2.f_load = load
     prob2.data.f = wave.Forcing(None, lambda t: 1.0)
     traj = wave.integrate(prob2)
@@ -173,16 +176,14 @@ def test_forced_long_time_average_matches_static_solve(unit_hom):
 
 def test_energy_zero_state(unit_hom):
     mesh = DomainMesh(2, 6)
-    prob = wave.setup_problem("homogenized", mesh, wave.WaveData(T=0.1, dt=0.05),
-                              hom=unit_hom)
+    prob = wave.setup_problem(mesh, wave.WaveData(T=0.1, dt=0.05), unit_hom.coefficients())
     n = prob.M.n
     assert wave.energy(prob, np.zeros(n), np.zeros(n)) == 0.0
 
 
 def test_energy_velocity_only_state(unit_hom):
     mesh = DomainMesh(2, 6)
-    prob = wave.setup_problem("homogenized", mesh, wave.WaveData(T=0.1, dt=0.05),
-                              hom=unit_hom)
+    prob = wave.setup_problem(mesh, wave.WaveData(T=0.1, dt=0.05), unit_hom.coefficients())
     g1 = fem.edge_interpolate(mesh, cavity11)[mesh.interior_edges]
     e = wave.energy(prob, np.zeros(prob.M.n), g1)
     assert e == pytest.approx(0.5 * g1 @ (prob.M.A @ g1))
@@ -193,7 +194,7 @@ def test_energy_conservation_1000_steps(unit_hom):
     mesh = DomainMesh(2, 16)
     data = wave.WaveData(T=1000 / 64.0, dt=1 / 64.0, g0=cavity11,
                          store_every=10 ** 9, tol=1e-12)
-    traj = wave.integrate(wave.setup_problem("homogenized", mesh, data, hom=unit_hom))
+    traj = wave.integrate(wave.setup_problem(mesh, data, unit_hom.coefficients()))
     drift = np.abs(traj.energies - traj.energies[0]).max() / traj.energies[0]
     assert drift <= 1e-8
     ratios = traj.energies / traj.energies[0]
@@ -203,7 +204,7 @@ def test_energy_conservation_1000_steps(unit_hom):
 def test_time_reversal(unit_hom):
     mesh = DomainMesh(2, 12)
     data = wave.WaveData(T=0.5, dt=1 / 48.0, g0=cavity11, store_every=10 ** 9, tol=1e-12)
-    prob = wave.setup_problem("homogenized", mesh, data, hom=unit_hom)
+    prob = wave.setup_problem(mesh, data, unit_hom.coefficients())
     fwd = wave.integrate(prob)
     back = wave.integrate(prob, u0=fwd.U[-1], v0=-fwd.V[-1])
     u0 = prob.interpolate_initial(cavity11, "g0")
@@ -238,8 +239,8 @@ def free_wave_cases(draw):
     steps = draw(st.integers(1, 20))
     dt = draw(st.floats(0.01, 0.2))
     data = wave.WaveData(T=steps * dt, dt=dt, store_every=steps, tol=1e-12)
-    prob = wave.setup_problem("fine", DomainMesh(2, N, extent), data, spec=spec,
-                              schedule=ScaleSchedule(0.5))
+    prob = wave.setup_problem(DomainMesh(2, N, extent), data,
+                              fine_coefficients(spec, ScaleSchedule(0.5)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     return prob, rng.standard_normal(prob.M.n), rng.standard_normal(prob.M.n)
 
@@ -276,8 +277,7 @@ def test_apriori_bound_uniform_in_eps():
     for eps, N in ((0.25, 16), (0.125, 32)):
         mesh = DomainMesh(2, N)
         data = wave.WaveData(T=0.5, dt=mesh.h, g1=cavity11, f=fsp, store_every=4)
-        prob = wave.setup_problem("fine", mesh, data, spec=spec,
-                                  schedule=ScaleSchedule(eps))
+        prob = wave.setup_problem(mesh, data, fine_coefficients(spec, ScaleSchedule(eps)))
         traj = wave.integrate(prob)
         state = max(np.sqrt(2 * e) for e in traj.energies)
         g1n = np.sqrt(prob.interpolate_initial(cavity11, "g1") @ (
@@ -300,7 +300,7 @@ def test_trajectory_csv_and_snapshot_roundtrip(tmp_path, unit_hom):
     mesh = DomainMesh(2, 6)
     data = wave.WaveData(T=0.2, dt=0.05, g0=cavity11, store_every=2,
                          probe_edges=(0, 5))
-    traj = wave.integrate(wave.setup_problem("homogenized", mesh, data, hom=unit_hom))
+    traj = wave.integrate(wave.setup_problem(mesh, data, unit_hom.coefficients()))
     csv_path = os.path.join(tmp_path, "trajectory.csv")
     wave.export_trajectory_csv(traj, csv_path)
     lines = open(csv_path).read().splitlines()
@@ -309,7 +309,7 @@ def test_trajectory_csv_and_snapshot_roundtrip(tmp_path, unit_hom):
     assert float(lines[1].split(",")[1]) == traj.energies[0]
 
     bin_path = os.path.join(tmp_path, "snapshots.bin")
-    stream(wave.setup_problem("homogenized", mesh, data, hom=unit_hom), bin_path)
+    stream(wave.setup_problem(mesh, data, unit_hom.coefficients()), bin_path)
     back = wave.read_snapshots(bin_path)
     assert back["N"] == 6 and back["d"] == 2
     assert np.array_equal(back["U"], traj.U)
@@ -321,10 +321,10 @@ def test_thinned_snapshots_are_rows_of_every_step(unit_hom):
     # 7 steps kept every 3rd step: rows 0, 3, 6 and the final step 7
     mesh = DomainMesh(2, 6)
     data = dict(T=0.35, dt=0.05, g0=cavity11, f=wave.Forcing(cavity11, np.cos), tol=1e-11)
-    every = wave.integrate(wave.setup_problem("homogenized", mesh,
-                                              wave.WaveData(store_every=1, **data), hom=unit_hom))
-    thin = wave.integrate(wave.setup_problem("homogenized", mesh,
-                                             wave.WaveData(store_every=3, **data), hom=unit_hom))
+    every = wave.integrate(wave.setup_problem(mesh, wave.WaveData(store_every=1, **data),
+                                              unit_hom.coefficients()))
+    thin = wave.integrate(wave.setup_problem(mesh, wave.WaveData(store_every=3, **data),
+                                             unit_hom.coefficients()))
     assert thin.snap_steps.tolist() == [0, 3, 6, 7]
     assert np.array_equal(thin.U, every.U[thin.snap_steps])
     assert np.array_equal(thin.V, every.V[thin.snap_steps])
@@ -334,7 +334,7 @@ def test_thinned_snapshots_are_rows_of_every_step(unit_hom):
 def test_snapshot_bytes_match_struct_layout(tmp_path, unit_hom):
     mesh = DomainMesh(2, 5, 1.25)
     data = wave.WaveData(T=0.15, dt=0.05, g0=lambda x: cavity11(x / 1.25), store_every=2)
-    prob = wave.setup_problem("homogenized", mesh, data, hom=unit_hom)
+    prob = wave.setup_problem(mesh, data, unit_hom.coefficients())
     traj = wave.integrate(prob)
     path = os.path.join(tmp_path, "snapshots.bin")
     stream(prob, path)
@@ -351,7 +351,7 @@ def test_streamed_snapshots_equal_kept_ones(tmp_path, unit_hom, store_every):
     mesh = DomainMesh(2, 6)
     data = wave.WaveData(T=0.4, dt=0.05, g0=cavity11, f=wave.Forcing(cavity11, np.cos),
                          store_every=store_every, tol=1e-11)
-    prob = wave.setup_problem("homogenized", mesh, data, hom=unit_hom)
+    prob = wave.setup_problem(mesh, data, unit_hom.coefficients())
     kept = wave.integrate(prob)
     path = os.path.join(tmp_path, "snapshots.bin")
     streamed = stream(prob, path)
@@ -369,7 +369,7 @@ def test_streamed_snapshots_equal_kept_ones(tmp_path, unit_hom, store_every):
 def test_snapshot_file_removed_unless_complete(tmp_path, unit_hom):
     mesh = DomainMesh(2, 4)
     data = wave.WaveData(T=0.2, dt=0.05, g0=cavity11, store_every=1)
-    prob = wave.setup_problem("homogenized", mesh, data, hom=unit_hom)
+    prob = wave.setup_problem(mesh, data, unit_hom.coefficients())
     path = os.path.join(tmp_path, "snapshots.bin")
     with pytest.raises(RuntimeError, match="stop"):
         with wave.export_snapshots(prob, path) as sink:
@@ -389,7 +389,7 @@ def test_streamed_integrate_memory_does_not_grow_with_snapshots(tmp_path, unit_h
 
     def peak(store_every, streamed=True):
         data = wave.WaveData(T=4.0, dt=1 / 64, g0=cavity11, store_every=store_every)
-        prob = wave.setup_problem("homogenized", mesh, data, hom=unit_hom)
+        prob = wave.setup_problem(mesh, data, unit_hom.coefficients())
         if streamed:
             return peak_bytes(lambda: stream(prob, os.path.join(tmp_path, "snapshots.bin")))
         return peak_bytes(lambda: wave.integrate(prob))
@@ -419,7 +419,7 @@ def test_3d_wave_smoke():
         return out
 
     data = wave.WaveData(T=0.2, dt=0.05, g0=g0, store_every=2, tol=1e-11)
-    traj = wave.integrate(wave.setup_problem("homogenized", mesh, data, hom=hom3))
+    traj = wave.integrate(wave.setup_problem(mesh, data, hom3.coefficients()))
     assert traj.U.shape[1] == mesh.n_interior_edges
     drift = np.abs(traj.energies - traj.energies[0]).max() / traj.energies[0]
     assert drift < 1e-9
