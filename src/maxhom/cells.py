@@ -9,7 +9,7 @@ cover the unit box [0, 1]^d).  Tensors are computed in the symmetrized energy
 form, which is Galerkin-identical to the flux form and exactly symmetric.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import functools
 import itertools
 
@@ -105,12 +105,7 @@ def solve_scalar_cell(coef_fn, mesh, tol=1e-12, guess=None, pattern=None):
     fem.nodal_pattern, built per call when None.
     """
     system, cbar = fem.assemble_scalar_stiffness(mesh, coef_fn, pattern)
-    rhs = fem.scalar_cell_rhs(mesh, cbar)
-    W = np.empty((mesh.d, mesh.n_nodes))
-    for k in range(mesh.d):
-        W[k] = fem.solve_spd(system, rhs[k], rel_tol=tol,
-                             guess=None if guess is None else guess[k])
-    return W, cbar
+    return _solve_rows(system, fem.scalar_cell_rhs(mesh, cbar), tol, guess), cbar
 
 
 def solve_curl_cell(coef_fn, mesh, tol=1e-12, guess=None, pattern=None):
@@ -123,12 +118,14 @@ def solve_curl_cell(coef_fn, mesh, tol=1e-12, guess=None, pattern=None):
     the mesh's fem.edge_pattern, built per call when None.
     """
     system, abar = fem.assemble_curl_stiffness(mesh, coef_fn, pattern)
-    rhs = fem.curl_cell_rhs(mesh, abar)
-    Nc = np.empty_like(rhs)
-    for l in range(rhs.shape[0]):
-        Nc[l] = fem.solve_spd(system, rhs[l], rel_tol=tol,
-                              guess=None if guess is None else guess[l])
-    return Nc, abar
+    return _solve_rows(system, fem.curl_cell_rhs(mesh, abar), tol, guess), abar
+
+
+def _solve_rows(system, rhs, tol, guess):
+    """One fem.solve_spd per right-hand-side row, each offered its row of guess."""
+    return np.stack([fem.solve_spd(system, rhs[k], rel_tol=tol,
+                                   guess=None if guess is None else guess[k])
+                     for k in range(len(rhs))])
 
 
 def _energy_tensor(mesh, coef, local, ref_vec, ref_mat, order):
@@ -169,9 +166,9 @@ def curl_level_tensor(mesh, abar, Nc):
 # ---------------------------------------------------------------------------
 # the recursion
 
-@dataclass
+@dataclass(frozen=True)
 class HomogenizationResult:
-    """Level tensors on their sample grids plus the cached cell solutions.
+    """Level tensors on their sample grids plus the cell solutions, written by homogenize.
 
     x_grid samples x on the unit box and y_grids[j - 1] samples y_j.
     tensors[("b", i)] has shape (nx, ny_1, ..., ny_i) + (d, d), the sizes of
@@ -179,9 +176,8 @@ class HomogenizationResult:
     d(d-1)/2 curl components (1 in 2D, 3 in 3D).  b0/a0 are the level-0 fields
     at the x samples and coefficients() their interpolants.  cells[("b",
     level, sample)] is the mean-zero W (d, n_nodes) of that cell solve and
-    cells[("a", level, sample)] its Nc (m, n_edges).  fold_tables[ratios]
-    keeps the eps-independent tables of the folded corrector built from these
-    cell solutions (maxhom.corrector), so a sweep builds them once.
+    cells[("a", level, sample)] its Nc (m, n_edges).  The fields are never
+    reassigned; the correctors only read them.
     """
 
     spec: object
@@ -189,11 +185,10 @@ class HomogenizationResult:
     x_grid: SampleGrid
     y_grids: tuple
     tensors: dict
-    cells: dict = field(default_factory=dict)
-    fold_tables: dict = field(default_factory=dict, repr=False)
+    cells: dict
 
     def __post_init__(self):
-        self._mesh = CellMesh(self.d, self.cell_N)
+        object.__setattr__(self, "_mesh", CellMesh(self.d, self.cell_N))
 
     @property
     def d(self):
@@ -201,7 +196,7 @@ class HomogenizationResult:
 
     @property
     def mesh(self):
-        """The cell mesh of every cell solve and cached cell solution."""
+        """The cell mesh of every cell solve and cell solution."""
         return self._mesh
 
     def _level0(self, which):
@@ -222,9 +217,6 @@ class HomogenizationResult:
     def a0(self):
         """a^0 at the x sample points: (nx, m, m), (nx, 1, 1) in 2D."""
         return self._level0("a")
-
-    def cell_solution(self, which, level, sample_index):
-        return self.cells[(which, level, sample_index)]
 
     def export_text(self, path):
         """Full-precision structured text dump for regression snapshots."""
@@ -293,7 +285,7 @@ def homogenize(spec, cell_N, slow_x=None, slow_y=None, tol=1e-12):
     """
     d, n = spec.d, spec.n_scales
     x_grid, y_grids = sample_grids(spec, slow_x, slow_y)
-    result = HomogenizationResult(spec, cell_N, x_grid, y_grids, {})
+    result = HomogenizationResult(spec, cell_N, x_grid, y_grids, {}, {})
     mesh = result.mesh
 
     # b acts on d-vectors, a on curls of d(d-1)/2 components; the solvers and

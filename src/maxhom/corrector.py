@@ -14,11 +14,11 @@ the average over eps macro-cells.  The factors P, G do not depend on time and
 are built once per run (folded, n >= 2: the slow levels' cell fields, each
 evaluated once per sample at the cell centres, blended over the slow grids and
 multiplied level by level as arrays on the nested grid of cell centres, then
-averaged over the nested subcells into tables that do not depend on eps and
-are kept on the HomogenizationResult, times exact samples of the innermost cell
-fields, on the quadrature points of one eps-period of fine cells); one stamp
-loop serves both.  The eps macro-cells of A and the nested subcells of the
-tables are cells of the one eps-lattice of maxhom.unfolding (lattice_cells,
+averaged over the nested subcells into tables that do not depend on eps,
+built once per call, times exact samples of the innermost cell fields, on the
+quadrature points of one eps-period of fine cells); one stamp loop serves
+both.  The eps macro-cells of A and the nested subcells of the tables are
+cells of the one eps-lattice of maxhom.unfolding (lattice_cells,
 lattice_index), the cells that unfolding.fold reads.
 
 Error norms are L^2(D) per stored stamp, via the fine mesh's Gauss grid; the
@@ -44,18 +44,17 @@ class CorrectorInputError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# cached cell fields at points
+# cell fields at points
 
 def _cell_fields(hom, level, sample, cells, local):
-    """grad_y w^r and curl_y N^r of the cached cell solutions at (level, sample).
+    """grad_y w^r and curl_y N^r of the cell solutions at (level, sample).
 
     cells, local: the points located on hom.mesh.  Returns (npts, d, d) and
     (npts, m, m), with the field index r last.
     """
     mesh = hom.mesh
-    dw = fem.eval_nodal_gradient(mesh, hom.cell_solution("b", level, sample), None,
-                                 cells, local)
-    cn = fem.eval_edge_curl(mesh, hom.cell_solution("a", level, sample), None, cells, local)
+    dw = fem.eval_nodal_gradient(mesh, hom.cells[("b", level, sample)], None, cells, local)
+    cn = fem.eval_edge_curl(mesh, hom.cells[("a", level, sample)], None, cells, local)
     return dw, cn
 
 
@@ -331,17 +330,16 @@ def _fold_tables(hom, ratios):
     return A, C
 
 
-def _fold_factors(hom, schedule, xq, tables=None):
+def _fold_factors(hom, schedule, xq):
     """Factors (P, G) of the folded corrector at the points xq, n >= 2 (2D).
 
-    tables: the (A, C) of _fold_tables(hom, schedule.ratios), built here when
-    None.  With k the nested subcell of a point and P_nu, N_nu the level-n
-    cell fields of sample nu at y_n: P = sum_nu A[k, nu] - I + sum_nu P_nu
-    A[k, nu] and G = sum_nu (I + curl_y N_nu) C[k, nu], summed over
-    C[k, nu] != 0.
+    With (A, C) the tables of _fold_tables(hom, schedule.ratios), k the nested
+    subcell of a point and P_nu, N_nu the level-n cell fields of sample nu at
+    y_n: P = sum_nu A[k, nu] - I + sum_nu P_nu A[k, nu] and G = sum_nu (I +
+    curl_y N_nu) C[k, nu], summed over C[k, nu] != 0.
     """
     d, n, ratios = hom.d, schedule.n_scales, schedule.ratios
-    A, C = _fold_tables(hom, ratios) if tables is None else tables
+    A, C = _fold_tables(hom, ratios)
     *ys, yn = schedule.fast_variables(xq)
     k = np.ravel_multi_index(_subcells(ys, ratios), tuple(r ** d for r in ratios))
     cells, local = hom.mesh.locate(yn)
@@ -393,12 +391,8 @@ def multiscale_corrector_error(fine_traj, u0_traj, hom, schedule, g1=None):
     if schedule.n_scales == 1:
         P, G = cell_factors(hom, schedule.fast_variables(xq)[0])
     else:   # y_1..y_n repeat every eps: one period of points is built, each point reads its row
-        # the tables do not depend on eps: a sweep builds them once, for its first leg
-        tables = hom.fold_tables.get(schedule.ratios)
-        if tables is None:
-            tables = hom.fold_tables[schedule.ratios] = _fold_tables(hom, schedule.ratios)
         xt, rows = _period_points(mesh, schedule.epsilon)
-        P, G = _fold_factors(hom, schedule, xt, tables)
+        P, G = _fold_factors(hom, schedule, xt)
         P, G = P[rows], G[rows]
     g1_vals = g1(xq) if g1 is not None else np.zeros_like(xq)
     corr = CorrectorField(times=u0_traj.snap_times, fine_mesh=mesh, u0_traj=u0_traj,

@@ -70,7 +70,6 @@ _REQUIRED = object()
 
 SCHEMA = {
     "mode": (str, _REQUIRED),
-    "out": (str, "out"),
     "tol": (float, 1e-12),
     "coeff.d": (int, 2),
     "coeff.n": (int, 1),
@@ -164,17 +163,11 @@ def _fmt_value(v):
     return str(v)
 
 
-# execution-environment keys: left out of the canonical config, so that output
-# paths change neither the fingerprint nor the size of the manifest
-_NON_SEMANTIC = ("out",)
-
-
 def canonical_config(cfg):
-    """cfg without its execution keys, as text that parse_config reads back: one
-    key a line in key order, an unset key as a comment line."""
-    keys = sorted(k for k in cfg if k not in _NON_SEMANTIC)
+    """cfg as text that parse_config reads back: one key a line in key order, an
+    unset key as a comment line."""
     return "\n".join(f"# {k} unset" if cfg[k] is None else f"{k} = {_fmt_value(cfg[k])}"
-                     for k in keys)
+                     for k in sorted(cfg))
 
 
 def fingerprint(cfg):
@@ -210,13 +203,20 @@ def build_spec(cfg):
 
 
 def build_schedule(cfg, epsilon=None):
+    """The ScaleSchedule of schedule.epsilon, or of a sweep leg's epsilon."""
     eps = epsilon if epsilon is not None else cfg["schedule.epsilon"]
     if eps is None:
         raise ConfigError("schedule.epsilon is required")
     ratios = cfg["schedule.ratios"]
     if 1 + len(ratios) != cfg["coeff.n"]:
         raise ConfigError("schedule.ratios must provide one ratio per extra scale")
-    return ScaleSchedule(eps, ratios)
+    try:
+        return ScaleSchedule(eps, ratios)
+    except CoefficientError as exc:
+        keys = f"{'schedule.epsilon' if epsilon is None else 'sweep.epsilons'} {eps:g}"
+        if ratios:
+            keys += f" with schedule.ratios {_fmt_value(ratios)}"
+        raise ConfigError(f"{keys}: {exc}") from None
 
 
 def _cavity(m, n):
@@ -385,8 +385,8 @@ def run_simulate(cfg, outdir):
 def fit_slope(pairs):
     """Least-squares slope of log(error) against log(eps)."""
     pairs = list(pairs)
-    if len(pairs) < 2:
-        raise ConfigError("need at least two (eps, error) pairs for a slope")
+    if len({p[0] for p in pairs}) < 2:
+        raise ConfigError("need (eps, error) pairs at two or more distinct eps for a slope")
     eps = np.array([p[0] for p in pairs], dtype=float)
     err = np.array([p[1] for p in pairs], dtype=float)
     if np.any(eps <= 0) or np.any(err <= 0):
@@ -501,7 +501,10 @@ NUMERICAL_FAILURES = (fem.SolveError, HomogenizationError, corrector.CorrectorIn
 def run_sweep(cfg, outdir):
     eps_list = cfg["sweep.epsilons"]
     if len(eps_list) < 3:
-        raise ConfigError("sweep mode requires at least 3 epsilon values for a slope fit")
+        raise ConfigError("sweep.epsilons: a slope fit needs at least 3 epsilon values")
+    if len(set(eps_list)) < len(eps_list):
+        raise ConfigError(f"sweep.epsilons {_fmt_value(eps_list)}: the epsilons must be "
+                          "distinct")
     for key in ("sweep.fine_ratio", "sweep.dt_ratio", "sweep.snapshots_per_run", "sweep.hom_n"):
         if cfg[key] < 1:
             raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
@@ -569,11 +572,11 @@ def run_sweep(cfg, outdir):
     return report
 
 
-def run(cfg, outdir=None):
-    """Dispatch a parsed config; returns the mode's primary result object."""
+def run(cfg, outdir):
+    """Dispatch a parsed config into outdir, which each mode makes once its keys
+    are checked; returns the mode's primary result object."""
     if not 0 < cfg["tol"] < 1:
         raise ConfigError(f"tol must lie in (0, 1), got {cfg['tol']:g}")
-    outdir = outdir or cfg["out"]   # each mode makes it once its keys are checked
     mode = cfg["mode"]
     if mode == "homogenize":
         return run_homogenize(cfg, outdir)
@@ -592,7 +595,7 @@ def main(argv=None):
     for name in ("homogenize", "simulate", "sweep"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        p.add_argument("--out", default=None)
+        p.add_argument("--out", default="out")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)

@@ -462,7 +462,7 @@ def test_3d_two_level_curl_rhs_at_the_rounding_floor_gives_zero_corrector():
     res = homogenize(spec, cell_N=16, slow_y=2)
     assert np.abs(res.a0[0] - np.diag([4.0, 2 * SQRT3, 2 * SQRT3])).max() < 1e-8
     assert np.abs(res.b0[0] - np.diag([2 * SQRT3, 4.0, 4.0])).max() < 1e-8
-    assert all(np.abs(res.cell_solution("a", 1, 0)[l]).max() == 0.0 for l in range(3))
+    assert all(np.abs(res.cells[("a", 1, 0)][l]).max() == 0.0 for l in range(3))
 
 
 def test_two_level_degenerate_scale_matches_single_level():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -403,9 +404,9 @@ def hat_weight(grid, y, q):
 
 
 def cell_factor_at(hom, level, sample, y):
-    """I + grad_y w and I + curl_y N of one cached cell solution at points y."""
+    """I + grad_y w and I + curl_y N of one cell solution at points y."""
     d = hom.d
-    W, Nc = hom.cell_solution("b", level, sample), hom.cell_solution("a", level, sample)
+    W, Nc = hom.cells[("b", level, sample)], hom.cells[("a", level, sample)]
     P = np.stack([fem.eval_nodal_gradient(hom.mesh, W[r], y) for r in range(d)], axis=-1)
     C = np.stack([fem.eval_edge_curl(hom.mesh, Nc[r], y) for r in range(len(Nc))], axis=-1)
     return np.eye(d) + P, np.eye(len(Nc)) + C
@@ -518,6 +519,19 @@ def test_ems_n2_matches_per_stamp_oracle(n2_setup):
     ref = folded_error_oracle(tf, th, hom, sched, cavity11)
     assert np.all(np.abs(ems.e_ms - ref) <= 1e-12 * np.abs(ref))
     assert np.all(ems.e_vel == 0.0) and np.all(ems.e_curl == 0.0)
+
+
+def test_homogenization_result_is_a_value_the_corrector_reads(n2_setup):
+    # homogenize writes the result once: no field caches corrector state, and
+    # a second folded-corrector call on the same result repeats every bit
+    hom, sched, tf, th = n2_setup
+    assert [f.name for f in dataclasses.fields(hom)] == ["spec", "cell_N", "x_grid", "y_grids",
+                                                          "tensors", "cells"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        hom.cells = {}
+    first, second = (corr.multiscale_corrector_error(tf, th, hom, sched, g1=cavity11).e_ms
+                     for _ in range(2))
+    assert first.tobytes() == second.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -709,7 +723,7 @@ def test_x_dependent_cell_field_sampler():
     y = rng.random((50, 2))
     x_between = rng.random((50, 2))
     P, G = corr.cell_factors(hom, y, slow=x_between)
-    sol0 = hom.cell_solution("b", 1, 0)
+    sol0 = hom.cells[("b", 1, 0)]
     P_ref = np.zeros((50, 2, 2))
     for r in range(2):
         P_ref[:, :, r] = fem.eval_nodal_gradient(hom.mesh, sol0[r], y)

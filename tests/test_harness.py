@@ -68,7 +68,7 @@ def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("mode = simulate\nbogus = 1")
     # the keys of deleted options are unknown like any other
-    deleted = ["schedule.require_integer"] + [
+    deleted = ["schedule.require_integer", "out"] + [
         f"coeff.{w}.{k}" for w in "ab"
         for k in ("scale", "axis", "frequency", "axes", "phases", "base", "x_offset")]
     for key in ["bogus", "workers"] + deleted:
@@ -79,11 +79,12 @@ def test_unknown_key_rejected():
 def test_readme_config_table_names_every_schema_key():
     readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
     table = readme.split("All keys and defaults:", 1)[1].split("\n\n", 2)[1]
-    keys = set()
+    keys = []
     for row in table.splitlines()[2:]:
         for name in re.findall(r"`([^`]+)`", row.split("|")[1]):
-            keys |= {name.replace("{a,b}", w) for w in "ab"}
-    assert keys == set(harness.SCHEMA)
+            keys += sorted({name.replace("{a,b}", w) for w in "ab"})
+    # each key once: a deleted key left in the table, or a key listed twice, fails
+    assert sorted(keys) == sorted(harness.SCHEMA)
 
 
 def test_every_coefficient_part_key_is_a_family_param():
@@ -117,12 +118,15 @@ def test_unknown_selector_rejected(tmp_path):
         harness.run(cfg, outdir=str(tmp_path))
 
 
-def test_fingerprint_ignores_execution_keys():
+def test_fingerprint_ignores_execution_keys(tmp_path):
     cfg1 = parse_config(CONST_SIM)
-    cfg2 = parse_config(CONST_SIM + "\nout = elsewhere")
-    assert harness.fingerprint(cfg1) == harness.fingerprint(cfg2)
     cfg3 = parse_config(CONST_SIM.replace("sim.n = 8", "sim.n = 16"))
     assert harness.fingerprint(cfg1) != harness.fingerprint(cfg3)
+    # the output directory is no config key: runs into two directories write one manifest
+    for name in "ab":
+        harness.run(cfg1, outdir=str(tmp_path / name))
+    assert (tmp_path / "a" / "manifest.txt").read_bytes() == \
+        (tmp_path / "b" / "manifest.txt").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +154,9 @@ def test_fit_slope_rejects_nonpositive():
         fit_slope([(0.1, 1.0), (0.05, -1.0)])
     with pytest.raises(ConfigError):
         fit_slope([(0.1, 1.0)])
+    # one eps twice: a rank-1 fit once returned a minimum-norm "slope"
+    with pytest.raises(ConfigError, match="distinct"):
+        fit_slope([(0.1, 1.0), (0.1, 2.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +547,11 @@ RUN_KEY_CONFIGS = {"simulate": ("simulate", CONST_SIM), "sweep": ("sweep", LAYER
     # once 18 cell solves instead of 2 for an x-independent spec, then exit 3
     # from the folded corrector after every leg's time loops
     ("folded-sweep", "hom.slow_x", "3"),
+    # once three identical legs and a slope fitted to one eps (exit 0)
+    ("sweep", "sweep.epsilons", "0.25,0.25,0.125"),
+    # refused by the scale schedule with a message that named no key
+    ("sweep", "sweep.epsilons", "0.25,0.125,1.5"),
+    ("folded-n3-sweep", "schedule.ratios", "2,1"),
 ])
 def test_cli_run_key_checked_before_cell_solves(tmp_path, capsys, monkeypatch, config, key,
                                                 value):
