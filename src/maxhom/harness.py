@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from collections import namedtuple
 
 import numpy as np
 
@@ -66,55 +67,103 @@ def _parse_factors(s):
     return tuple(out)
 
 
-_REQUIRED = object()
+def _cavity(m, n):
+    def fn(x):
+        return np.stack([-n * np.pi * np.cos(m * np.pi * x[:, 0]) * np.sin(n * np.pi * x[:, 1]),
+                         m * np.pi * np.sin(m * np.pi * x[:, 0]) * np.cos(n * np.pi * x[:, 1])],
+                        axis=1)
+    return fn
+
+
+def _bubble(x):
+    s = np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
+    return np.stack([s, s], axis=1)
+
+
+FIELD_REGISTRY = {
+    "zero": None,
+    "cavity11": _cavity(1, 1),
+    "cavity21": _cavity(2, 1),
+    "bubble": _bubble,
+}
+
+FORCING_REGISTRY = {
+    "zero": None,
+    "bubble": wave.Forcing(_bubble),
+    "bubble_cos2t": wave.Forcing(_bubble, lambda t: np.cos(2.0 * t)),
+}
+
+
+def _one_of(names):
+    return f"be one of {', '.join(map(str, names))}", lambda v: v in names
+
+
+_AT_LEAST_1 = ("be >= 1", lambda v: v >= 1)
+_POSITIVE = ("be > 0", lambda v: v > 0)
+_UNIT = ("lie in (0, 1)", lambda v: 0 < v < 1)
+
+# a run is a mode, and a simulate's sim.kind
+RUNS = ("homogenize", "fine simulate", "homogenized simulate", "sweep")
+_SIM = ("fine simulate", "homogenized simulate")
+_HOM = ("homogenize", "homogenized simulate", "sweep")   # the runs that solve the cell problems
+_WAVE = _SIM + ("sweep",)                                  # the runs that solve wave problems
+
+# A config key: its parser and default, the runs that read it, its rule there
+# ("<key> must <text>" and the test of a set value), and whether they need it set.
+Key = namedtuple("Key", "parse default runs rule required", defaults=(("", None), False))
 
 SCHEMA = {
-    "mode": (str, _REQUIRED),
-    "tol": (float, 1e-12),
-    "coeff.d": (int, 2),
-    "coeff.n": (int, 1),
-    "coeff.alpha": (float, _REQUIRED),
-    "coeff.beta": (float, _REQUIRED),
-    "schedule.epsilon": (float, None),
-    "schedule.ratios": (_parse_ints, ()),
-    "hom.cell_n": (int, 64),
-    "hom.slow_x": (int, None),
-    "hom.slow_y": (_parse_ints, None),
-    "sim.kind": (str, "homogenized"),
-    "sim.n": (int, None),
-    "sim.extent": (float, 1.0),
-    "sim.t_final": (float, 0.5),
-    "sim.dt": (float, None),
-    "sim.store_every": (int, 1),
-    "sim.probes": (_parse_ints, None),
-    "sim.snapshots": (_parse_bool, False),
-    "data.g0": (str, "zero"),
-    "data.g1": (str, "zero"),
-    "data.f": (str, "zero"),
-    "sweep.epsilons": (_parse_floats, ()),
-    "sweep.fine_ratio": (int, 32),
-    "sweep.hom_n": (int, 64),
-    "sweep.t_final": (float, 0.25),
-    "sweep.dt_ratio": (int, 16),
-    "sweep.snapshots_per_run": (int, 8),
-    "sweep.multiscale": (_parse_bool, False),
+    "mode": Key(str, None, RUNS, _one_of(("homogenize", "simulate", "sweep")), required=True),
+    "tol": Key(float, 1e-12, RUNS, _UNIT),
+    "coeff.d": Key(int, 2, RUNS, _one_of((2, 3))),
+    "coeff.n": Key(int, 1, RUNS, _AT_LEAST_1),
+    "coeff.alpha": Key(float, None, RUNS, required=True),
+    "coeff.beta": Key(float, None, RUNS, required=True),
+    "schedule.epsilon": Key(float, None, ("fine simulate",), _UNIT, required=True),
+    "schedule.ratios": Key(_parse_ints, (), ("fine simulate", "sweep"),
+                           ("be integers >= 2", lambda v: all(r >= 2 for r in v))),
+    "hom.cell_n": Key(int, 64, _HOM, _AT_LEAST_1),
+    "hom.slow_x": Key(int, None, _HOM),
+    "hom.slow_y": Key(_parse_ints, None, _HOM),
+    "sim.kind": Key(str, "homogenized", _SIM, _one_of(("fine", "homogenized"))),
+    "sim.n": Key(int, None, _SIM, _AT_LEAST_1, required=True),
+    "sim.extent": Key(float, 1.0, _WAVE, _POSITIVE),
+    "sim.t_final": Key(float, 0.5, _SIM, _POSITIVE),
+    "sim.dt": Key(float, None, _SIM, _POSITIVE),
+    "sim.store_every": Key(int, 1, _SIM, _AT_LEAST_1),
+    "sim.probes": Key(_parse_ints, None, _SIM),
+    "sim.snapshots": Key(_parse_bool, False, _SIM),
+    "data.g0": Key(str, "zero", _WAVE, _one_of(FIELD_REGISTRY)),
+    "data.g1": Key(str, "zero", _WAVE, _one_of(FIELD_REGISTRY)),
+    "data.f": Key(str, "zero", _WAVE, _one_of(FORCING_REGISTRY)),
+    # a slope fit needs three legs or more, at distinct scales
+    "sweep.epsilons": Key(_parse_floats, (), ("sweep",), (
+        "hold 3 epsilons or more, distinct and each in (0, 1)",
+        lambda v: len(set(v)) == len(v) >= 3 and all(0 < e < 1 for e in v))),
+    "sweep.fine_ratio": Key(int, 32, ("sweep",), _AT_LEAST_1),
+    "sweep.hom_n": Key(int, 64, ("sweep",), _AT_LEAST_1),
+    "sweep.t_final": Key(float, 0.25, ("sweep",), _POSITIVE),
+    "sweep.dt_ratio": Key(int, 16, ("sweep",), _AT_LEAST_1),
+    "sweep.snapshots_per_run": Key(int, 8, ("sweep",), _AT_LEAST_1),
+    "sweep.multiscale": Key(_parse_bool, False, ("sweep",)),
 }
 
 for _which in ("a", "b"):
     SCHEMA.update({
-        f"coeff.{_which}.family": (str, _REQUIRED),
-        f"coeff.{_which}.value": (_parse_floats, None),
-        f"coeff.{_which}.offset": (float, None),
-        f"coeff.{_which}.amplitude": (float, None),
-        f"coeff.{_which}.phase": (float, 0.0),
-        f"coeff.{_which}.factors": (_parse_factors, None),
-        f"coeff.{_which}.x_amplitude": (float, 0.0),
-        f"coeff.{_which}.code": (str, None),
+        f"coeff.{_which}.family": Key(str, None, RUNS, required=True),
+        f"coeff.{_which}.value": Key(_parse_floats, None, RUNS),
+        f"coeff.{_which}.offset": Key(float, None, RUNS),
+        f"coeff.{_which}.amplitude": Key(float, None, RUNS),
+        f"coeff.{_which}.phase": Key(float, 0.0, RUNS),
+        f"coeff.{_which}.factors": Key(_parse_factors, None, RUNS),
+        f"coeff.{_which}.x_amplitude": Key(float, 0.0, RUNS),
+        f"coeff.{_which}.code": Key(str, None, RUNS),
     })
 
 
 def parse_config(text):
-    """Parse flat key-value text into a resolved dict (defaults applied)."""
+    """Parse flat key-value text into a resolved dict (defaults applied); check_keys
+    refuses what no run accepts."""
     raw = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -127,24 +176,29 @@ def parse_config(text):
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        parser = SCHEMA[key][0]
         try:
-            raw[key] = parser(val)
-        except ConfigError:
-            raise
-        except Exception as exc:
+            raw[key] = SCHEMA[key].parse(val)
+        except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-    cfg = {}
-    for key, (_, default) in SCHEMA.items():
-        if key in raw:
-            cfg[key] = raw[key]
-        elif default is _REQUIRED:
-            raise ConfigError(f"missing required key {key!r}")
-        else:
-            cfg[key] = default
-    if cfg["mode"] not in ("homogenize", "simulate", "sweep"):
-        raise ConfigError(f"unknown mode {cfg['mode']!r}")
-    return cfg
+    return {key: raw.get(key, row.default) for key, row in SCHEMA.items()}
+
+
+def check_keys(cfg):
+    """Refuse, naming the key, a value outside its rule where the config's run reads
+    it, or a set value of a key that the run does not read (it keeps its default)."""
+    run = f"{cfg['sim.kind']} simulate" if cfg["mode"] == "simulate" else cfg["mode"]
+    # mode and sim.kind choose the run: where they name none, they are what is refused
+    read = [k for k in SCHEMA if run in SCHEMA[k].runs] if run in RUNS else ["mode", "sim.kind"]
+    for key in read:
+        (text, test), value = SCHEMA[key].rule, cfg[key]
+        if value is None and SCHEMA[key].required:
+            raise ConfigError(f"{key} is required")
+        if value is not None and test and not test(value):
+            raise ConfigError(f"{key} must {text}, got {value!r}")
+    stray = [k for k in SCHEMA if k not in read and cfg[k] != SCHEMA[k].default]
+    if stray:
+        raise ConfigError(f"{', '.join(stray)}: not read by a {run} run, so each must keep "
+                          "its default")
 
 
 def load_config(path):
@@ -189,7 +243,7 @@ def build_part(cfg, which):
     except CoefficientError as exc:
         raise ConfigError(f"coeff.{which}: {exc}") from None
     stray = [prefix + k for k in keys
-             if k not in ["family"] + reads and cfg[prefix + k] != SCHEMA[prefix + k][1]]
+             if k not in ["family"] + reads and cfg[prefix + k] != SCHEMA[prefix + k].default]
     if stray:
         raise ConfigError(f"{', '.join(stray)}: not read by family {fam!r} "
                           f"(it reads {', '.join(reads)})")
@@ -204,54 +258,15 @@ def build_spec(cfg):
 
 def build_schedule(cfg, epsilon=None):
     """The ScaleSchedule of schedule.epsilon, or of a sweep leg's epsilon."""
-    eps = epsilon if epsilon is not None else cfg["schedule.epsilon"]
-    if eps is None:
-        raise ConfigError("schedule.epsilon is required")
     ratios = cfg["schedule.ratios"]
     if 1 + len(ratios) != cfg["coeff.n"]:
         raise ConfigError("schedule.ratios must provide one ratio per extra scale")
-    try:
-        return ScaleSchedule(eps, ratios)
-    except CoefficientError as exc:
-        keys = f"{'schedule.epsilon' if epsilon is None else 'sweep.epsilons'} {eps:g}"
-        if ratios:
-            keys += f" with schedule.ratios {_fmt_value(ratios)}"
-        raise ConfigError(f"{keys}: {exc}") from None
-
-
-def _cavity(m, n):
-    def fn(x):
-        return np.stack([-n * np.pi * np.cos(m * np.pi * x[:, 0]) * np.sin(n * np.pi * x[:, 1]),
-                         m * np.pi * np.sin(m * np.pi * x[:, 0]) * np.cos(n * np.pi * x[:, 1])],
-                        axis=1)
-    return fn
-
-
-def _bubble(x):
-    s = np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
-    return np.stack([s, s], axis=1)
-
-
-FIELD_REGISTRY = {
-    "zero": None,
-    "cavity11": _cavity(1, 1),
-    "cavity21": _cavity(2, 1),
-    "bubble": _bubble,
-}
-
-FORCING_REGISTRY = {
-    "zero": None,
-    "bubble": wave.Forcing(_bubble),
-    "bubble_cos2t": wave.Forcing(_bubble, lambda t: np.cos(2.0 * t)),
-}
+    return ScaleSchedule(cfg["schedule.epsilon"] if epsilon is None else epsilon, ratios)
 
 
 def _field(cfg, key, registry):
     """The registry entry cfg[key], refused unless it has coeff.d components."""
     name, d = cfg[key], cfg["coeff.d"]
-    if name not in registry:
-        raise ConfigError(f"{key} = {name!r} is not in the builtin registry "
-                          f"({', '.join(sorted(registry))})")
     fn = registry[name]
     # the components are counted at one point
     k = None if fn is None else np.shape(getattr(fn, "space_fn", fn)(np.full((1, d), 0.5)))[-1]
@@ -341,14 +356,11 @@ def _drop_snapshots(k, u, v):
 def run_simulate(cfg, outdir):
     spec = build_spec(cfg)
     # every sim.* and data.* key is checked before the cell solves
-    if cfg["sim.kind"] not in ("fine", "homogenized"):
-        raise ConfigError(f"sim.kind must be fine or homogenized, got {cfg['sim.kind']!r}")
-    if cfg["sim.n"] is None:
-        raise ConfigError("sim.n is required in simulate mode")
-    if cfg["sim.store_every"] < 1:
-        raise ConfigError(f"sim.store_every must be at least 1, got {cfg['sim.store_every']}")
     mesh = DomainMesh(cfg["coeff.d"], cfg["sim.n"], cfg["sim.extent"])
     dt = cfg["sim.dt"] if cfg["sim.dt"] is not None else mesh.h / 2.0
+    if cfg["sim.t_final"] < dt:
+        raise ConfigError(f"sim.t_final {cfg['sim.t_final']:g} is shorter than one step "
+                          f"sim.dt = {dt:g}")
     probes, n_int = cfg["sim.probes"], mesh.n_interior_edges
     if probes is None:
         probes = tuple(sorted({n_int // 7, n_int // 3, (5 * n_int) // 7})) if n_int else ()
@@ -500,14 +512,6 @@ NUMERICAL_FAILURES = (fem.SolveError, HomogenizationError, corrector.CorrectorIn
 
 def run_sweep(cfg, outdir):
     eps_list = cfg["sweep.epsilons"]
-    if len(eps_list) < 3:
-        raise ConfigError("sweep.epsilons: a slope fit needs at least 3 epsilon values")
-    if len(set(eps_list)) < len(eps_list):
-        raise ConfigError(f"sweep.epsilons {_fmt_value(eps_list)}: the epsilons must be "
-                          "distinct")
-    for key in ("sweep.fine_ratio", "sweep.dt_ratio", "sweep.snapshots_per_run", "sweep.hom_n"):
-        if cfg[key] < 1:
-            raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
     if all(cfg[key] == "zero" for key in ("data.g0", "data.g1", "data.f")):
         raise ConfigError("data.g0, data.g1 and data.f are all zero: the solution is "
                           "identically 0 and leaves no error to fit a slope to")
@@ -575,14 +579,9 @@ def run_sweep(cfg, outdir):
 def run(cfg, outdir):
     """Dispatch a parsed config into outdir, which each mode makes once its keys
     are checked; returns the mode's primary result object."""
-    if not 0 < cfg["tol"] < 1:
-        raise ConfigError(f"tol must lie in (0, 1), got {cfg['tol']:g}")
-    mode = cfg["mode"]
-    if mode == "homogenize":
-        return run_homogenize(cfg, outdir)
-    if mode == "simulate":
-        return run_simulate(cfg, outdir)
-    return run_sweep(cfg, outdir)
+    check_keys(cfg)
+    return {"homogenize": run_homogenize, "simulate": run_simulate,
+            "sweep": run_sweep}[cfg["mode"]](cfg, outdir)
 
 
 # ---------------------------------------------------------------------------

@@ -79,12 +79,19 @@ def test_unknown_key_rejected():
 def test_readme_config_table_names_every_schema_key():
     readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
     table = readme.split("All keys and defaults:", 1)[1].split("\n\n", 2)[1]
-    keys = []
+    keys, read_by = [], {}
     for row in table.splitlines()[2:]:
-        for name in re.findall(r"`([^`]+)`", row.split("|")[1]):
-            keys += sorted({name.replace("{a,b}", w) for w in "ab"})
+        cells = row.split("|")
+        runs = cells[3].strip()
+        runs = set(harness.RUNS) if runs == "all" else {r.strip() for r in runs.split(",")}
+        for name in re.findall(r"`([^`]+)`", cells[1]):
+            names = sorted({name.replace("{a,b}", w) for w in "ab"})
+            keys += names
+            read_by.update(dict.fromkeys(names, runs))
     # each key once: a deleted key left in the table, or a key listed twice, fails
     assert sorted(keys) == sorted(harness.SCHEMA)
+    # the "read by" column names the runs of each key's row in SCHEMA
+    assert read_by == {key: set(row.runs) for key, row in harness.SCHEMA.items()}
 
 
 def test_every_coefficient_part_key_is_a_family_param():
@@ -102,9 +109,10 @@ def test_duplicate_key_rejected():
 
 
 def test_missing_required_key():
-    with pytest.raises(ConfigError, match="coeff.alpha"):
-        parse_config("mode = simulate\ncoeff.beta = 1\n"
-                     "coeff.a.family = constant\ncoeff.b.family = constant")
+    cfg = parse_config("mode = simulate\ncoeff.beta = 1\n"
+                       "coeff.a.family = constant\ncoeff.b.family = constant")
+    with pytest.raises(ConfigError, match="coeff.alpha is required"):
+        harness.check_keys(cfg)
 
 
 def test_bad_value_reports_line():
@@ -114,11 +122,11 @@ def test_bad_value_reports_line():
 
 def test_unknown_selector_rejected(tmp_path):
     cfg = parse_config(CONST_SIM.replace("data.g0 = zero", "") + "\ndata.g0 = nosuch")
-    with pytest.raises(ConfigError, match="registry"):
+    with pytest.raises(ConfigError, match="data.g0 must be one of zero, "):
         harness.run(cfg, outdir=str(tmp_path))
 
 
-def test_fingerprint_ignores_execution_keys(tmp_path):
+def test_fingerprint_follows_the_config_not_the_output_directory(tmp_path):
     cfg1 = parse_config(CONST_SIM)
     cfg3 = parse_config(CONST_SIM.replace("sim.n = 8", "sim.n = 16"))
     assert harness.fingerprint(cfg1) != harness.fingerprint(cfg3)
@@ -253,9 +261,8 @@ def test_cli_zero_sweep_key_exits_2(tmp_path, capsys, key):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("route", ["config"])   # the key is the one route to tol
 @pytest.mark.parametrize("tol", ["0", "-1", "1"])
-def test_cli_tol_outside_unit_interval_exits_2(tmp_path, capsys, route, tol):
+def test_cli_tol_outside_unit_interval_exits_2(tmp_path, capsys, tol):
     cfg_path = tmp_path / "s.cfg"
     cfg_path.write_text(LAYERED_SWEEP + f"tol = {tol}\n")
     argv = ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o")]
@@ -361,8 +368,10 @@ def test_cli_coefficient_outside_its_bounds_exits_2_before_assembly(tmp_path, ca
     text = (LAYERED_SWEEP.replace("mode = sweep", f"mode = {mode}")
             .replace("coeff.a.offset = 2.0\ncoeff.a.amplitude = 1.0",
                      "coeff.a.offset = 1.0\ncoeff.a.amplitude = 2.0"))
-    if kind:
-        text += f"sim.kind = {kind}\nsim.n = 16\nschedule.epsilon = 0.25\n"
+    if mode != "sweep":   # the coefficient, then the keys the run reads
+        text = text.split("hom.cell_n")[0] + {
+            "fine": "sim.kind = fine\nsim.n = 16\nschedule.epsilon = 0.25\n",
+            "homogenized": "sim.n = 16\nhom.cell_n = 32\n", None: "hom.cell_n = 32\n"}[kind]
     cfg_path = tmp_path / "c.cfg"
     cfg_path.write_text(text)
     out = tmp_path / "o"
@@ -496,6 +505,7 @@ RUN_KEY_CONFIGS = {"simulate": ("simulate", CONST_SIM), "sweep": ("sweep", LAYER
                    "xdep-simulate": ("simulate", XDEP_HOM.replace("homogenize", "simulate")
                                      + "sim.n = 8\nsim.t_final = 0.2\nsim.dt = 0.05\n"),
                    "xdep-fine-simulate": ("simulate", XDEP_HOM.replace("homogenize", "simulate")
+                                          .replace("hom.cell_n = 8\n", "")
                                           + "sim.kind = fine\nschedule.epsilon = 0.25\n"
                                           "sim.n = 16\nsim.t_final = 0.2\nsim.dt = 0.05\n"),
                    "xdep-sweep": ("sweep", XDEP_SWEEP), "folded-sweep": ("sweep", FOLDED_SWEEP),
@@ -552,6 +562,17 @@ RUN_KEY_CONFIGS = {"simulate": ("simulate", CONST_SIM), "sweep": ("sweep", LAYER
     # refused by the scale schedule with a message that named no key
     ("sweep", "sweep.epsilons", "0.25,0.125,1.5"),
     ("folded-n3-sweep", "schedule.ratios", "2,1"),
+    # single-key rules of the key table: once refused by the mesh, the wave data
+    # or the coefficient spec with a message that named no key
+    ("simulate", "sim.n", "0"),
+    ("simulate", "hom.cell_n", "0"),
+    ("simulate", "sim.dt", "0"),
+    ("simulate", "sim.dt", "-0.1"),
+    ("simulate", "sim.t_final", "0"),
+    ("simulate", "sim.dt", "0.3"),          # one step is longer than sim.t_final = 0.2
+    ("simulate", "sim.extent", "0"),
+    ("simulate", "coeff.n", "0"),
+    ("simulate", "coeff.d", "4"),
 ])
 def test_cli_run_key_checked_before_cell_solves(tmp_path, capsys, monkeypatch, config, key,
                                                 value):
@@ -648,9 +669,11 @@ def test_factor_needs_three_to_five_fields(factors):
         parse_config(XDEP_HOM.replace("factors = 2:1:1", f"factors = {factors}"))
 
 
-EXPRESSION_HOM = CONST_SIM.replace("mode = simulate", "mode = homogenize").replace(
-    "coeff.a.family = constant\ncoeff.a.value = 1.0",
-    "coeff.a.family = expression\ncoeff.a.code = {code}") + "hom.cell_n = 8\n"
+# CONST_SIM's coefficient without its sim.* keys, which homogenize does not read
+EXPRESSION_HOM = (CONST_SIM.split("sim.kind")[0].replace("mode = simulate", "mode = homogenize")
+                  .replace("coeff.a.family = constant\ncoeff.a.value = 1.0",
+                           "coeff.a.family = expression\ncoeff.a.code = {code}")
+                  + "hom.cell_n = 8\n")
 
 
 def test_cli_expression_outside_sandbox_exits_2(tmp_path, capsys):
@@ -762,6 +785,45 @@ data.g1 = cavity11
 """
 
 
+# a value other than the default of every key that some run does not read
+UNREAD_VALUES = {
+    "schedule.epsilon": "0.25", "schedule.ratios": "2", "hom.cell_n": "16", "hom.slow_x": "2",
+    "hom.slow_y": "4", "sim.kind": "fine", "sim.n": "8", "sim.extent": "2", "sim.t_final": "0.1",
+    "sim.dt": "0.01", "sim.store_every": "2", "sim.probes": "0", "sim.snapshots": "true",
+    "data.g0": "bubble", "data.g1": "bubble", "data.f": "bubble",
+    "sweep.epsilons": "0.5,0.25,0.125", "sweep.fine_ratio": "4", "sweep.hom_n": "16",
+    "sweep.t_final": "0.5", "sweep.dt_ratio": "4", "sweep.snapshots_per_run": "2",
+    "sweep.multiscale": "true"}
+RUN_CONFIGS = {"homogenize": ("homogenize", XDEP_HOM), "fine simulate": ("simulate", FINE_SIM),
+               "homogenized simulate": ("simulate", CONST_SIM), "sweep": ("sweep", LAYERED_SWEEP)}
+
+
+@pytest.mark.parametrize("run,keys", [
+    *[pytest.param(run, {key: UNREAD_VALUES[key]}, id=f"{run}-{key}".replace(" ", "-"))
+      for key, row in harness.SCHEMA.items() for run in harness.RUNS if run not in row.runs],
+    # each once exited 0: the unread keys were parsed, written to the manifest
+    # and fingerprinted, but never checked
+    pytest.param("homogenized simulate", {"schedule.epsilon": "1.5", "schedule.ratios": "1",
+                                          "sweep.epsilons": "0.3"}, id="homogenized-simulate-keys"),
+    *[pytest.param("homogenize", {key: value}, id=f"homogenize-{key}-{value}")
+      for key, value in (("sim.n", "0"), ("sim.kind", "bogus"), ("data.g0", "bogus"),
+                         ("sweep.fine_ratio", "0"), ("sim.dt", "-1"))],
+])
+def test_cli_key_the_run_does_not_read_exits_2(tmp_path, capsys, monkeypatch, run, keys):
+    solves = []
+    monkeypatch.setattr(harness, "homogenize", lambda *a, **k: solves.append(a))
+    mode, text = RUN_CONFIGS[run]
+    lines = [l for l in text.splitlines() if l.split(" = ")[0] not in keys]
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text("\n".join(lines + [f"{k} = {v}" for k, v in keys.items()]) + "\n")
+    out = tmp_path / "o"
+    assert harness.main([mode, "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and all(key in err for key in keys), err
+    assert not out.exists()
+    assert solves == []
+
+
 def test_fine_simulate_reduces_one_function_alike_in_every_family(tmp_path):
     # 2 + sin(2 pi y_1) as three families: the expression was once reduced with
     # 2 Gauss points per axis and the families with a sine factor with 3, so
@@ -851,6 +913,8 @@ def _config_texts():
              for name, text in vars(mod).items() if name.isupper() and isinstance(text, str)
              and "mode = " in text}
     texts["test_harness.EXPRESSION_HOM"] = EXPRESSION_HOM.format(code="2.0 + x[:, 0]")
+    texts.update({f"test_harness.RUN_KEY_CONFIGS[{name}]": text
+                  for name, (_, text) in RUN_KEY_CONFIGS.items()})
     texts.update({name: wl.config(1) for name, wl in mods[2].WORKLOADS.items()})
     return texts
 
@@ -871,3 +935,15 @@ def test_manifest_round_trips_through_parse_config(tmp_path):
     cfgs = [parse_config(XDEP_HOM.replace("factors = 2:1:1", f"factors = 2:1:1:1:{phase}"))
             for phase in ("1.23456789", "1.23456712")]
     assert harness.fingerprint(cfgs[0]) != harness.fingerprint(cfgs[1])
+
+
+def test_every_config_passes_the_key_check_of_its_mode():
+    # a change to the key table that refused one of these configs would turn a
+    # benchmark round, an acceptance gate or a test's base config into an exit 2
+    texts = _config_texts()
+    assert {"rate-sweep", "folded-sweep", "xdep-cavity"} <= set(texts)
+    for name, text in texts.items():
+        try:
+            harness.check_keys(parse_config(text))
+        except ConfigError as exc:
+            pytest.fail(f"{name}: {exc}")
