@@ -117,7 +117,7 @@ SCHEMA = {
     "tol": Key(float, 1e-12, RUNS, _UNIT),
     "coeff.d": Key(int, 2, RUNS, _one_of((2, 3))),
     "coeff.n": Key(int, 1, RUNS, _AT_LEAST_1),
-    "coeff.alpha": Key(float, None, RUNS, required=True),
+    "coeff.alpha": Key(float, None, RUNS, _POSITIVE, required=True),
     "coeff.beta": Key(float, None, RUNS, required=True),
     "schedule.epsilon": Key(float, None, ("fine simulate",), _UNIT, required=True),
     "schedule.ratios": Key(_parse_ints, (), ("fine simulate", "sweep"),
@@ -127,7 +127,6 @@ SCHEMA = {
     "hom.slow_y": Key(_parse_ints, None, _HOM),
     "sim.kind": Key(str, "homogenized", _SIM, _one_of(("fine", "homogenized"))),
     "sim.n": Key(int, None, _SIM, _AT_LEAST_1, required=True),
-    "sim.extent": Key(float, 1.0, _WAVE, _POSITIVE),
     "sim.t_final": Key(float, 0.5, _SIM, _POSITIVE),
     "sim.dt": Key(float, None, _SIM, _POSITIVE),
     "sim.store_every": Key(int, 1, _SIM, _AT_LEAST_1),
@@ -251,6 +250,9 @@ def build_part(cfg, which):
 
 
 def build_spec(cfg):
+    if cfg["coeff.beta"] < cfg["coeff.alpha"]:
+        raise ConfigError(f"coeff.beta {cfg['coeff.beta']:g} is below coeff.alpha "
+                          f"{cfg['coeff.alpha']:g}")
     return CoefficientSpec(cfg["coeff.d"], cfg["coeff.n"], a=build_part(cfg, "a"),
                            b=build_part(cfg, "b"), alpha=cfg["coeff.alpha"],
                            beta=cfg["coeff.beta"])
@@ -275,13 +277,17 @@ def _field(cfg, key, registry):
     return fn
 
 
-def build_wave_data(cfg, dt, t_final, store_every, probes=()):
-    return wave.WaveData(
-        T=t_final, dt=dt,
-        g0=_field(cfg, "data.g0", FIELD_REGISTRY),
-        g1=_field(cfg, "data.g1", FIELD_REGISTRY),
-        f=_field(cfg, "data.f", FORCING_REGISTRY),
-        store_every=store_every, probe_edges=probes, tol=cfg["tol"])
+def build_wave_data(cfg, dt, t_final, store_every, keys, probes=()):
+    """The WaveData of one run; keys names the config keys that set t_final and dt."""
+    try:
+        return wave.WaveData(
+            T=t_final, dt=dt,
+            g0=_field(cfg, "data.g0", FIELD_REGISTRY),
+            g1=_field(cfg, "data.g1", FIELD_REGISTRY),
+            f=_field(cfg, "data.f", FORCING_REGISTRY),
+            store_every=store_every, probe_edges=probes, tol=cfg["tol"])
+    except wave.WaveSetupError as exc:
+        raise ConfigError(f"{keys}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -318,24 +324,12 @@ def _x_keys(spec):
                      for w, part in (("a", spec.a), ("b", spec.b)) if part.depends_on_x())
 
 
-def _check_x_box(cfg, spec):
-    """Refuse an x-dependent spec on a box other than the unit box.
-
-    The closed-form coefficient range holds for x in the unit box, and b^0, a^0
-    are sampled in x there.
-    """
-    if spec.depends_on_x() and cfg["sim.extent"] != 1:
-        raise ConfigError(f"sim.extent = {cfg['sim.extent']:g} with an x-dependent "
-                          f"{_x_keys(spec)}: the coefficient's x range and the x samples "
-                          "of b^0, a^0 cover the unit box, so sim.extent must be 1")
-
-
 def _check_fine_resolution(mesh, schedule, keys):
     """Refuse a fine mesh that under-resolves the finest scale, h > eps_n/4; keys
     names the config keys that set the mesh and the schedule."""
     eps_n = schedule.epsilons[-1]
     if mesh.h > eps_n / 4 + 1e-12:
-        needed = int(np.ceil(4 * mesh.extent / eps_n))
+        needed = int(np.ceil(4 / eps_n))
         raise ConfigError(f"{keys}: the fine mesh under-resolves eps_n = {eps_n:g}, "
                           f"h = {mesh.h:g} > eps_n/4; need N >= {needed}")
 
@@ -356,19 +350,16 @@ def _drop_snapshots(k, u, v):
 def run_simulate(cfg, outdir):
     spec = build_spec(cfg)
     # every sim.* and data.* key is checked before the cell solves
-    mesh = DomainMesh(cfg["coeff.d"], cfg["sim.n"], cfg["sim.extent"])
+    mesh = DomainMesh(cfg["coeff.d"], cfg["sim.n"])
     dt = cfg["sim.dt"] if cfg["sim.dt"] is not None else mesh.h / 2.0
-    if cfg["sim.t_final"] < dt:
-        raise ConfigError(f"sim.t_final {cfg['sim.t_final']:g} is shorter than one step "
-                          f"sim.dt = {dt:g}")
     probes, n_int = cfg["sim.probes"], mesh.n_interior_edges
     if probes is None:
         probes = tuple(sorted({n_int // 7, n_int // 3, (5 * n_int) // 7})) if n_int else ()
     elif any(not 0 <= p < n_int for p in probes):
         raise ConfigError(f"sim.probes must lie in [0, {n_int}) (interior edges), "
                           f"got {','.join(map(str, probes))}")
-    data = build_wave_data(cfg, dt, cfg["sim.t_final"], cfg["sim.store_every"], probes)
-    _check_x_box(cfg, spec)
+    data = build_wave_data(cfg, dt, cfg["sim.t_final"], cfg["sim.store_every"],
+                           f"sim.t_final {cfg['sim.t_final']:g} with sim.dt {dt:g}", probes)
     hom = None
     if cfg["sim.kind"] == "fine":
         schedule = build_schedule(cfg)
@@ -461,22 +452,21 @@ def _sweep_leg(cfg, eps):
     schedule = build_schedule(cfg, epsilon=eps)
     eps_n = schedule.epsilons[-1]
     Nf = int(round(cfg["sweep.fine_ratio"] / eps_n))
-    mesh = DomainMesh(cfg["coeff.d"], Nf, cfg["sim.extent"])
-    _check_fine_resolution(mesh, schedule, f"sweep.fine_ratio {cfg['sweep.fine_ratio']} on "
-                                           f"sim.extent {cfg['sim.extent']:g} at eps {eps:g}")
+    mesh = DomainMesh(cfg["coeff.d"], Nf)
+    _check_fine_resolution(mesh, schedule, f"sweep.fine_ratio {cfg['sweep.fine_ratio']} "
+                                           f"at eps {eps:g}")
     dt = eps_n / cfg["sweep.dt_ratio"]
-    if cfg["sweep.t_final"] < dt:
-        raise ConfigError(f"sweep.t_final {cfg['sweep.t_final']:g} is shorter than one step "
-                          f"dt = {dt:g} at eps {eps:g}")
     steps = int(round(cfg["sweep.t_final"] / dt))
     store_every = max(1, steps // cfg["sweep.snapshots_per_run"])
-    data = build_wave_data(cfg, dt, cfg["sweep.t_final"], store_every)
+    data = build_wave_data(cfg, dt, cfg["sweep.t_final"], store_every,
+                           f"sweep.t_final {cfg['sweep.t_final']:g} with sweep.dt_ratio "
+                           f"{cfg['sweep.dt_ratio']} at eps {eps:g}")
     if not cfg["sweep.multiscale"]:
         # the hypotheses of the pointwise corrector (reconstruct_corrector)
         if cfg["data.g0"] != "zero":
             raise ConfigError(f"data.g0 = {cfg['data.g0']}: the pointwise corrector of a "
                               "sweep needs data.g0 = zero")
-        h0 = cfg["sim.extent"] / cfg["sweep.hom_n"]
+        h0 = 1 / cfg["sweep.hom_n"]
         if h0 > eps + 1e-12:
             raise ConfigError(f"sweep.hom_n {cfg['sweep.hom_n']} gives a homogenized mesh "
                               f"h0={h0:g} coarser than eps={eps:g}")
@@ -489,7 +479,7 @@ def _sweep_one(cfg, spec, hom, leg):
 
     # no WaveProblem is kept: its matrices would stay alive through the corrector
     traj_f = wave.integrate(wave.setup_problem(mesh, data, fine_coefficients(spec, schedule)))
-    hom_mesh = DomainMesh(cfg["coeff.d"], cfg["sweep.hom_n"], cfg["sim.extent"])
+    hom_mesh = DomainMesh(cfg["coeff.d"], cfg["sweep.hom_n"])
     traj_h = wave.integrate(wave.setup_problem(hom_mesh, data, hom.coefficients()))
 
     if cfg["sweep.multiscale"]:
@@ -520,14 +510,13 @@ def run_sweep(cfg, outdir):
         if cfg["coeff.d"] != 2:
             raise ConfigError(f"sweep.multiscale: the folded corrector is 2D, got "
                               f"coeff.d = {cfg['coeff.d']}")
-        # it averages over eps macro-cells, which must tile the box
+        # it averages over eps macro-cells, which must tile the unit box
         for e in eps_list:
-            if lattice_cells(cfg["sim.extent"], e) is None:
-                raise ConfigError(f"sweep.multiscale needs eps-lattices that tile the box: "
-                                  f"sim.extent {cfg['sim.extent']:g} is not a multiple of "
-                                  f"eps {e:g}")
+            if lattice_cells(1.0, e) is None:
+                raise ConfigError(f"sweep.multiscale needs eps-lattices that tile the unit "
+                                  f"box: sweep.epsilons holds eps {e:g}, and 1/eps is not "
+                                  "an integer")
     spec = build_spec(cfg)
-    _check_x_box(cfg, spec)
     if cfg["sweep.multiscale"] and spec.depends_on_x():
         raise ConfigError(f"sweep.multiscale: the folded corrector needs an x-independent "
                           f"coefficient, got an x-dependent {_x_keys(spec)}")

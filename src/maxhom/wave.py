@@ -52,8 +52,11 @@ class WaveData:
     tol: float = 1e-12
 
     def __post_init__(self):
-        if self.dt <= 0 or self.T < self.dt:
-            raise WaveSetupError("need dt > 0 and T >= dt")
+        # a run ends at T, not at the last whole step before it
+        steps = self.T / self.dt if self.dt > 0 else 0.0
+        if round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * round(steps):
+            raise WaveSetupError(f"need dt > 0 and T a whole number >= 1 of steps dt, "
+                                 f"got T/dt = {steps:.6g}")
         if self.store_every < 1:
             raise WaveSetupError("store_every must be >= 1")
         if self.f is not None and not isinstance(self.f, Forcing):

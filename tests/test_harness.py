@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import os
 import re
@@ -68,7 +69,7 @@ def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("mode = simulate\nbogus = 1")
     # the keys of deleted options are unknown like any other
-    deleted = ["schedule.require_integer", "out"] + [
+    deleted = ["schedule.require_integer", "out", "sim.extent"] + [
         f"coeff.{w}.{k}" for w in "ab"
         for k in ("scale", "axis", "frequency", "axes", "phases", "base", "x_offset")]
     for key in ["bogus", "workers"] + deleted:
@@ -92,6 +93,17 @@ def test_readme_config_table_names_every_schema_key():
     assert sorted(keys) == sorted(harness.SCHEMA)
     # the "read by" column names the runs of each key's row in SCHEMA
     assert read_by == {key: set(row.runs) for key, row in harness.SCHEMA.items()}
+
+
+def test_every_cfg_subscript_in_harness_names_a_schema_key():
+    # a deleted key left in a branch that no test runs would raise KeyError
+    # only when a run reaches it
+    with open(harness.__file__) as fh:
+        tree = ast.parse(fh.read())
+    names = {node.slice.value for node in ast.walk(tree)
+             if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+             and node.value.id == "cfg" and isinstance(node.slice, ast.Constant)}
+    assert len(names) > 20 and names <= set(harness.SCHEMA), names - set(harness.SCHEMA)
 
 
 def test_every_coefficient_part_key_is_a_family_param():
@@ -452,18 +464,17 @@ def test_sweep_slope_failure_leaves_no_partial_report(tmp_path, capsys, monkeypa
 
 
 def test_multiscale_lattice_that_does_not_tile_exits_2_before_cell_solves(tmp_path, capsys):
-    # extent 1.125 holds 2.25 eps-cells of eps = 1/2 and 4.5 of eps = 1/4: the
-    # folded corrector could not average over them, which is a config error
+    # the unit box holds 2.5 eps-cells of eps = 0.4: the folded corrector could
+    # not average over them, which is a config error
     text = LAYERED_SWEEP.replace("sweep.epsilons = 0.25,0.125,0.0625",
-                                 "sweep.epsilons = 0.5,0.25,0.125\nsweep.multiscale = true\n"
-                                 "sim.extent = 1.125")
+                                 "sweep.epsilons = 0.4,0.25,0.125\nsweep.multiscale = true")
     cfg_path = tmp_path / "s.cfg"
     cfg_path.write_text(text.replace("data.g1 = cavity11", "data.g1 = zero"))
     out = tmp_path / "o"
     assert harness.main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: sweep.multiscale") and "sim.extent 1.125" in err
-    assert "eps 0.5" in err
+    assert err.startswith("error: sweep.multiscale") and "sweep.epsilons" in err
+    assert "eps 0.4" in err
     assert not out.exists()
 
 
@@ -522,13 +533,17 @@ RUN_KEY_CONFIGS = {"simulate": ("simulate", CONST_SIM), "sweep": ("sweep", LAYER
     ("sweep", "data.f", "bogus"),
     ("sweep", "data.g0", "bogus"),
     ("sweep", "sweep.t_final", "0.03"),     # one step is 0.0625 at eps 0.25
+    # a final time that is not a whole number of steps: once run to the last
+    # whole step before it, while the manifest named the final time
+    ("sweep", "sweep.t_final", "0.1"),      # 1.6 steps at eps 0.25
+    ("simulate", "sim.t_final", "0.21"),    # 4.2 steps of sim.dt = 0.05
+    ("simulate", "sim.dt", "0.08"),         # 2.5 steps in sim.t_final = 0.2
     # the pointwise corrector's hypotheses and the fine resolution: once refused
     # per leg after its time loops (exit 3), or inside the first leg
     ("sweep", "data.g0", "cavity11"),
     ("sweep", "sweep.hom_n", "4"),          # h0 = 1/4 > eps at eps = 1/8, 1/16
     ("sweep", "sweep.hom_n", "8"),          # h0 = 1/8 > eps only at eps = 1/16
     ("sweep", "sweep.fine_ratio", "2"),     # h = eps/2 > eps/4
-    ("sweep", "sim.extent", "2.5"),         # h = 2.5 eps/8 > eps/4
     # checked when the spec is built: once a TypeError traceback (exit 1), and
     # once refused only inside the first cell solve
     ("simulate", "coeff.a.value", "2,0,0,2"),   # 4 entries for the 1x1 2D curl coefficient
@@ -536,13 +551,6 @@ RUN_KEY_CONFIGS = {"simulate": ("simulate", CONST_SIM), "sweep": ("sweep", LAYER
     # keys the family does not read: once silently ignored
     ("sweep", "coeff.a.factors", "2:1:1"),
     ("simulate", "coeff.b.phase", "1.0"),
-    # x samples cover the unit box: an x-dependent b^0, a^0 was once rescaled
-    # to sim.extent while the fine coefficient and the corrector read x as it is
-    ("xdep-sweep", "sim.extent", "2"),
-    ("xdep-simulate", "sim.extent", "2"),
-    # the closed-form coefficient range holds on the unit box: a fine run on
-    # another box once ran with its x modulation outside the checked range
-    ("xdep-fine-simulate", "sim.extent", "2"),
     # h = 1/8 > eps/4: once refused inside wave.setup_problem, after the output
     # directory was made, by a message that named no key
     ("xdep-fine-simulate", "sim.n", "8"),
@@ -570,9 +578,11 @@ RUN_KEY_CONFIGS = {"simulate": ("simulate", CONST_SIM), "sweep": ("sweep", LAYER
     ("simulate", "sim.dt", "-0.1"),
     ("simulate", "sim.t_final", "0"),
     ("simulate", "sim.dt", "0.3"),          # one step is longer than sim.t_final = 0.2
-    ("simulate", "sim.extent", "0"),
     ("simulate", "coeff.n", "0"),
     ("simulate", "coeff.d", "4"),
+    # bounds: once refused by the coefficient spec with a message that named no key
+    ("simulate", "coeff.alpha", "-1"),
+    ("simulate", "coeff.beta", "0.25"),     # below coeff.alpha = 0.5
 ])
 def test_cli_run_key_checked_before_cell_solves(tmp_path, capsys, monkeypatch, config, key,
                                                 value):
@@ -788,7 +798,7 @@ data.g1 = cavity11
 # a value other than the default of every key that some run does not read
 UNREAD_VALUES = {
     "schedule.epsilon": "0.25", "schedule.ratios": "2", "hom.cell_n": "16", "hom.slow_x": "2",
-    "hom.slow_y": "4", "sim.kind": "fine", "sim.n": "8", "sim.extent": "2", "sim.t_final": "0.1",
+    "hom.slow_y": "4", "sim.kind": "fine", "sim.n": "8", "sim.t_final": "0.1",
     "sim.dt": "0.01", "sim.store_every": "2", "sim.probes": "0", "sim.snapshots": "true",
     "data.g0": "bubble", "data.g1": "bubble", "data.f": "bubble",
     "sweep.epsilons": "0.5,0.25,0.125", "sweep.fine_ratio": "4", "sweep.hom_n": "16",
