@@ -276,9 +276,9 @@ class ScaleSchedule:
     """Microscopic scales eps_i = eps / (r_2 ... r_i), with integer ratios.
 
     epsilon: base scale eps_1; ratios: (r_2, ..., r_n), each an integer >= 2.
-    1/eps need not be an integer: the eps-lattice users check their own tiling
-    with unfolding.lattice_cells, the unfolding operators on the unit box and
-    the folded corrector on the domain [0, extent]^d.
+    1/eps need not be an integer: the eps-lattice users, the unfolding
+    operators and the folded corrector, check their own tiling of the unit box
+    with unfolding.lattice_cells.
     """
 
     epsilon: float

@@ -210,8 +210,12 @@ def reconstruct_corrector(u0_traj, hom, schedule, g1=None, g0=None, *, fine_mesh
 
     Requires g0 = 0 (pass None or a zero field); refuses otherwise, matching
     the hypothesis under which the corrector bound holds.  g0 is checked at
-    every fine quadrature point of the corrector.
+    every fine quadrature point of the corrector.  It reads the level-1 cell
+    fields only: n >= 2 scales, whose y_2 oscillations it misses, are refused.
     """
+    if schedule.n_scales > 1:
+        raise CorrectorInputError(f"the pointwise corrector serves n = 1, got n = "
+                                  f"{schedule.n_scales}: use multiscale_corrector_error")
     if u0_traj.mesh.h > schedule.epsilon + 1e-12:
         raise CorrectorInputError(
             f"homogenized mesh h0={u0_traj.mesh.h:g} coarser than eps={schedule.epsilon:g}; "
@@ -262,17 +266,17 @@ def corrector_error(fine_traj, corr):
 # ---------------------------------------------------------------------------
 # folded multiscale corrector
 
-def _macro_bins(xq, eps, extent):
-    """eps macro-cell index of each point and the macro-cell count.
+def _macro_bins(xq, eps):
+    """eps macro-cell index of each point of the unit box and the macro-cell count.
 
     The macro-cells are the eps-lattice cells, so the lattice must tile the
-    domain: a leftover strip would fall into the last row of bins.
+    unit box: a leftover strip would fall into the last row of bins.
     """
-    L = lattice_cells(extent, eps)
+    L = lattice_cells(1.0, eps)
     if L is None:
         raise CorrectorInputError(
-            f"the eps-lattice does not tile the domain: extent {extent:g} is not a "
-            f"multiple of eps {eps:g}")
+            f"the eps-lattice does not tile the unit box: 1/eps is not an integer "
+            f"for eps {eps:g}")
     return lattice_index(xq / eps, L), L ** xq.shape[1]
 
 
@@ -387,7 +391,7 @@ def multiscale_corrector_error(fine_traj, u0_traj, hom, schedule, g1=None):
     if mesh.d != 2:
         raise CorrectorInputError("the folded corrector driver is 2D")
     xq, wq = _fine_quadrature(mesh, _QUAD_RULE)
-    bins, nbins = _macro_bins(xq, schedule.epsilon, mesh.extent)
+    bins, nbins = _macro_bins(xq, schedule.epsilon)
     if schedule.n_scales == 1:
         P, G = cell_factors(hom, schedule.fast_variables(xq)[0])
     else:   # y_1..y_n repeat every eps: one period of points is built, each point reads its row

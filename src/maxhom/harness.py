@@ -463,6 +463,9 @@ def _sweep_leg(cfg, eps):
                            f"{cfg['sweep.dt_ratio']} at eps {eps:g}")
     if not cfg["sweep.multiscale"]:
         # the hypotheses of the pointwise corrector (reconstruct_corrector)
+        if cfg["coeff.n"] > 1:
+            raise ConfigError(f"sweep.multiscale = false runs the pointwise corrector, which "
+                              f"serves coeff.n = 1 only, got coeff.n = {cfg['coeff.n']}")
         if cfg["data.g0"] != "zero":
             raise ConfigError(f"data.g0 = {cfg['data.g0']}: the pointwise corrector of a "
                               "sweep needs data.g0 = zero")

@@ -2,10 +2,10 @@
 
 StructuredMesh holds the one numbering of both meshes.  CellMesh lives on
 the unit cell Y with full periodic identification (N^d distinct nodes,
-d*N^d distinct edges).  DomainMesh lives on a box [0, L]^d and flags edges
-whose tangential direction lies in the boundary (the essential condition
-u x nu = 0 eliminates exactly those).  grid_points builds every
-tensor-product point grid.
+d*N^d distinct edges).  DomainMesh lives on the unit box [0, 1]^d, the
+domain of every problem, and flags edges whose tangential direction lies in
+the boundary (the essential condition u x nu = 0 eliminates exactly those).
+grid_points builds every tensor-product point grid.
 
 Cells are enumerated in C order (last axis fastest); cell (i_1..i_d) covers
 prod_a [i_a h, (i_a+1) h].  Per-cell entity ordering is fixed by
@@ -59,14 +59,14 @@ def _cell_multi_indices(dims):
 
 @dataclass(frozen=True)
 class StructuredMesh:
-    """The numbering shared by CellMesh and DomainMesh: N^d cells of size h = extent / N.
+    """The numbering shared by CellMesh and DomainMesh: N^d cells of size h = 1 / N.
 
     Nodes, and the edges of each family f (tangent along axis f), are numbered
     in C order over their index grids, family f after families < f.  A
     periodic mesh (class attribute `periodic`) identifies opposite faces: every
     grid is N per axis and ids wrap mod N.  Otherwise the node grid is N + 1
     per axis and the family-f grid is N along f and N + 1 across.  Subclasses
-    give `periodic` and `extent`.
+    give `periodic`.
     """
 
     d: int
@@ -82,7 +82,7 @@ class StructuredMesh:
 
     @property
     def h(self):
-        return self.extent / self.N
+        return 1 / self.N
 
     @property
     def n_cells(self):
@@ -142,7 +142,6 @@ class CellMesh(StructuredMesh):
     """Periodic tensor-product mesh of the unit cell Y = [0,1)^d."""
 
     periodic = True
-    extent = 1.0
 
     def locate(self, x):
         """Wrap points into [0,1)^d and return (cell ids, local coords)."""
@@ -158,14 +157,7 @@ class CellMesh(StructuredMesh):
 
 @dataclass(frozen=True)
 class DomainMesh(StructuredMesh):
-    """Tensor-product mesh of the box [0, extent]^d with boundary-edge flags."""
-
-    extent: float = 1.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.extent <= 0:
-            raise MeshError("extent must be positive")
+    """Tensor-product mesh of the unit box [0, 1]^d with boundary-edge flags."""
 
     @cached_property
     def node_coords(self):
@@ -217,10 +209,9 @@ class DomainMesh(StructuredMesh):
     def locate(self, x):
         """(cell ids, local coords) with lower-cell tie-break on interior faces."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        tol = 1e-12 * max(1.0, self.extent)
-        if np.any(x < -tol) or np.any(x > self.extent + tol):
-            raise MeshError("point outside mesh extents")
-        z = np.clip(x, 0.0, self.extent) / self.h
+        if np.any(x < -1e-12) or np.any(x > 1 + 1e-12):
+            raise MeshError("point outside the unit box")
+        z = np.clip(x, 0.0, 1.0) / self.h
         idx = np.floor(z).astype(np.int64)
         on_face = (z == idx) & (idx > 0)
         idx = np.where(on_face, idx - 1, idx)

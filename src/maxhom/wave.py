@@ -255,7 +255,7 @@ class _SnapshotWriter:
         self.fh = open(self.part, "wb")
         self.fh.write(_SNAP_MAGIC)
         self.fh.write(struct.pack("<4q", mesh.d, mesh.N, self.n, self.n_snaps))
-        self.fh.write(struct.pack("<2d", mesh.extent, data.dt))
+        self.fh.write(struct.pack("<2d", 1.0, data.dt))
         self.fh.write(times.astype("<f8"))
         self.u_row0 = self.fh.tell()
         self.v_row0 = self.u_row0 + 8 * self.n * self.n_snaps
@@ -288,7 +288,7 @@ def export_snapshots(problem, path):
             traj = integrate(problem, sink=sink)
 
     Flat little-endian layout: magic 'MXHMSNP1'; int64 d, N, n_interior,
-    n_snaps; float64 extent, dt; then snap_times (n_snaps float64), U
+    n_snaps; float64 extent = 1.0, dt; then snap_times (n_snaps float64), U
     (n_snaps * n_interior float64, C order), V (same).  The header and
     snap_times are written here, each row of U and V when its step is stored.
     """

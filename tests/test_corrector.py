@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from maxhom import fem, wave
 from maxhom import corrector as corr
@@ -341,47 +341,41 @@ def n2_setup():
     return hom, sched, tf, th
 
 
-@pytest.mark.parametrize("eps", [0.25, 0.5])
+@pytest.mark.parametrize("eps", [0.4, 0.3])
 def test_macro_bins_refuse_lattice_that_does_not_tile(eps):
-    # extent 1.125 holds 4.5 (eps = 1/4) or 2.25 (eps = 1/2) eps-cells per axis:
-    # clamping the leftover strip into the last row of bins would merge
+    # the unit box holds 2.5 (eps = 0.4) or 3.33 (eps = 0.3) eps-cells per
+    # axis: clamping the leftover strip into the last row of bins would merge
     # macro-cells of different areas
-    mesh = DomainMesh(2, 18, 1.125)
-    xq = corr._fine_quadrature(mesh, 2)[0]
-    with pytest.raises(corr.CorrectorInputError, match="extent 1.125.*eps " + str(eps)):
-        corr._macro_bins(xq, eps, mesh.extent)
+    xq = corr._fine_quadrature(DomainMesh(2, 20), 2)[0]
+    with pytest.raises(corr.CorrectorInputError, match="unit box.*eps " + str(eps)):
+        corr._macro_bins(xq, eps)
 
 
 @st.composite
 def tiling_lattices(draw):
-    """(d, eps, cells per axis L, fine cells per eps-cell p): extent = L eps tiles."""
+    """(d, eps-cells per axis L, fine cells per eps-cell p): eps = 1/L tiles the unit box."""
     d = draw(st.sampled_from([2, 3]))
-    q = draw(st.integers(2, 8))
-    L = draw(st.integers(1, 4 if d == 3 else 10))
+    L = draw(st.integers(2, 4 if d == 3 else 10))
     p = draw(st.integers(1, 2 if d == 3 else 3))
-    return d, 1 / q, L, p
+    return d, L, p
 
 
 @settings(max_examples=40, deadline=None)
 @given(tiling_lattices())
-@example((2, 1 / 8, 9, 2))   # extent 1.125: a 9 x 9 lattice
 def test_macro_bins_tiling_lattice_gives_equal_areas(case):
-    d, eps, L, p = case
-    mesh = DomainMesh(d, L * p, L * eps)
-    xq, wq = corr._fine_quadrature(mesh, 2)
-    bins, nbins = corr._macro_bins(xq, eps, mesh.extent)
+    d, L, p = case
+    eps = 1 / L
+    xq, wq = corr._fine_quadrature(DomainMesh(d, L * p), 2)
+    bins, nbins = corr._macro_bins(xq, eps)
     assert nbins == L ** d
     assert np.allclose(np.bincount(bins, weights=wq, minlength=nbins), eps ** d,
                        rtol=1e-12, atol=0)
-    # on the unit box the bins are the macro cells that fold reads: a field
-    # whose macro group holds the flat cell number folds to the bin index
+    # the bins are the macro cells that fold reads: a field whose macro group
+    # holds the flat cell number folds to the bin index
     s = ScaleSchedule(eps)
-    q = uf.lattice_cells(1.0, eps)
-    unit = DomainMesh(d, q * p)
-    xq = corr._fine_quadrature(unit, 2)[0]
-    numbered = np.arange(q ** d, dtype=float).reshape((q,) * d + (1,) * d)
+    numbered = np.arange(L ** d, dtype=float).reshape((L,) * d + (1,) * d)
     folded = uf.fold(np.broadcast_to(numbered, uf.grid_shape(s, d, 1)), s, d, 1, xq)
-    assert np.array_equal(folded, corr._macro_bins(xq, eps, 1.0)[0])
+    assert np.array_equal(folded, bins)
 
 
 def test_ems_n2_smoke(n2_setup):
@@ -389,6 +383,14 @@ def test_ems_n2_smoke(n2_setup):
     ems = corr.multiscale_corrector_error(tf, th, hom, sched, g1=cavity11)
     assert np.all(np.isfinite(ems.e_ms))
     assert ems.max_ms > 0
+
+
+def test_pointwise_corrector_refuses_two_scales(n2_setup):
+    # it reads the level-1 cell fields only, so the y_2 oscillations would go
+    # uncorrected: once accepted, with an error that did not decrease in eps
+    hom, sched, tf, th = n2_setup
+    with pytest.raises(corr.CorrectorInputError, match="n = 2"):
+        corr.reconstruct_corrector(th, hom, sched, g1=cavity11, fine_mesh=tf.mesh)
 
 
 def hat_weight(grid, y, q):
@@ -480,7 +482,7 @@ def folded_error_oracle(fine_traj, u0_traj, hom, schedule, g1):
     cells = np.repeat(np.arange(mesh.n_cells), len(pts_ref))
     local = np.tile(pts_ref, (mesh.n_cells, 1))
     g1_vals = g1(xq)
-    mc, nmc = corr._macro_bins(xq, schedule.epsilon, mesh.extent)
+    mc, nmc = corr._macro_bins(xq, schedule.epsilon)
 
     def bin_average(values):
         wsum = np.bincount(mc, weights=wq, minlength=nmc)
@@ -663,12 +665,12 @@ def test_period_factors_folded_sweep(folded_sweep_hom):
     assert_period_factors_match(folded_sweep_hom, sched, mesh)
 
 
-@pytest.mark.parametrize("N,extent", [(30, 1.0), (18, 1.125)])
-def test_period_factors_whole_mesh_fallback(folded_sweep_hom, N, extent):
-    # eps/h = 7.5 is not an integer; eps/h = 4 does not divide N = 18:
+@pytest.mark.parametrize("N,eps", [(30, 1 / 4), (18, 1 / 4), (10, 0.4)])
+def test_period_factors_whole_mesh_fallback(folded_sweep_hom, N, eps):
+    # eps/h = 7.5 and 4.5 are not integers; eps/h = 4 does not divide N = 10:
     # the table then covers every point (p = N), row k for point k
-    sched = ScaleSchedule(1 / 4, (4,))
-    mesh = DomainMesh(2, N, extent)
+    sched = ScaleSchedule(eps, (4,))
+    mesh = DomainMesh(2, N)
     xq = corr._fine_quadrature(mesh, corr._QUAD_RULE)[0]
     xt, rows = corr._period_points(mesh, sched.epsilon)
     assert np.array_equal(xt, xq) and np.array_equal(rows, np.arange(len(xq)))
@@ -701,7 +703,7 @@ def test_boundary_layer_measure():
     # |D^eps| = 4 eps - 4 eps^2 = 1 - (1-2 eps)^2 for the mesh-aligned frame
     mesh = DomainMesh(2, 16)
     eps = 4 * mesh.h
-    dist = np.minimum(mesh.node_coords, mesh.extent - mesh.node_coords).min(axis=1)
+    dist = np.minimum(mesh.node_coords, 1 - mesh.node_coords).min(axis=1)
     in_closed_layer = dist[mesh.cell_nodes] <= eps + 1e-12
     measure = np.all(in_closed_layer, axis=1).sum() * mesh.h ** 2
     assert measure == pytest.approx(4 * eps - 4 * eps ** 2, abs=1e-12)

@@ -502,13 +502,12 @@ def test_eval_edge_curl_stokes():
     assert curl[0] == pytest.approx(4.0 / mesh.h ** 2)
 
 
-@pytest.mark.parametrize("mesh", [CellMesh(2, 5), DomainMesh(2, 4, 1.5), DomainMesh(3, 3)],
+@pytest.mark.parametrize("mesh", [CellMesh(2, 5), DomainMesh(2, 7), DomainMesh(3, 3)],
                          ids=["cell-2d", "domain-2d", "domain-3d"])
 def test_stacked_eval_equals_single_field_bitwise(mesh):
     # a (k, n) stack of fields gives each output a trailing axis of length k
     rng = np.random.default_rng(31)
-    extent = getattr(mesh, "extent", 1.0)
-    pts = extent * rng.random((57, mesh.d))
+    pts = rng.random((57, mesh.d))
     cells, local = mesh.locate(pts)
     for evaluate, n in ((fem.eval_edge_field, mesh.n_edges), (fem.eval_edge_curl, mesh.n_edges),
                         (fem.eval_nodal_field, mesh.n_nodes),
@@ -535,8 +534,8 @@ def test_nodal_gradient_eval():
 
 
 @pytest.mark.parametrize("rule", [1, 2, 3])
-@pytest.mark.parametrize("mesh", [DomainMesh(2, 5), DomainMesh(2, 6, 1.7), DomainMesh(3, 3, 0.8)],
-                         ids=["2d", "2d-extent", "3d-extent"])
+@pytest.mark.parametrize("mesh", [DomainMesh(2, 5), DomainMesh(2, 6), DomainMesh(3, 3)],
+                         ids=["2d", "2d-n6", "3d"])
 def test_gauss_table_eval_equals_located_eval_bitwise(monkeypatch, mesh, rule):
     # every cell's Gauss points in quad_points order, evaluated per point at
     # (cell, reference point) as the fine quadrature of the correctors did;
@@ -562,9 +561,9 @@ def test_gauss_table_eval_equals_located_eval_bitwise(monkeypatch, mesh, rule):
 @pytest.mark.parametrize("d,m", [(2, 1), (3, 3)])
 def test_edge_curl_has_m_components(d, m):
     # the curl of an edge field has m components in 2D and 3D alike
-    mesh = DomainMesh(d, 3, 1.25)
+    mesh = DomainMesh(d, 3)
     rng = np.random.default_rng(33)
-    pts = 1.25 * rng.random((5, d))
+    pts = rng.random((5, d))
     nloc = mesh.cell_edges.shape[1]
     assert fem.edge_curl_basis(d, pts).shape == (nloc, m, 5)
     ref = fem.edge_ref(d)
@@ -582,12 +581,11 @@ def constant_curl_2d(mesh, values, cells):
     return np.einsum("...pi,i->p...", dofs, np.array([1.0, -1.0, -1.0, 1.0])) / mesh.h ** 2
 
 
-@pytest.mark.parametrize("mesh", [CellMesh(2, 6), DomainMesh(2, 5, 1.5)],
-                         ids=["cell", "domain-extent"])
+@pytest.mark.parametrize("mesh", [CellMesh(2, 6), DomainMesh(2, 5)], ids=["cell", "domain"])
 def test_2d_curl_equals_cell_circulation_bitwise(monkeypatch, mesh):
     # the one-component curl keeps the bits of the constant per-cell circulation
     rng = np.random.default_rng(34)
-    pts = getattr(mesh, "extent", 1.0) * rng.random((23, 2))
+    pts = rng.random((23, 2))
     cells, _ = mesh.locate(pts)
     for values in (rng.standard_normal(mesh.n_edges), rng.standard_normal((3, mesh.n_edges))):
         expect = constant_curl_2d(mesh, values, cells)
@@ -603,12 +601,12 @@ def test_2d_curl_equals_cell_circulation_bitwise(monkeypatch, mesh):
         assert np.array_equal(curl[:, 0], np.repeat(per_cell, nq))
 
 
-@pytest.mark.parametrize("mesh", [CellMesh(2, 5), DomainMesh(2, 4, 1.5), DomainMesh(3, 3)],
+@pytest.mark.parametrize("mesh", [CellMesh(2, 5), DomainMesh(2, 7), DomainMesh(3, 3)],
                          ids=["cell-2d", "domain-2d", "domain-3d"])
 def test_eval_of_a_point_does_not_depend_on_its_batch(mesh):
     # one point at a time, in pairs, and all at once give the same bits
     rng = np.random.default_rng(32)
-    pts = getattr(mesh, "extent", 1.0) * rng.random((9, mesh.d))
+    pts = rng.random((9, mesh.d))
     cells, local = mesh.locate(pts)
     for evaluate, n in ((fem.eval_edge_field, mesh.n_edges), (fem.eval_edge_curl, mesh.n_edges),
                         (fem.eval_nodal_field, mesh.n_nodes),

@@ -562,6 +562,9 @@ RUN_KEY_CONFIGS = {"simulate": ("simulate", CONST_SIM), "sweep": ("sweep", LAYER
     # refused (exit 3) after the cell solves and every leg's time loops
     ("folded-n3-sweep", "hom.cell_n", "15"),
     ("folded-n3-sweep", "schedule.ratios", "2,3"),   # r_3 = 3 does not divide 16
+    # the pointwise corrector reads the level-1 cell fields only: once exit 0
+    # for n >= 2, with the y_2 oscillations uncorrected
+    ("folded-n3-sweep", "sweep.multiscale", "false"),
     # once 18 cell solves instead of 2 for an x-independent spec, then exit 3
     # from the folded corrector after every leg's time loops
     ("folded-sweep", "hom.slow_x", "3"),

@@ -1,8 +1,13 @@
+import ast
+import dataclasses
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import maxhom
 from maxhom.mesh import (CellMesh, DomainMesh, MeshError, edge_local_layout, grid_points,
                          node_corner_layout)
 
@@ -98,8 +103,6 @@ def test_invalid_construction():
         CellMesh(2, 0)
     with pytest.raises(MeshError):
         DomainMesh(4, 2)
-    with pytest.raises(MeshError):
-        DomainMesh(2, 3, extent=-1.0)
 
 
 def test_boundary_edges_are_tangential():
@@ -109,7 +112,7 @@ def test_boundary_edges_are_tangential():
     for e in np.flatnonzero(onb):
         f = fam[e]
         t = [a for a in range(2) if a != f][0]
-        assert mids[e, t] in (0.0, m.extent)
+        assert mids[e, t] in (0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +123,7 @@ def test_boundary_edges_are_tangential():
 def test_edges_join_their_cell_nodes(d, N, periodic):
     # local edge (f, off) of a cell runs from its corner off to corner off + e_f,
     # and every global edge id gets one ordered node pair from all its cells
-    m = CellMesh(d, N) if periodic else DomainMesh(d, N, 1.25)
+    m = CellMesh(d, N) if periodic else DomainMesh(d, N)
     corners = [tuple(c) for c in node_corner_layout(d)]
     ends = {}
     for i, (f, off) in enumerate(edge_local_layout(d)):
@@ -150,6 +153,24 @@ def test_grid_points_are_c_ordered_products(lens, data):
 def test_meshes_compare_by_class_and_fields():
     assert CellMesh(2, 3) == CellMesh(2, 3) and hash(CellMesh(2, 3)) == hash(CellMesh(2, 3))
     assert CellMesh(2, 3) != DomainMesh(2, 3)
-    assert DomainMesh(2, 3) != DomainMesh(2, 3, 1.25)
+    assert DomainMesh(2, 3) != DomainMesh(2, 4)
     assert CellMesh(3, 2).periodic and not DomainMesh(3, 2).periodic
-    assert CellMesh(3, 2).extent == 1.0 and CellMesh(3, 2).h == 0.5
+    # both meshes live on the unit box or cell: (d, N) is the whole mesh
+    for cls in (CellMesh, DomainMesh):
+        assert [f.name for f in dataclasses.fields(cls)] == ["d", "N"]
+        assert cls(3, 2).h == 0.5 and cls(2, 7).h == 1 / 7
+    with pytest.raises(TypeError):
+        DomainMesh(2, 4, 1.5)
+
+
+def test_no_module_reads_a_box_side():
+    # every problem is posed on the unit box and no mesh has an `extent`: a
+    # read of one left in a path that no test runs would raise AttributeError
+    # only when a run reaches it
+    attrs = {}
+    for path in pathlib.Path(maxhom.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                attrs.setdefault(node.attr, []).append(f"{path.name}:{node.lineno}")
+    assert "h" in attrs and "N" in attrs   # the walk sees the mesh reads
+    assert "extent" not in attrs, attrs["extent"]

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from maxhom import fem, wave
-from maxhom.cells import HomogenizationError, homogenize
+from maxhom.cells import homogenize
 from maxhom.coeffs import CoefficientPart, CoefficientSpec, ScaleSchedule, fine_coefficients
 from maxhom.mesh import DomainMesh
 
@@ -77,20 +77,17 @@ def test_step_matrix_refuses_k_and_m_on_two_patterns(unit_hom):
         wave.WaveProblem(prob.mesh, diagonal, prob.K, prob.data)
 
 
-def test_homogenized_x_dependent_coefficient_only_on_the_unit_box(unit_hom):
-    # the x samples cover [0, 1]^d: an x-dependent b^0, a^0 refuses a box of
-    # extent 2 (it was once rescaled to it), an x-independent one runs there
+def test_homogenized_x_dependent_coefficient_only_on_the_unit_box():
+    # the x samples cover [0, 1]^d, the box every DomainMesh covers (a point
+    # outside it is refused by the x grid, see test_cells)
     par = {"factors": [{"offset": 2.0, "amplitude": 1.0, "axis": 1}], "x_amplitude": 0.5}
     spec = CoefficientSpec(2, 1, a=CoefficientPart("separable-product", dict(par)),
                            b=CoefficientPart("separable-product", dict(par)),
                            alpha=0.4, beta=4.6)
     xdep = homogenize(spec, cell_N=8, slow_x=3)
-    data = wave.WaveData(T=0.1, dt=0.05)
-    with pytest.raises(HomogenizationError, match="outside the unit box"):
-        wave.setup_problem(DomainMesh(2, 8, 2.0), data, xdep.coefficients())
-    prob = wave.setup_problem(DomainMesh(2, 8, 2.0), data, unit_hom.coefficients())
+    prob = wave.setup_problem(DomainMesh(2, 8), wave.WaveData(T=0.1, dt=0.05),
+                              xdep.coefficients())
     assert np.all(np.isfinite(wave.integrate(prob).energies))
-    wave.setup_problem(DomainMesh(2, 8), data, xdep.coefficients())
 
 
 def test_wave_imports_only_fem_and_mesh():
@@ -216,10 +213,9 @@ def test_time_reversal(unit_hom):
 @st.composite
 def free_wave_cases(draw):
     """A fine problem with f = 0 over a random constant or layered spec, random
-    interior initial state, N <= 8 and at most 20 steps (eps = 1/2 and
-    h = extent/N <= eps/4)."""
-    N = draw(st.integers(4, 8))
-    extent = draw(st.floats(0.25, N / 8))
+    interior initial state, 8 <= N <= 16 and at most 20 steps (eps = 1/2 and
+    h = 1/N <= eps/4)."""
+    N = draw(st.integers(8, 16))
     parts, lo, hi = [], [], []
     for _ in range(2):
         if draw(st.booleans()):
@@ -239,7 +235,7 @@ def free_wave_cases(draw):
     steps = draw(st.integers(1, 20))
     dt = draw(st.floats(0.01, 0.2))
     data = wave.WaveData(T=steps * dt, dt=dt, store_every=steps, tol=1e-12)
-    prob = wave.setup_problem(DomainMesh(2, N, extent), data,
+    prob = wave.setup_problem(DomainMesh(2, N), data,
                               fine_coefficients(spec, ScaleSchedule(0.5)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     return prob, rng.standard_normal(prob.M.n), rng.standard_normal(prob.M.n)
@@ -332,14 +328,14 @@ def test_thinned_snapshots_are_rows_of_every_step(unit_hom):
 
 
 def test_snapshot_bytes_match_struct_layout(tmp_path, unit_hom):
-    mesh = DomainMesh(2, 5, 1.25)
-    data = wave.WaveData(T=0.15, dt=0.05, g0=lambda x: cavity11(x / 1.25), store_every=2)
+    mesh = DomainMesh(2, 5)
+    data = wave.WaveData(T=0.15, dt=0.05, g0=cavity11, store_every=2)
     prob = wave.setup_problem(mesh, data, unit_hom.coefficients())
     traj = wave.integrate(prob)
     path = os.path.join(tmp_path, "snapshots.bin")
     stream(prob, path)
     n_snaps, n = traj.U.shape
-    ref = b"MXHMSNP1" + struct.pack("<4q", 2, 5, n, n_snaps) + struct.pack("<2d", 1.25, 0.05)
+    ref = b"MXHMSNP1" + struct.pack("<4q", 2, 5, n, n_snaps) + struct.pack("<2d", 1.0, 0.05)
     for a in (traj.snap_times, traj.U.ravel(), traj.V.ravel()):
         ref += struct.pack(f"<{len(a)}d", *a)
     assert open(path, "rb").read() == ref
